@@ -11,18 +11,25 @@ Rules
   57 (d=4).  The cell is split along the coordinate axis with the largest
   fourth divided difference, measured from the rule's own axis points.
 
-Adaptivity is global: cells live in a priority heap keyed by their error
-contribution, worst first.  In ``singularity_guided`` mode the priority is
-multiplied by 1 + q0/(q0 + min |eps|) where eps is a caller-supplied proxy
-for the near-singular denominator, so cells hugging the eps = 0 manifold
-are refined preferentially.  Running out of budget is an expected outcome,
-not an exception: the result is returned with ``converged=False``.
+Adaptivity is global and batched, as in DCUHRE (Berntsen, Espelid & Genz,
+ACM TOMS 17, 1991).  Cells live in growable arrays indexed by creation id
+(center, half-width, value, error, split axis and a ``live`` flag); a heap
+of ``(-priority, id)`` keys hands out the worst cells first, a fixed batch
+per round, and the children of a batch are built and evaluated in one
+vectorized step.  The priority is the cell's error contribution; in
+``singularity_guided`` mode it is multiplied by 1 + q0/(q0 + min |eps|)
+where eps is a caller-supplied proxy for the near-singular denominator, so
+cells hugging the eps = 0 manifold are refined preferentially.  A cell too
+thin to bisect in floating point is frozen: it keeps its estimate and
+leaves the heap.  Running out of budget is an expected outcome, not an
+exception: the result is returned with ``converged=False``.
 
 Integrands are vectorized: ``f(points)`` receives an array of shape
 ``(n, d)`` (also for d = 1) and must return shape ``(n,)``, real or
 complex.  Cell evaluations are pure and independent; the final value is
-re-summed over leaf cells in creation order, so the reported number does
-not depend on the history of heap pops.
+re-summed over live cells in creation order, then frozen cells in the
+order they froze, so the reported number does not depend on the layout of
+the heap.
 """
 
 from __future__ import annotations
@@ -49,10 +56,17 @@ _BATCH = {1: 64, 2: 32, 3: 16, 4: 16}
 
 @dataclass(frozen=True)
 class QuadResult:
+    """Value and error of one cubature, with :func:`integrate`'s telemetry:
+    refinement ``rounds``, ``leaves`` (cells left in the heap at the end) and
+    ``frozen`` cells (too thin to bisect).  Other producers leave them 0."""
+
     value: complex
     error_estimate: float
     evaluations: int
     converged: bool
+    rounds: int = 0
+    leaves: int = 0
+    frozen: int = 0
 
 
 @dataclass(frozen=True)
@@ -135,8 +149,8 @@ class _Rule:
 
     ``points``: (npts, d); ``w_hi``/``w_lo``: weights normalized so the
     rule returns the *mean* of the integrand (multiply by cell volume).
-    ``axis_idx[i]`` holds the point indices used for the fourth divided
-    difference along axis i (inner pair then outer pair); empty in 1D.
+    ``axis_idx[:, i]`` holds the point indices used for the fourth divided
+    difference along axis i (inner pair then outer pair); unused in 1D.
     """
 
     def __init__(self, d: int):
@@ -146,7 +160,7 @@ class _Rule:
             # Sum of Kronrod weights on [-1,1] is 2: halve for mean form.
             self.w_hi = _GK_WK / 2.0
             self.w_lo = _GK_WG / 2.0
-            self.axis_idx: Tuple[Tuple[int, int, int, int], ...] = ()
+            self.axis_idx = np.zeros((4, 0), dtype=np.intp)
             self.dd_ratio = 0.0
         else:
             self._build_genz_malik(d)
@@ -198,7 +212,7 @@ class _Rule:
         self.points = np.array(pts)
         self.w_hi = np.array(w7)
         self.w_lo = np.array(w5)
-        self.axis_idx = tuple(tuple(ix) for ix in axis_idx)
+        self.axis_idx = np.array(axis_idx, dtype=np.intp).T
         self.dd_ratio = (l2 / l3) ** 2
 
 
@@ -228,29 +242,32 @@ def _eval_cells(
     """Apply the rule pair to a batch of cells.
 
     Returns per-cell high/low estimates, error, split axis, priority
-    weight, plus the raw sample count.
+    weight (None unless refinement is singularity guided), plus the raw
+    sample count.
     """
     m = centers.shape[0]
-    pts = centers[:, None, :] + halves[:, None, :] * rule.points[None, :, :]
+    pts = np.empty((m, rule.npts, rule.d))
+    for i in range(rule.d):
+        pts[:, :, i] = centers[:, i, None] + halves[:, i, None] * rule.points[:, i]
     flat = pts.reshape(m * rule.npts, rule.d)
     vals = np.asarray(f(flat))
     if vals.shape != (m * rule.npts,):
         raise ValueError(
             f"integrand returned shape {vals.shape}, expected {(m * rule.npts,)}"
         )
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NonFiniteSample("integrand returned a non-finite sample")
     v = vals.reshape(m, rule.npts)
     vol = np.prod(2.0 * halves, axis=1)
-    hi = vol * (v @ rule.w_hi)
+    mean_hi = v @ rule.w_hi
+    hi = vol * mean_hi
     lo = vol * (v @ rule.w_lo)
     resabs = vol * (np.abs(v) @ rule.w_abs)
     err = np.abs(hi - lo)
     if rule.d == 1:
         # QUADPACK rescaling: compare the raw gap to the deviation
         # integral so the 200-power heuristic is scale free.
-        mean = (v @ rule.w_hi)[:, None]
-        resasc = vol * (np.abs(v - mean) @ rule.w_hi)
+        resasc = vol * (np.abs(v - mean_hi[:, None]) @ rule.w_hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(
                 (resasc > 0) & (err > 0),
@@ -260,12 +277,9 @@ def _eval_cells(
         err = np.where((resasc > 0) & (err > 0), resasc * scale, err)
         split_axis = np.zeros(m, dtype=int)
     else:
-        dd = np.empty((m, rule.d))
-        v0 = v[:, 0]
-        for i, (p2, m2, p3, m3) in enumerate(rule.axis_idx):
-            inner = v[:, p2] + v[:, m2] - 2.0 * v0
-            outer = v[:, p3] + v[:, m3] - 2.0 * v0
-            dd[:, i] = np.abs(inner - rule.dd_ratio * outer)
+        p2, m2, p3, m3 = v[:, rule.axis_idx].transpose(1, 0, 2)
+        v0 = 2.0 * v[:, :1]
+        dd = np.abs(p2 + m2 - v0 - rule.dd_ratio * (p3 + m3 - v0))
         split_axis = np.argmax(dd, axis=1)
     # Roundoff floor keeps symmetric cancellations honest: a cell whose
     # signed sum vanishes still carries summation noise ~ eps * int |f|.
@@ -275,7 +289,7 @@ def _eval_cells(
         eps_min = np.min(np.abs(eps_vals), axis=1)
         weight = 1.0 + spec.q0 / (spec.q0 + eps_min)
     else:
-        weight = np.ones(m)
+        weight = None
     return hi, lo, err, split_axis, weight, m * rule.npts
 
 
@@ -298,7 +312,7 @@ def integrate(
 ) -> QuadResult:
     """Globally adaptive cubature of ``f`` over ``box``.
 
-    Subdivides the worst cell (bisection along the axis of largest
+    Subdivides the worst cells (bisection along the axis of largest
     fourth difference) until the summed error estimate meets
     ``max(abs_tol, rel_tol * |value|)`` or the evaluation budget runs
     out, in which case ``converged=False`` on the result.
@@ -306,91 +320,85 @@ def integrate(
     b = _check_box(box)
     d = b.shape[0]
     rule = _RULES[d]
-    center0 = (b[:, 0] + b[:, 1]) / 2.0
-    half0 = (b[:, 1] - b[:, 0]) / 2.0
-
-    evals = 0
-    next_id = 0
-    # heap entries: (-priority, id); cell payloads live in `cells`.
-    # Running totals track the tolerance test; the reported value is
-    # re-summed over leaves at the end (fsum, creation order).
-    heap: list = []
-    cells = {}
-    frozen = []  # cells too thin to split further
+    # Cell store, indexed by creation id; ``live`` marks the cells in the heap.
+    cap = 256
+    center, half = np.empty((cap, d)), np.empty((cap, d))
+    val = np.empty(cap, dtype=complex)  # real values are stored exactly
+    err, axis, live = np.empty(cap), np.empty(cap, np.intp), np.zeros(cap, bool)
+    n = evals = rounds = 0
+    heap: list = []  # (-priority, id): ties resolve by creation id
+    frozen: list = []  # ids of cells too thin to split, in freeze order
+    # Running totals drive the tolerance test and are updated one cell at
+    # a time in a fixed order; the reported value is re-summed at the end.
     run_val = 0.0 + 0.0j
     run_err = 0.0
-
-    def push(centers, halves, hi, err, axes, weights):
-        nonlocal next_id, run_val, run_err
-        for k in range(len(hi)):
-            cid = next_id
-            next_id += 1
-            cells[cid] = (centers[k], halves[k], hi[k], err[k], int(axes[k]))
-            heapq.heappush(heap, (-float(err[k] * weights[k]), cid))
-            run_val += complex(hi[k])
-            run_err += float(err[k])
-
-    hi, lo, err, axes, weights, n = _eval_cells(
-        f, rule, center0[None, :], half0[None, :], spec
-    )
-    is_complex = np.iscomplexobj(hi)
-    evals += n
-    push(np.array([center0]), np.array([half0]), hi, err, axes, weights)
-
+    c = ((b[:, 0] + b[:, 1]) / 2.0)[None, :]
+    h = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
+    is_complex = False
     while True:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(run_val))
-        if run_err <= tol:
-            break
-        if evals >= spec.max_evaluations:
-            break
-        if not heap:
-            break
-        batch = []
-        for _ in range(min(_BATCH[d], len(heap))):
-            _, cid = heapq.heappop(heap)
-            payload = cells.pop(cid)
-            run_val -= complex(payload[2])
-            run_err -= float(payload[3])
-            batch.append(payload)
-        run_err = max(run_err, 0.0)
-        child_centers, child_halves = [], []
-        for c, h, v, e, ax in batch:
-            if h[ax] / 2.0 == 0.0 or c[ax] + h[ax] / 2.0 == c[ax]:
-                frozen.append((c, h, v, e, ax))
-                run_val += complex(v)
-                run_err += float(e)
-                continue
-            h2 = h.copy()
-            h2[ax] /= 2.0
-            for s in (-1.0, +1.0):
-                c2 = c.copy()
-                c2[ax] += s * h2[ax]
-                child_centers.append(c2)
-                child_halves.append(h2)
-        if not child_centers:
-            break
-        cc = np.array(child_centers)
-        ch = np.array(child_halves)
-        hi, lo, err, axes, weights, n = _eval_cells(f, rule, cc, ch, spec)
+        hi, _, e, ax, weight, k = _eval_cells(f, rule, c, h, spec)
         is_complex = is_complex or np.iscomplexobj(hi)
-        evals += n
-        push(cc, ch, hi, err, axes, weights)
+        evals += k
+        m = len(hi)
+        if n + m > cap:
+            cap = 2 * (n + m)
+            center, half, val, err, axis, live = (
+                np.concatenate((a, np.zeros((cap - len(a),) + a.shape[1:], a.dtype)))
+                for a in (center, half, val, err, axis, live))
+        new = slice(n, n + m)
+        center[new], half[new], val[new], err[new], axis[new] = c, h, hi, e, ax
+        live[new] = True
+        prio = e if weight is None else e * weight
+        for key in zip((-prio).tolist(), range(n, n + m)):
+            heapq.heappush(heap, key)
+        for v, ev in zip(val[new].tolist(), err[new].tolist()):
+            run_val += v
+            run_err += ev
+        n += m
 
-    ids = sorted(cells)
-    val = complex(
-        math.fsum(cells[i][2].real for i in ids),
-        math.fsum(complex(cells[i][2]).imag for i in ids),
-    ) + sum(complex(v) for _, _, v, _, _ in frozen)
-    e_tot = math.fsum(cells[i][3] for i in ids) + math.fsum(
-        e for _, _, _, e, _ in frozen
-    )
-    value = val if is_complex else val.real
+        tol = max(spec.abs_tol, spec.rel_tol * abs(run_val))
+        if run_err <= tol or evals >= spec.max_evaluations or not heap:
+            break
+        ids = np.array([heapq.heappop(heap)[1]
+                        for _ in range(min(_BATCH[d], len(heap)))])
+        live[ids] = False
+        for v, ev in zip(val[ids].tolist(), err[ids].tolist()):
+            run_val -= v
+            run_err -= ev
+        run_err = max(run_err, 0.0)
+        ax = axis[ids]
+        c, h = center[ids], half[ids]
+        rows = np.arange(len(ids))
+        c_ax, h_ax = c[rows, ax], h[rows, ax] / 2.0
+        thin = (h_ax == 0.0) | (c_ax + h_ax == c_ax)
+        if thin.any():
+            # Frozen cells keep their estimate and never return to the heap.
+            for v, ev in zip(val[ids[thin]].tolist(), err[ids[thin]].tolist()):
+                run_val += v
+                run_err += ev
+            frozen.extend(ids[thin].tolist())
+            c, h, ax, c_ax, h_ax = (a[~thin] for a in (c, h, ax, c_ax, h_ax))
+            rows = rows[:len(ax)]
+            if not len(ax):
+                break
+        # The lower child of each split cell gets the smaller id.
+        h[rows, ax] = h_ax
+        c, h = np.repeat(c, 2, axis=0), np.repeat(h, 2, axis=0)
+        c[2 * rows, ax] = c_ax - h_ax
+        c[2 * rows + 1, ax] = c_ax + h_ax
+        rounds += 1
+
+    leaf = np.flatnonzero(live[:n])
+    total = complex(math.fsum(val[leaf].real.tolist()),
+                    math.fsum(val[leaf].imag.tolist())) + sum(val[frozen].tolist())
+    e_tot = math.fsum(err[leaf].tolist()) + math.fsum(err[frozen].tolist())
     # Re-test on the carefully summed totals so the converged flag is an
     # honest statement about the numbers actually returned.
-    converged = e_tot <= max(spec.abs_tol, spec.rel_tol * abs(val))
+    converged = e_tot <= max(spec.abs_tol, spec.rel_tol * abs(total))
     return QuadResult(
-        value=value, error_estimate=float(e_tot), evaluations=evals,
-        converged=bool(converged),
+        value=total if is_complex else total.real, error_estimate=float(e_tot),
+        evaluations=evals, converged=bool(converged), rounds=rounds,
+        leaves=len(leaf), frozen=len(frozen),
     )
 
 

@@ -155,6 +155,7 @@ def test_constant_one_cell():
     assert r.value == 1.0
     assert r.converged
     assert r.evaluations == 17  # a single degree-7 cell in 2D
+    assert (r.rounds, r.leaves, r.frozen) == (0, 1, 0)
 
 
 def test_separable_quartic_in_4d():
@@ -251,6 +252,76 @@ def test_determinism_of_adaptive():
     assert a.evaluations == b.evaluations
 
 
+def _ridge(P, q0=1e-2):
+    eps = P[:, 0] + P[:, 1] - 1.0
+    return (eps ** 2 - q0 ** 2) / (eps ** 2 + q0 ** 2) ** 2
+
+
+# name: (integrand, box, spec, points per cell)
+GOLDEN_CASES = {
+    "gk15_1d": (lambda P: np.sqrt(P[:, 0]) * np.cos(9.0 * P[:, 0]), UNIT,
+                QuadSpec(abs_tol=1e-12, rel_tol=0.0), 15),
+    "guided_ridge_2d": (_ridge, UNIT * 2, QuadSpec(
+        abs_tol=1e-4, rel_tol=0.0, refinement="singularity_guided", q0=1e-2,
+        epsilon_fn=lambda P: P[:, 0] + P[:, 1] - 1.0), 17),
+    "complex_3d": (lambda P: np.exp(2j * P.sum(axis=1))
+                   / (0.05 + P[:, 0] * P[:, 1] + P[:, 2] ** 2),
+                   UNIT * 3, QuadSpec(abs_tol=1e-7, rel_tol=0.0), 33),
+    "inverse_square_4d": (lambda P: 1.0 / (0.1 + P.sum(axis=1)) ** 2, UNIT * 4,
+                          QuadSpec(abs_tol=1e-7, rel_tol=0.0), 57),
+    "budget_exhausted_2d": (_ridge, UNIT * 2, QuadSpec(
+        abs_tol=1e-12, rel_tol=0.0, max_evaluations=20_000), 17),
+}
+
+# (value, error_estimate, evaluations, converged)
+GOLDEN_RESULTS = {
+    "gk15_1d": (0.017140478845611692, 9.343145486171637e-13, 34545, True),
+    "guided_ridge_2d": (-9.210440292889041, 9.970307499109171e-05, 664751, True),
+    "complex_3d": ((-0.9440039858096116 + 1.3100805641713558j),
+                   9.961019209025055e-08, 174207, True),
+    "inverse_square_4d": (0.31253555687760876, 9.899611728645937e-08, 279015, True),
+    "budget_exhausted_2d": (-9.223610470329914, 3.7599357993073643, 20655, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_outputs_are_bit_identical(name):
+    """The engine's refinement sequence is part of its contract.
+
+    These numbers were recorded before the cell store moved to arrays and
+    must not move under any change to the bookkeeping.  A change to
+    ``_BATCH`` or to the rules changes the refinement and so these values:
+    it must re-record them and say so in ``CHANGES.md``.
+    """
+    f, box, spec, npts = GOLDEN_CASES[name]
+    r = integrate(f, box, spec)
+    assert (r.value, r.error_estimate, r.evaluations, r.converged) \
+        == GOLDEN_RESULTS[name]
+    # every split turns one cell into two, so leaves = 1 + splits
+    assert r.leaves + r.frozen == 1 + (r.evaluations // npts - 1) // 2
+    assert r.rounds > 0 and r.frozen == 0
+
+
+@pytest.mark.parametrize("box, npts, evaluations", [
+    ([(1.0, 1.0 + 1e-13)], 15, 6405),
+    ([(1.0, 1.0 + 1e-13), (1.0, 1.0 + 1e-13)], 17, 11645),
+])
+def test_cells_too_thin_to_split_are_frozen(box, npts, evaluations):
+    # A step inside a box a few hundred ulps wide: bisection reaches
+    # cells whose halves no longer move the center, and those freeze.
+    # The evaluation counts were recorded with the golden values above.
+    def f(P):
+        return np.all(P > 1.0 + 3.3e-14, axis=1).astype(float)
+
+    r = integrate(f, box, QuadSpec(abs_tol=1e-300, rel_tol=0.0,
+                                   max_evaluations=200_000))
+    assert not r.converged
+    assert np.isfinite(r.value) and np.isfinite(r.error_estimate)
+    assert r.evaluations == evaluations
+    assert r.frozen > 0
+    assert r.leaves + r.frozen == 1 + (r.evaluations // npts - 1) // 2
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
@@ -262,6 +333,7 @@ def test_mc_constant_is_exact():
     assert r.value == 4.0
     assert r.error_estimate == 0.0
     assert r.converged
+    assert (r.rounds, r.leaves, r.frozen) == (0, 0, 0)  # no cells in MC
 
 
 def test_mc_linear_within_three_stderr():
