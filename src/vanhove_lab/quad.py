@@ -21,8 +21,9 @@ vectorized step.  The priority is the cell's error contribution; in
 where eps is a caller-supplied proxy for the near-singular denominator, so
 cells hugging the eps = 0 manifold are refined preferentially.  A cell too
 thin to bisect in floating point is frozen: it keeps its estimate and
-leaves the heap.  Running out of budget is an expected outcome, not an
-exception: the result is returned with ``converged=False``.
+leaves the heap, and refinement goes on with the remaining cells.  Running
+out of budget is an expected outcome, not an exception: the result is
+returned with ``converged=False``.
 
 Integrands are vectorized: ``f(points)`` receives an array of shape
 ``(n, d)`` (also for d = 1) and must return shape ``(n,)``, real or
@@ -359,28 +360,32 @@ def integrate(
         tol = max(spec.abs_tol, spec.rel_tol * abs(run_val))
         if run_err <= tol or evals >= spec.max_evaluations or not heap:
             break
-        ids = np.array([heapq.heappop(heap)[1]
-                        for _ in range(min(_BATCH[d], len(heap)))])
-        live[ids] = False
-        for v, ev in zip(val[ids].tolist(), err[ids].tolist()):
-            run_val -= v
-            run_err -= ev
-        run_err = max(run_err, 0.0)
-        ax = axis[ids]
-        c, h = center[ids], half[ids]
-        rows = np.arange(len(ids))
-        c_ax, h_ax = c[rows, ax], h[rows, ax] / 2.0
-        thin = (h_ax == 0.0) | (c_ax + h_ax == c_ax)
-        if thin.any():
-            # Frozen cells keep their estimate and never return to the heap.
-            for v, ev in zip(val[ids[thin]].tolist(), err[ids[thin]].tolist()):
-                run_val += v
-                run_err += ev
-            frozen.extend(ids[thin].tolist())
-            c, h, ax, c_ax, h_ax = (a[~thin] for a in (c, h, ax, c_ax, h_ax))
-            rows = rows[:len(ax)]
-            if not len(ax):
+        # Pop batches until one has a cell to split or the heap runs dry.
+        while True:
+            ids = np.array([heapq.heappop(heap)[1]
+                            for _ in range(min(_BATCH[d], len(heap)))])
+            live[ids] = False
+            for v, ev in zip(val[ids].tolist(), err[ids].tolist()):
+                run_val -= v
+                run_err -= ev
+            run_err = max(run_err, 0.0)
+            ax = axis[ids]
+            c, h = center[ids], half[ids]
+            rows = np.arange(len(ids))
+            c_ax, h_ax = c[rows, ax], h[rows, ax] / 2.0
+            thin = (h_ax == 0.0) | (c_ax + h_ax == c_ax)
+            if thin.any():
+                # Frozen cells keep their estimate and never return to the heap.
+                for v, ev in zip(val[ids[thin]].tolist(), err[ids[thin]].tolist()):
+                    run_val += v
+                    run_err += ev
+                frozen.extend(ids[thin].tolist())
+                c, h, ax, c_ax, h_ax = (a[~thin] for a in (c, h, ax, c_ax, h_ax))
+                rows = rows[:len(ax)]
+            if len(ax) or not heap:
                 break
+        if not len(ax):
+            break
         # The lower child of each split cell gets the smaller id.
         h[rows, ax] = h_ax
         c, h = np.repeat(c, 2, axis=0), np.repeat(h, 2, axis=0)

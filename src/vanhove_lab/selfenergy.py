@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -579,7 +579,9 @@ def d2_sigma2_xi_eta(q0: float, spec: QuadSpec,
 # Thermal kernels in the scaled variable u = beta E1.  delta1 is the
 # beta = 1 thermal delta; g1 = -(u delta1)' is smooth, even, and
 # integrates to zero over the line, which is what makes the remainder
-# terms die as beta grows.
+# terms die as beta grows.  These direct forms are the 4D oracle's; the
+# panel kernel computes the same products in cache-sized blocks of rows,
+# in real arithmetic and from one exp per node (see _panel_sums).
 def _delta1(u: np.ndarray) -> np.ndarray:
     w = np.exp(-np.abs(u))
     return w / (1.0 + w) ** 2
@@ -598,44 +600,71 @@ _PANEL_UNITS = 4.0      # target panel length in u-units
 _PANEL_MIN = 4
 _PANEL_MAX = 32
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+_BLOCK = 8192           # panel nodes per block of rows
+# Nodes and weights of m equal Gauss panels on [0, 1], for each panel count m.
+_PANELS = {m: ((np.arange(0.5, m)[:, None] / m + 0.5 / m * _GL_NODES).ravel(),
+               np.tile(0.5 / m * _GL_WEIGHTS, m))
+           for m in (_PANEL_MIN, 8, 16, _PANEL_MAX)}
+# Each kind's kernel is delta1(u) (f2 - f3) k / (iq0 + eps)^p: the factor k
+# of (u, t = e^{-|u|}, 1/(1+t), y - y', beta), and the power p.  x2 keeps
+# np.tanh, as (1-t)/(1+t) loses its relative accuracy when u -> 0.
+_KERNELS = {
+    "zeta2": (lambda u, t, r, ds, beta: beta * (np.abs(u) * (1.0 - t) * r - 1.0), 1),
+    "zeta3": (lambda u, t, r, ds, beta: -2.0 * u, 2),
+    "x2": (lambda u, t, r, ds, beta: -(beta * ds) ** 2 * np.tanh(u / 2.0), 1),
+    "x3": (lambda u, t, r, ds, beta: 2.0 * beta * ds * ds, 2),
+}
 
 
-def _inner_reduce(x: np.ndarray, delta: np.ndarray, beta: float,
-                  g: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-                  ) -> np.ndarray:
-    """Integrate g over v = x - x' in [x-1, x+1], clipped to the kernel
-    support |beta delta v| <= _U_SUPPORT, with Gauss panels sized to the
-    window length in u-units.
+def _panel_sums(P: np.ndarray, a: float, beta: float, kind: str) -> np.ndarray:
+    """Inner integral of the ``kind`` kernel over v = x - x' in [x-1, x+1],
+    clipped to the kernel support |beta (y-y') v| <= _U_SUPPORT, for each
+    outer point (x, y, y') of ``P``, at q0 = ``a``.
 
-    The panel count is a pure per-row function (rows are bucketed by
-    power-of-two counts), so values cannot depend on how the adaptive
-    outer quadrature batches its cells.  ``g(v, w, idx)`` receives node
-    matrix, weight matrix, and the row indices it covers, and returns
-    the weighted row sums.
+    Each window is cut into m Gauss panels, m the power of two in [4, 32]
+    that sizes panels to _PANEL_UNITS u-units.  Rows of one m go in blocks
+    of about _BLOCK nodes, with delta1 = t / (1+t)^2 from t = e^{-|u|} and
+    1/(ia+eps) = (eps - ia)/D, 1/(ia+eps)^2 = (eps^2 - a^2 - 2ia eps)/D^2,
+    D = eps^2 + a^2.  The panel count is a pure per-row function and each
+    row sum is an ``einsum``, whose bits do not depend on the other rows of
+    a block (a BLAS ``gemv`` product's do), so values cannot depend on how
+    the adaptive outer quadrature batches its cells.
     """
-    n = len(x)
+    factor, power = _KERNELS[kind]
+    state = ThermalState.finite(beta)
+    x, y, yp = P[:, 0], P[:, 1], P[:, 2]
+    delta, e2 = y - yp, x * y
+    f2 = fermi(state, e2)
     scale = beta * np.abs(delta)
     with np.errstate(divide="ignore"):
         vmax = np.where(scale > 0, _U_SUPPORT / np.where(scale > 0, scale, 1.0),
                         np.inf)
     lo = np.maximum(x - 1.0, -vmax)
-    hi = np.minimum(x + 1.0, vmax)
-    ok = hi > lo
-    ulen = np.where(ok, scale * (hi - lo), 0.0)
-    need = np.maximum(ulen / _PANEL_UNITS, 1.0)
+    length = np.minimum(x + 1.0, vmax) - lo
+    ok = length > 0
+    need = np.maximum(np.where(ok, scale * length, 0.0) / _PANEL_UNITS, 1.0)
     m_row = np.clip(np.exp2(np.ceil(np.log2(need))), _PANEL_MIN, _PANEL_MAX)
-    out = np.zeros(n, dtype=complex)
-    for m in (_PANEL_MIN, 8, 16, _PANEL_MAX):
-        idx = np.nonzero(ok & (m_row == m))[0]
-        if len(idx) == 0:
-            continue
-        edges = (lo[idx, None]
-                 + (hi - lo)[idx, None] * np.linspace(0.0, 1.0, m + 1)[None, :])
-        c = (edges[:, 1:] + edges[:, :-1]) / 2.0
-        h = (edges[:, 1:] - edges[:, :-1]) / 2.0
-        v = (c[:, :, None] + h[:, :, None] * _GL_NODES).reshape(len(idx), -1)
-        w = (h[:, :, None] * _GL_WEIGHTS[None, None, :]).reshape(len(idx), -1)
-        out[idx] = g(v, w, idx)
+    out = np.zeros(len(P), dtype=complex)
+    for m, (U, W) in _PANELS.items():
+        rows = np.flatnonzero(ok & (m_row == m))
+        for s in range(0, len(rows), _BLOCK // len(U)):
+            idx = rows[s:s + _BLOCK // len(U)]
+            L, ds, ys = length[idx, None], delta[idx, None], yp[idx, None]
+            v = lo[idx, None] + L * U
+            e3 = (x[idx, None] - v) * ys
+            E1 = v * ds
+            eps = e2[idx, None] - e3 - E1
+            u = beta * E1
+            t = np.exp(-np.abs(u))
+            r = 1.0 / (1.0 + t)
+            k = t * r * r * (f2[idx, None] - fermi(state, e3))
+            k *= factor(u, t, r, ds, beta)
+            D = eps * eps + a * a
+            k /= D if power == 1 else D * D
+            re = k * (eps if power == 1 else eps * eps - a * a)
+            im = k if power == 1 else k * eps
+            out[idx] = L[:, 0] * (np.einsum("ij,j->i", re, W)
+                                  - 1j * power * a * np.einsum("ij,j->i", im, W))
     return out
 
 
@@ -644,37 +673,9 @@ def _finite_beta_term(q0: float, beta: float, spec: QuadSpec,
     _require_q0(q0)
     if not beta > 0:
         raise ValueError("finite-temperature term needs beta > 0")
-    state = ThermalState.finite(beta)
     a = abs(q0)
-
-    def outer(P: np.ndarray) -> np.ndarray:
-        x, y, yp = P[:, 0], P[:, 1], P[:, 2]
-        delta = y - yp
-        f2 = fermi(state, x * y)
-
-        def g(v: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            xs = x[idx][:, None]
-            ds = delta[idx][:, None]
-            xp = xs - v
-            E1 = v * ds
-            eps = (x * y)[idx][:, None] - xp * yp[idx][:, None] - E1
-            u = beta * E1
-            f3 = fermi(state, xp * yp[idx][:, None])
-            df = f2[idx][:, None] - f3
-            if kind == "zeta2":
-                vals = beta * _g1(u) * df / (1j * a + eps)
-            elif kind == "zeta3":
-                vals = -2.0 * E1 * beta * _delta1(u) * df / (1j * a + eps) ** 2
-            elif kind == "x2":
-                vals = ds * ds * beta ** 2 * _ddelta1(u) * df / (1j * a + eps)
-            else:  # x3
-                vals = (2.0 * beta * _delta1(u) * ds * ds * df
-                        / (1j * a + eps) ** 2)
-            return np.sum(w * vals, axis=1)
-
-        return _inner_reduce(x, delta, beta, g)
-
-    return quad.integrate(outer, [(-1.0, 1.0)] * 3, spec)
+    return quad.integrate(lambda P: _panel_sums(P, a, beta, kind),
+                          [(-1.0, 1.0)] * 3, spec)
 
 
 def zeta2(q0: float, beta: float, spec: QuadSpec) -> QuadResult:

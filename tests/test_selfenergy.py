@@ -259,6 +259,102 @@ def _direct_finite_term(kind, q0, beta):
     return quad.integrate(f, [(-1.0, 1.0)] * 4, LOOSE4D)
 
 
+def _reference_inner_reduce(x, delta, beta, g):
+    """Reference panel rule: a callback reducer that builds the panel
+    edges, node and weight matrices for each power-of-two bucket.  Also
+    returns each row's panel count and whether its window was clipped."""
+    n = len(x)
+    scale = beta * np.abs(delta)
+    with np.errstate(divide="ignore"):
+        vmax = np.where(scale > 0, se._U_SUPPORT / np.where(scale > 0, scale, 1.0),
+                        np.inf)
+    lo = np.maximum(x - 1.0, -vmax)
+    hi = np.minimum(x + 1.0, vmax)
+    ok = hi > lo
+    ulen = np.where(ok, scale * (hi - lo), 0.0)
+    need = np.maximum(ulen / se._PANEL_UNITS, 1.0)
+    m_row = np.clip(np.exp2(np.ceil(np.log2(need))), se._PANEL_MIN, se._PANEL_MAX)
+    out = np.zeros(n, dtype=complex)
+    for m in (se._PANEL_MIN, 8, 16, se._PANEL_MAX):
+        idx = np.nonzero(ok & (m_row == m))[0]
+        if len(idx) == 0:
+            continue
+        edges = (lo[idx, None]
+                 + (hi - lo)[idx, None] * np.linspace(0.0, 1.0, m + 1)[None, :])
+        c = (edges[:, 1:] + edges[:, :-1]) / 2.0
+        h = (edges[:, 1:] - edges[:, :-1]) / 2.0
+        v = (c[:, :, None] + h[:, :, None] * se._GL_NODES).reshape(len(idx), -1)
+        w = (h[:, :, None] * se._GL_WEIGHTS[None, None, :]).reshape(len(idx), -1)
+        out[idx] = g(v, w, idx)
+    return out, m_row, ok & ((lo > x - 1.0) | (hi < x + 1.0))
+
+
+def _reference_panel_sums(P, a, beta, kind):
+    """Inner integrals through the reference reducer, with the thermal
+    kernels of the 4D oracle and complex division."""
+    state = ThermalState.finite(beta)
+    x, y, yp = P[:, 0], P[:, 1], P[:, 2]
+    delta = y - yp
+    f2 = fermi(state, x * y)
+
+    def g(v, w, idx):
+        xs = x[idx][:, None]
+        ds = delta[idx][:, None]
+        xp = xs - v
+        E1 = v * ds
+        eps = (x * y)[idx][:, None] - xp * yp[idx][:, None] - E1
+        u = beta * E1
+        df = f2[idx][:, None] - fermi(state, xp * yp[idx][:, None])
+        if kind == "zeta2":
+            vals = beta * se._g1(u) * df / (1j * a + eps)
+        elif kind == "zeta3":
+            vals = -2.0 * E1 * beta * se._delta1(u) * df / (1j * a + eps) ** 2
+        elif kind == "x2":
+            vals = ds * ds * beta ** 2 * se._ddelta1(u) * df / (1j * a + eps)
+        else:  # x3
+            vals = 2.0 * beta * se._delta1(u) * ds * ds * df / (1j * a + eps) ** 2
+        return np.sum(w * vals, axis=1)
+
+    return _reference_inner_reduce(x, delta, beta, g)
+
+
+def _kernel_rows():
+    """Outer points (x, y, y'): random rows, 40 rows with y == y', and
+    corners and near-zero y - y' by hand."""
+    rng = np.random.default_rng(7)
+    P = rng.uniform(-1.0, 1.0, size=(1100, 3))
+    P[:40, 2] = P[:40, 1]
+    P[40:50] = [[0.9, 0.95, -0.95], [-1.0, 1.0, -1.0], [0.0, -1.0, 1.0],
+                [1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-0.3, 0.2, 0.2],
+                [0.7, 1e-9, -1e-9], [-0.7, 0.5, 0.5 + 1e-12],
+                [1.0, -1.0, 1.0], [-1.0, -1.0, -1.0]]
+    return P
+
+
+@pytest.mark.parametrize("kind", ["zeta2", "zeta3", "x2", "x3"])
+@pytest.mark.parametrize("q0", [0.1, 0.3])
+@pytest.mark.parametrize("beta", [4.0, 16.0, 64.0])
+def test_panel_kernel_matches_reference_rows(kind, q0, beta):
+    P = _kernel_rows()
+    ref, m_row, clipped = _reference_panel_sums(P, q0, beta, kind)
+    # The rows cover every panel bucket and clipped windows where beta
+    # allows them (at beta = 4 no window is clipped and all use 4 panels).
+    if beta == 64.0:
+        assert set(m_row.tolist()) == {4.0, 8.0, 16.0, 32.0}
+        assert clipped.sum() > 100
+    got = se._panel_sums(P, q0, beta, kind)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_panel_kernel_rows_do_not_depend_on_batching():
+    P = _kernel_rows()[:300]
+    for kind in ("zeta2", "zeta3", "x2", "x3"):
+        batch = se._panel_sums(P, 0.1, 16.0, kind)
+        alone = np.array([se._panel_sums(P[i:i + 1], 0.1, 16.0, kind)[0]
+                          for i in range(len(P))])
+        assert (batch == alone).all(), kind
+
+
 @pytest.mark.parametrize("kind,fn", [
     ("zeta2", se.zeta2), ("zeta3", se.zeta3), ("x2", se.x2), ("x3", se.x3)])
 def test_sheared_reduction_matches_direct_4d(kind, fn):
