@@ -36,6 +36,7 @@ __all__ = [
     "evaluate",
     "gradient",
     "hessian",
+    "scalar_functions",
     "find_singular_points",
     "morse_normal_form",
 ]
@@ -144,6 +145,43 @@ def hessian(model: DispersionModel, k) -> np.ndarray:
     if model.hess_fn is not None:
         return model.hess_fn(np.asarray(k, dtype=float))
     return _fd_hessian(model, np.asarray(k, dtype=float))
+
+
+def scalar_functions(
+    model: DispersionModel,
+) -> Tuple[Callable[[float, float], float],
+           Callable[[float, float], Tuple[float, float]]]:
+    """``(e, grad)`` on Python floats: e(k1, k2) -> float and
+    grad(k1, k2) -> (g1, g2), with the same arithmetic as :func:`evaluate`
+    and :func:`gradient` on a single point.
+
+    The built-in models use ``math``; a custom model wraps its callables
+    (or the finite-difference gradient) on a 2-vector.
+    """
+    if model.kind == "hubbard":
+        theta, mu = model.theta, model.mu
+        cos, sin = math.cos, math.sin
+
+        def e(k1, k2):
+            c1, c2 = cos(k1), cos(k2)
+            return -c1 - c2 + theta * (1.0 + c1 * c2) - mu
+
+        def grad(k1, k2):
+            return (sin(k1) * (1.0 - theta * cos(k2)),
+                    sin(k2) * (1.0 - theta * cos(k1)))
+
+        return e, grad
+    if model.kind == "xy":
+        return (lambda k1, k2: k1 * k2), (lambda k1, k2: (k2, k1))
+
+    def e(k1, k2):
+        return float(evaluate(model, np.array([k1, k2])))
+
+    def grad(k1, k2):
+        g = gradient(model, np.array([k1, k2]))
+        return float(g[0]), float(g[1])
+
+    return e, grad
 
 
 def _fd_gradient(model, k, h=1e-6):

@@ -7,12 +7,24 @@ saddle the level set is an X, so traces terminate there and the four
 arcs meeting at the saddle are seeded separately from the isotropic
 (null) directions of the Hessian.
 
+One scalar marcher serves every model.  It works on Python floats, with
+points as (x1, x2) tuples and e, grad e from
+:func:`~vanhove_lab.dispersion.scalar_functions` (``math`` for the
+built-in bands, the model's own callables on a 2-vector for a custom
+one).  A branch becomes an (n, 2) array only when its
+:class:`CurveSample` is built.  Dot products and the lengths that enter
+a point are rounded as numpy rounds them on a 2-vector (``_dot``,
+``np.hypot``), so the points are those of the earlier array marcher,
+bit for bit.
+
 The overlap length of a traced curve with its translate measures
 arclen{k on curve : |e(p +/- k)| <= threshold} by flagging polyline
-segments, with linear interpolation at the threshold crossings.  The
-scaling experiment samples translation momenta p, measures the overlap
-at thresholds M^j, and compares with the bound (M^j / delta)^(1/n0)
-outside a delta^2 fraction of exceptional p.
+segments, with linear interpolation at the threshold crossings.  One
+kernel, ``_flagged_lengths``, flags all thresholds of one (p, sign,
+branch) at once, on the few segments whose lower end value lies below
+the largest threshold.  The scaling experiment samples translation
+momenta p, measures the overlap at thresholds M^j, and compares with the
+bound (M^j / delta)^(1/n0) outside a delta^2 fraction of exceptional p.
 
 The interval lemma check verifies |{x : |f(x)| <= eps}| against the
 bound 2^(k+1) (eps/eta)^(1/k) for functions with |f^(k)| >= eta.
@@ -31,8 +43,8 @@ from .dispersion import (
     SingularPoint,
     evaluate,
     find_singular_points,
-    gradient,
     morse_normal_form,
+    scalar_functions,
     _isotropic_frame,
 )
 from .errors import (
@@ -67,60 +79,103 @@ class CurveSample:
         return np.diff(self.cumulative_arclength)
 
 
-def _torus_delta(d: np.ndarray) -> np.ndarray:
+Point = Tuple[float, float]
+
+
+def _torus_delta(d):
+    """Periodic difference in [-pi, pi); works on floats and arrays."""
     return (d + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _distance(a: np.ndarray, b: np.ndarray, periodic: bool) -> float:
-    d = a - b
+def _gap(a: Point, b: Point) -> float:
+    """|a - b|, for the step-size and termination tests only.
+
+    ``math.hypot`` can differ from ``np.hypot`` in the last bit, so
+    lengths that enter a point (``_tangent``, ``_disc_crossing``) use
+    ``np.hypot`` instead, as the array marcher did.
+    """
+    return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+
+
+def _dot(a1: float, a2: float, b1: float, b2: float) -> float:
+    """a1*b1 + a2*b2 rounded as numpy's dot (an OpenBLAS ``ddot`` loop
+    with fused multiply-add) rounds a 2-vector product: the second
+    product is fused with the sum, so it is rounded once.
+
+    a2*b2 == p + err exactly (Dekker's product), and ``math.fsum``
+    rounds the exact sum once.  A plain ``a1*b1 + a2*b2`` moves about a
+    quarter of the results by one ulp and the traced points with them.
+    """
+    p = a2 * b2
+    c = _SPLIT * a2
+    ah = c - (c - a2)
+    al = a2 - ah
+    c = _SPLIT * b2
+    bh = c - (c - b2)
+    bl = b2 - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return math.fsum((a1 * b1, p, err))
+
+
+def _distance(a: Point, b: Point, periodic: bool) -> float:
+    d1, d2 = a[0] - b[0], a[1] - b[1]
     if periodic:
-        d = _torus_delta(d)
-    return float(np.hypot(d[0], d[1]))
+        d1, d2 = _torus_delta(d1), _torus_delta(d2)
+    return math.hypot(d1, d2)
 
 
-def _image_near(target: np.ndarray, ref: np.ndarray, periodic: bool) -> np.ndarray:
+def _image_near(target: Point, ref: Point, periodic: bool) -> Point:
     """Representative of target (mod 2 pi) closest to ref."""
     if not periodic:
         return target
-    return ref + _torus_delta(target - ref)
+    r1, r2 = ref
+    return (r1 + _torus_delta(target[0] - r1), r2 + _torus_delta(target[1] - r2))
 
 
-def _project(model, x, tol, max_iter=30):
+def _project(fns, x, tol, max_iter=30) -> Point:
     """Newton projection onto {e = 0} along grad e."""
-    x = np.array(x, dtype=float)
+    e, grad = fns
+    x1, x2 = x
     for _ in range(max_iter):
-        v = float(evaluate(model, x))
+        v = e(x1, x2)
         if abs(v) < tol:
-            return x
-        g = gradient(model, x)
-        g2 = float(g @ g)
-        if g2 == 0.0:
+            return x1, x2
+        g1, g2 = grad(x1, x2)
+        g_sq = _dot(g1, g2, g1, g2)
+        if g_sq == 0.0:
             break
-        x = x - (v / g2) * g
-    raise TraceStalled(f"level-set projection failed near {x}")
+        s = v / g_sq
+        x1, x2 = x1 - s * g1, x2 - s * g2
+    raise TraceStalled(f"level-set projection failed near {(x1, x2)}")
 
 
-def _project_along(model, x, direction, tol, max_iter=40):
-    """1D Newton for e(x + s d) = 0 along a fixed direction d."""
-    x = np.array(x, dtype=float)
-    d = np.asarray(direction, dtype=float)
+def _project_along(fns, x, direction, tol, max_iter=40) -> Point:
+    """1D Newton for e(x + s d) = 0 along a fixed unit direction d."""
+    e, grad = fns
+    x1, x2 = x
+    d1, d2 = direction
     for _ in range(max_iter):
-        v = float(evaluate(model, x))
+        v = e(x1, x2)
         if abs(v) < tol:
-            return x
-        slope = float(gradient(model, x) @ d)
+            return x1, x2
+        g1, g2 = grad(x1, x2)
+        slope = _dot(g1, g2, d1, d2)
         if slope == 0.0:
             break
-        x = x - (v / slope) * d
-    raise TraceStalled(f"constrained projection failed near {x}")
+        s = v / slope
+        x1, x2 = x1 - s * d1, x2 - s * d2
+    raise TraceStalled(f"constrained projection failed near {(x1, x2)}")
 
 
-def _tangent(model, x):
-    g = gradient(model, x)
-    n = float(np.hypot(g[0], g[1]))
+def _tangent(fns, x) -> Point:
+    g1, g2 = fns[1](x[0], x[1])
+    n = float(np.hypot(g1, g2))
     if n == 0.0:
-        raise TraceStalled(f"vanishing gradient on trace at {x}")
-    return np.array([-g[1], g[0]]) / n
+        raise TraceStalled(f"vanishing gradient on trace at {tuple(x)}")
+    return -g2 / n, g1 / n
 
 
 def _clip_to_box(x_from, x_to, box):
@@ -128,14 +183,14 @@ def _clip_to_box(x_from, x_to, box):
     with the index of the wall hit; (None, None) if x_to is inside."""
     s_best = None
     wall = None
-    d = x_to - x_from
     for i in range(2):
         lo, hi = box[i]
+        d = x_to[i] - x_from[i]
         if x_to[i] < lo:
-            s = (lo - x_from[i]) / d[i] if d[i] != 0.0 else 0.0
+            s = (lo - x_from[i]) / d if d != 0.0 else 0.0
             side = 0
         elif x_to[i] > hi:
-            s = (hi - x_from[i]) / d[i] if d[i] != 0.0 else 0.0
+            s = (hi - x_from[i]) / d if d != 0.0 else 0.0
             side = 1
         else:
             continue
@@ -150,44 +205,46 @@ def _clip_to_box(x_from, x_to, box):
 
 class _Marcher:
     def __init__(self, model, step, exclusion_radius, tol, max_steps, sing_locs):
-        self.model = model
+        self.fns = scalar_functions(model)
+        self.box = model.domain
         self.h = step
         self.excl = exclusion_radius
         self.tol = tol
         self.max_steps = max_steps
-        self.sing = sing_locs  # list of 2-vectors
+        self.sing = sing_locs  # list of (x1, x2)
         self.periodic = model.periodic
         # fold the four arc rays into the saddle itself when no exclusion
         self.snap = exclusion_radius < 0.25 * step
         self.stop_r = max(exclusion_radius, 1.5 * step)
 
-    def near_singular(self, x) -> Optional[np.ndarray]:
+    def near_singular(self, x: Point) -> Optional[Point]:
         for s in self.sing:
             img = _image_near(s, x, self.periodic)
-            if np.hypot(*(x - img)) <= self.stop_r:
+            if _gap(x, img) <= self.stop_r:
                 return img
         return None
 
-    def march(self, x0, direction):
+    def march(self, x0: Point, direction: Point):
         """Trace from x0 until closure, a saddle, the boundary, or stall.
 
-        Returns (points, closed).
+        Returns (points, closed), the points a list of (x1, x2) tuples.
         """
-        model, h = self.model, self.h
-        pts = [np.array(x0, dtype=float)]
-        d_prev = np.asarray(direction, dtype=float)
-        box = model.domain
+        fns, h, tol = self.fns, self.h, self.tol
+        pts = [x0]
+        d1, d2 = direction
         for n_step in range(self.max_steps):
             x = pts[-1]
-            t = _tangent(model, x)
-            if float(t @ d_prev) < 0.0:
-                t = -t
-            d_prev = t
-            cand = _project(model, x + h * t, self.tol)
-            spacing = float(np.hypot(*(cand - x)))
+            x1, x2 = x
+            t1, t2 = _tangent(fns, x)
+            if t1 * d1 + t2 * d2 < 0.0:
+                t1, t2 = -t1, -t2
+            d1, d2 = t1, t2
+            cand = _project(fns, (x1 + h * t1, x2 + h * t2), tol)
+            spacing = _gap(cand, x)
             if not 0.25 * h <= spacing <= 4.0 * h:
-                cand = _project(model, x + 0.5 * h * t, self.tol)
-                spacing = float(np.hypot(*(cand - x)))
+                half = 0.5 * h
+                cand = _project(fns, (x1 + half * t1, x2 + half * t2), tol)
+                spacing = _gap(cand, x)
                 if not 0.25 * h <= spacing <= 4.0 * h:
                     raise TraceStalled(
                         f"step spacing {spacing} incompatible with target {h}"
@@ -196,34 +253,32 @@ class _Marcher:
             img = self.near_singular(cand)
             if img is not None:
                 if self.snap:
-                    if np.hypot(*(img - x)) >= 0.25 * h:
+                    if _gap(img, x) >= 0.25 * h:
                         pts.append(img)
                 else:
                     # trim the segment at the disc boundary
                     hit = self._disc_crossing(x, cand, img)
-                    if hit is not None and np.hypot(*(hit - x)) >= 0.25 * h:
+                    if hit is not None and _gap(hit, x) >= 0.25 * h:
                         pts.append(hit)
                 return pts, False
             # domain boundary (open domains only)
             if not self.periodic:
-                s, wall = _clip_to_box(x, cand, box)
+                s, wall = _clip_to_box(x, cand, self.box)
                 if s is not None:
-                    b = x + s * (cand - x)
-                    i, _ = wall
-                    tangent_dir = np.zeros(2)
-                    tangent_dir[1 - i] = 1.0
+                    b = (x1 + s * (cand[0] - x1), x2 + s * (cand[1] - x2))
+                    along = (0.0, 1.0) if wall[0] == 0 else (1.0, 0.0)
                     try:
-                        b = _project_along(model, b, tangent_dir, self.tol)
+                        b = _project_along(fns, b, along, tol)
                     except TraceStalled:
                         pass  # keep the chord point; boundary grazing
-                    if np.hypot(*(b - x)) >= 0.25 * h:
+                    if _gap(b, x) >= 0.25 * h:
                         pts.append(b)
                     return pts, False
             pts.append(cand)
             # closure against the starting point
             if n_step >= 4:
                 start_img = _image_near(pts[0], cand, self.periodic)
-                dist = float(np.hypot(*(cand - start_img)))
+                dist = _gap(cand, start_img)
                 if dist <= 0.75 * h:
                     if dist < 0.25 * h:
                         pts.pop()
@@ -232,14 +287,14 @@ class _Marcher:
                     return pts, True
         raise TraceStalled(f"no termination within {self.max_steps} steps")
 
-    def _disc_crossing(self, a, b, center):
+    def _disc_crossing(self, a: Point, b: Point, center: Point) -> Optional[Point]:
         """Point where segment a->b enters the disc around center, pulled
         back onto the level set along the local tangent of the disc."""
-        da, db = a - center, b - center
-        qa = float(da @ da) - self.excl ** 2
-        dd = b - a
-        A = float(dd @ dd)
-        B = 2.0 * float(da @ dd)
+        da1, da2 = a[0] - center[0], a[1] - center[1]
+        dd1, dd2 = b[0] - a[0], b[1] - a[1]
+        qa = _dot(da1, da2, da1, da2) - self.excl ** 2
+        A = _dot(dd1, dd2, dd1, dd2)
+        B = 2.0 * _dot(da1, da2, dd1, dd2)
         disc = B * B - 4.0 * A * qa
         if disc < 0.0 or A == 0.0:
             return None
@@ -248,14 +303,13 @@ class _Marcher:
             s = (-B - math.sqrt(disc)) / (2.0 * A)
         if not 0.0 <= s <= 1.0:
             return None
-        hit = a + s * dd
-        radial = hit - center
-        tang = np.array([-radial[1], radial[0]])
-        nrm = float(np.hypot(*tang))
+        hit = (a[0] + s * dd1, a[1] + s * dd2)
+        r1, r2 = hit[0] - center[0], hit[1] - center[1]
+        nrm = float(np.hypot(r1, r2))
         if nrm == 0.0:
             return hit
         try:
-            return _project_along(self.model, hit, tang / nrm, self.tol)
+            return _project_along(self.fns, hit, (-r2 / nrm, r1 / nrm), self.tol)
         except TraceStalled:
             return hit
 
@@ -287,10 +341,11 @@ def trace_fermi_curve(
     if exclusion_radius < 0.0:
         raise ValueError("exclusion_radius must be nonnegative")
     singular = _singular_locations(model)
-    sing_locs = [p.location for p in singular]
+    sing_locs = [tuple(p.location.tolist()) for p in singular]
     m = _Marcher(model, step, exclusion_radius, trace_tolerance, max_steps, sing_locs)
+    fns = m.fns
 
-    seeds: List[np.ndarray] = []
+    seeds: List[Point] = []
     r_seed = m.stop_r + step
     for p in singular:
         A = _isotropic_frame(p)
@@ -298,20 +353,27 @@ def trace_fermi_curve(
             for sgn in (+1.0, -1.0):
                 raw = p.location + sgn * r_seed * A[:, col]
                 try:
-                    seeds.append(_project(model, raw, trace_tolerance))
+                    seeds.append(_project(fns, raw.tolist(), trace_tolerance))
                 except TraceStalled:
                     continue
-    seeds.extend(_scan_seeds(model, scan_grid, trace_tolerance))
+    seeds.extend(_scan_seeds(model, fns, scan_grid, trace_tolerance))
 
     branches: List[CurveSample] = []
-    traced_pts: List[np.ndarray] = []
+    # traced points with their first coordinate (mod 2 pi when periodic)
+    traced: List[Tuple[np.ndarray, np.ndarray]] = []
+    period = 2.0 * math.pi if model.periodic else math.inf
+    # a point within 0.75 step of x lies in this strip around x[0]; the
+    # factor 2 covers the rounding of the two reductions mod 2 pi
+    strip = 1.5 * step
 
     def too_close(x) -> bool:
-        for arr in traced_pts:
-            d = arr - x[None, :]
+        x_col = x[0] % period if model.periodic else x[0]
+        for arr, col in traced:
+            dc = np.abs(col - x_col)
+            d = arr[(dc < strip) | (dc > period - strip)] - np.array(x)
             if model.periodic:
                 d = _torus_delta(d)
-            if float(np.min(np.hypot(d[:, 0], d[:, 1]))) < 0.75 * step:
+            if len(d) and float(np.min(np.hypot(d[:, 0], d[:, 1]))) < 0.75 * step:
                 return True
         return False
 
@@ -324,12 +386,12 @@ def trace_fermi_curve(
             continue
         if too_close(seed):
             continue
-        t0 = _tangent(model, seed)
+        t0 = _tangent(fns, seed)
         fwd, closed = m.march(seed, t0)
         if closed:
             chain = fwd
         else:
-            bwd, closed = m.march(seed, -t0)
+            bwd, closed = m.march(seed, (-t0[0], -t0[1]))
             if closed:
                 chain = bwd
             else:
@@ -347,7 +409,7 @@ def trace_fermi_curve(
                 closed=closed,
             )
         )
-        traced_pts.append(pts)
+        traced.append((pts, pts[:, 0] % period if model.periodic else pts[:, 0]))
     return branches
 
 
@@ -355,43 +417,41 @@ def _inside(box, x) -> bool:
     return all(box[i][0] - 1e-12 <= x[i] <= box[i][1] + 1e-12 for i in range(2))
 
 
-def _scan_seeds(model, n, tol) -> List[np.ndarray]:
+def _scan_seeds(model, fns, n, tol) -> List[Point]:
     (x0, x1), (y0, y1) = model.domain
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     E = evaluate(model, np.stack([X, Y], axis=-1))
+    xs, ys = xs.tolist(), ys.tolist()
+    e = fns[0]
     seeds = []
     sign_flip_x = E[:-1, :] * E[1:, :] < 0.0
     sign_flip_y = E[:, :-1] * E[:, 1:] < 0.0
     for (i, j) in np.argwhere(sign_flip_x):
-        a = np.array([xs[i], ys[j]])
-        b = np.array([xs[i + 1], ys[j]])
-        seeds.append(_bisect_edge(model, a, b))
+        seeds.append(_bisect_edge(e, (xs[i], ys[j]), (xs[i + 1], ys[j])))
     for (i, j) in np.argwhere(sign_flip_y):
-        a = np.array([xs[i], ys[j]])
-        b = np.array([xs[i], ys[j + 1]])
-        seeds.append(_bisect_edge(model, a, b))
+        seeds.append(_bisect_edge(e, (xs[i], ys[j]), (xs[i], ys[j + 1])))
     out = []
     for s in seeds:
         try:
-            out.append(_project(model, s, tol))
+            out.append(_project(fns, s, tol))
         except TraceStalled:
             continue
     return out
 
 
-def _bisect_edge(model, a, b, iters=40):
-    fa = float(evaluate(model, a))
+def _bisect_edge(e, a: Point, b: Point, iters=40) -> Point:
+    fa = e(*a)
     for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = float(evaluate(model, mid))
+        mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+        fm = e(*mid)
         if fa * fm <= 0.0:
             b = mid
         else:
             a = mid
             fa = fm
-    return 0.5 * (a + b)
+    return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +459,27 @@ def _bisect_edge(model, a, b, iters=40):
 # ---------------------------------------------------------------------------
 
 
-def _flagged_length(vals: np.ndarray, segs: np.ndarray, threshold: float) -> float:
+def _flagged_lengths(
+    vals: np.ndarray, segs: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """Flagged arc length of a polyline at each threshold T.
+
+    vals are |e| at the points, segs the segment lengths.  With lo, hi
+    the smaller and larger end value of a segment, the segment counts
+    fully when hi <= T and by the fraction (T - lo) / (hi - lo) when it
+    crosses T (e taken as linear along it).  Only the segments with
+    lo <= max(T) take part, so the threshold-by-segment table is built
+    on that short compacted set, never on the whole curve.
+    """
     a, b = vals[:-1], vals[1:]
-    fa = a <= threshold
-    fb = b <= threshold
-    frac = np.zeros_like(segs)
-    frac[fa & fb] = 1.0
-    out = fa & ~fb
-    frac[out] = (threshold - a[out]) / (b[out] - a[out])
-    into = ~fa & fb
-    frac[into] = (threshold - b[into]) / (a[into] - b[into])
-    return float(np.sum(frac * segs))
+    idx = np.flatnonzero(np.minimum(a, b) <= thresholds.max())
+    a, b = a[idx], b[idx]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # a segment with hi == lo is never partly flagged
+    width = np.where(hi > lo, hi - lo, np.inf)
+    T = thresholds[:, None]
+    frac = np.where(hi <= T, 1.0, np.maximum(T - lo, 0.0) / width)
+    return np.sum(frac * segs[idx], axis=1)
 
 
 def overlap_length(
@@ -426,7 +496,9 @@ def overlap_length(
         raise ValueError("sign must be +1 or -1")
     p = np.asarray(p, dtype=float)
     vals = np.abs(evaluate(model, p[None, :] + sign * curve.points))
-    return _flagged_length(vals, curve.segment_lengths(), threshold)
+    return float(
+        _flagged_lengths(vals, curve.segment_lengths(), np.array([threshold]))[0]
+    )
 
 
 @dataclass(frozen=True)
@@ -516,6 +588,19 @@ def overlap_scaling_experiment(
     """
     if M <= 1.0:
         raise ValueError("M must exceed 1")
+    if p_override is not None:
+        p_override = np.asarray(p_override, dtype=float).reshape(-1, 2)
+        num_p = len(p_override)
+    if num_p < 1:
+        raise ValueError("num_p must be at least 1")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    num_drop = math.ceil(delta ** 2 * num_p)
+    if num_drop >= num_p:
+        raise ValueError(
+            f"dropping ceil(delta^2 num_p) = {num_drop} of {num_p} momenta "
+            "leaves none for the envelope fit"
+        )
     if not j_range or any(j >= 0 for j in j_range):
         raise ValueError("j_range must be nonempty negative integers")
     j_sorted = tuple(sorted(set(int(j) for j in j_range), reverse=True))
@@ -535,8 +620,7 @@ def overlap_scaling_experiment(
         n0 = _derive_n0(model)
 
     if p_override is not None:
-        p_samples = np.asarray(p_override, dtype=float).reshape(-1, 2)
-        num_p = len(p_samples)
+        p_samples = p_override
     else:
         rng = np.random.default_rng(rng_seed)
         (x0, x1), (y0, y1) = model.domain
@@ -551,9 +635,10 @@ def overlap_scaling_experiment(
         p = p_samples[ip]
         for sign in (+1, -1):
             for pts, segs in seglists:
-                vals = np.abs(evaluate(model, p[None, :] + sign * pts))
-                for ij, T in enumerate(thresholds):
-                    lengths[sign][ip, ij] += _flagged_length(vals, segs, T)
+                # p - pts has the bits of p + (-1) * pts, without the copy
+                k = p + pts if sign > 0 else p - pts
+                vals = np.abs(evaluate(model, k))
+                lengths[sign][ip] += _flagged_lengths(vals, segs, thresholds)
 
     bounds = None
     viol = {+1: None, -1: None}
@@ -562,7 +647,6 @@ def overlap_scaling_experiment(
         for sign in (+1, -1):
             viol[sign] = np.mean(lengths[sign] > bounds[None, :], axis=0)
 
-    num_drop = math.ceil(delta ** 2 * num_p)
     fit = {
         sign: _fit_envelope(lengths[sign], j_sorted, M, num_drop, floor=step)
         for sign in (+1, -1)

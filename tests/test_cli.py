@@ -160,6 +160,15 @@ def test_overlap_csv_has_exactly_six_columns(runner, tmp_path):
     assert man["seeds"] == {"rng_seed": 0}
 
 
+@pytest.mark.parametrize("args", [
+    ["--num-p", "0"], ["--delta", "0"], ["--num-p", "1", "--delta", "0.99"]])
+def test_overlap_bad_sample_inputs_exit_2(runner, tmp_path, args):
+    r = runner.invoke(main, ["overlap", "--out-prefix", str(tmp_path / "ov")]
+                      + args)
+    assert r.exit_code == 2
+    assert "ValueError" in r.output
+    assert not (tmp_path / "ov.csv").exists()
+
 def test_normal_form_rows(runner, tmp_path):
     prefix = tmp_path / "nf"
     r = runner.invoke(main, ["normal-form", "--out-prefix", str(prefix),

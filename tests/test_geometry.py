@@ -5,8 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from vanhove_lab.dispersion import DispersionModel, evaluate, gradient
-from vanhove_lab.errors import HypothesisViolated, InsufficientResolution
+from fractions import Fraction
+
+from vanhove_lab import geometry as geo
+from vanhove_lab.dispersion import DispersionModel, _isotropic_frame, evaluate, gradient
+from vanhove_lab.errors import (
+    HypothesisViolated,
+    InsufficientResolution,
+    TraceStalled,
+)
 from vanhove_lab.geometry import (
     interval_lemma_check,
     overlap_length,
@@ -89,6 +96,347 @@ def test_traced_points_have_nonvanishing_gradient(theta):
         away = dist > 0.05
         assert np.all(gn[away] > 0.0)
 
+
+# ---------------------------------------------------------------------------
+# reference: the array marcher the scalar one replaced
+# ---------------------------------------------------------------------------
+#
+# Each step below works on 2-vectors through ``evaluate``/``gradient``.
+# The scalar marcher must reproduce its points bit for bit.
+
+
+def _ref_torus_delta(d):
+    return (d + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _ref_image_near(target, ref, periodic):
+    if not periodic:
+        return target
+    return ref + _ref_torus_delta(target - ref)
+
+
+def _ref_project(model, x, tol, max_iter=30):
+    x = np.array(x, dtype=float)
+    for _ in range(max_iter):
+        v = float(evaluate(model, x))
+        if abs(v) < tol:
+            return x
+        g = gradient(model, x)
+        g2 = float(g @ g)
+        if g2 == 0.0:
+            break
+        x = x - (v / g2) * g
+    raise TraceStalled(f"level-set projection failed near {x}")
+
+
+def _ref_project_along(model, x, direction, tol, max_iter=40):
+    x = np.array(x, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    for _ in range(max_iter):
+        v = float(evaluate(model, x))
+        if abs(v) < tol:
+            return x
+        slope = float(gradient(model, x) @ d)
+        if slope == 0.0:
+            break
+        x = x - (v / slope) * d
+    raise TraceStalled(f"constrained projection failed near {x}")
+
+
+def _ref_tangent(model, x):
+    g = gradient(model, x)
+    n = float(np.hypot(g[0], g[1]))
+    if n == 0.0:
+        raise TraceStalled(f"vanishing gradient on trace at {x}")
+    return np.array([-g[1], g[0]]) / n
+
+
+class _RefMarcher:
+    def __init__(self, model, step, exclusion_radius, tol, max_steps, sing_locs):
+        self.model = model
+        self.h = step
+        self.excl = exclusion_radius
+        self.tol = tol
+        self.max_steps = max_steps
+        self.sing = sing_locs
+        self.periodic = model.periodic
+        self.snap = exclusion_radius < 0.25 * step
+        self.stop_r = max(exclusion_radius, 1.5 * step)
+
+    def near_singular(self, x):
+        for s in self.sing:
+            img = _ref_image_near(s, x, self.periodic)
+            if np.hypot(*(x - img)) <= self.stop_r:
+                return img
+        return None
+
+    def march(self, x0, direction):
+        model, h = self.model, self.h
+        pts = [np.array(x0, dtype=float)]
+        d_prev = np.asarray(direction, dtype=float)
+        box = model.domain
+        for n_step in range(self.max_steps):
+            x = pts[-1]
+            t = _ref_tangent(model, x)
+            if float(t @ d_prev) < 0.0:
+                t = -t
+            d_prev = t
+            cand = _ref_project(model, x + h * t, self.tol)
+            spacing = float(np.hypot(*(cand - x)))
+            if not 0.25 * h <= spacing <= 4.0 * h:
+                cand = _ref_project(model, x + 0.5 * h * t, self.tol)
+                spacing = float(np.hypot(*(cand - x)))
+                if not 0.25 * h <= spacing <= 4.0 * h:
+                    raise TraceStalled(
+                        f"step spacing {spacing} incompatible with target {h}"
+                    )
+            img = self.near_singular(cand)
+            if img is not None:
+                if self.snap:
+                    if np.hypot(*(img - x)) >= 0.25 * h:
+                        pts.append(img)
+                else:
+                    hit = self._disc_crossing(x, cand, img)
+                    if hit is not None and np.hypot(*(hit - x)) >= 0.25 * h:
+                        pts.append(hit)
+                return pts, False
+            if not self.periodic:
+                s, wall = geo._clip_to_box(x, cand, box)
+                if s is not None:
+                    b = x + s * (cand - x)
+                    i, _ = wall
+                    tangent_dir = np.zeros(2)
+                    tangent_dir[1 - i] = 1.0
+                    try:
+                        b = _ref_project_along(model, b, tangent_dir, self.tol)
+                    except TraceStalled:
+                        pass
+                    if np.hypot(*(b - x)) >= 0.25 * h:
+                        pts.append(b)
+                    return pts, False
+            pts.append(cand)
+            if n_step >= 4:
+                start_img = _ref_image_near(pts[0], cand, self.periodic)
+                dist = float(np.hypot(*(cand - start_img)))
+                if dist <= 0.75 * h:
+                    if dist < 0.25 * h:
+                        pts.pop()
+                        start_img = _ref_image_near(pts[0], pts[-1], self.periodic)
+                    pts.append(start_img)
+                    return pts, True
+        raise TraceStalled(f"no termination within {self.max_steps} steps")
+
+    def _disc_crossing(self, a, b, center):
+        da = a - center
+        qa = float(da @ da) - self.excl ** 2
+        dd = b - a
+        A = float(dd @ dd)
+        B = 2.0 * float(da @ dd)
+        disc = B * B - 4.0 * A * qa
+        if disc < 0.0 or A == 0.0:
+            return None
+        s = (-B + math.sqrt(disc)) / (2.0 * A)
+        if not 0.0 <= s <= 1.0:
+            s = (-B - math.sqrt(disc)) / (2.0 * A)
+        if not 0.0 <= s <= 1.0:
+            return None
+        hit = a + s * dd
+        radial = hit - center
+        tang = np.array([-radial[1], radial[0]])
+        nrm = float(np.hypot(*tang))
+        if nrm == 0.0:
+            return hit
+        try:
+            return _ref_project_along(self.model, hit, tang / nrm, self.tol)
+        except TraceStalled:
+            return hit
+
+
+def _ref_bisect_edge(model, a, b, iters=40):
+    fa = float(evaluate(model, a))
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        fm = float(evaluate(model, mid))
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a = mid
+            fa = fm
+    return 0.5 * (a + b)
+
+
+def _ref_scan_seeds(model, n, tol):
+    (x0, x1), (y0, y1) = model.domain
+    xs = np.linspace(x0, x1, n)
+    ys = np.linspace(y0, y1, n)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    E = evaluate(model, np.stack([X, Y], axis=-1))
+    seeds = []
+    for (i, j) in np.argwhere(E[:-1, :] * E[1:, :] < 0.0):
+        seeds.append(_ref_bisect_edge(
+            model, np.array([xs[i], ys[j]]), np.array([xs[i + 1], ys[j]])))
+    for (i, j) in np.argwhere(E[:, :-1] * E[:, 1:] < 0.0):
+        seeds.append(_ref_bisect_edge(
+            model, np.array([xs[i], ys[j]]), np.array([xs[i], ys[j + 1]])))
+    out = []
+    for s in seeds:
+        try:
+            out.append(_ref_project(model, s, tol))
+        except TraceStalled:
+            continue
+    return out
+
+
+def _ref_trace(model, step, exclusion_radius=0.0, tol=1e-10,
+               max_steps=2_000_000, scan_grid=48):
+    """(points, cumulative_arclength, closed) per branch, array marcher."""
+    singular = geo._singular_locations(model)
+    sing_locs = [p.location for p in singular]
+    m = _RefMarcher(model, step, exclusion_radius, tol, max_steps, sing_locs)
+    seeds = []
+    r_seed = m.stop_r + step
+    for p in singular:
+        A = _isotropic_frame(p)
+        for col in (0, 1):
+            for sgn in (+1.0, -1.0):
+                try:
+                    seeds.append(_ref_project(
+                        model, p.location + sgn * r_seed * A[:, col], tol))
+                except TraceStalled:
+                    continue
+    seeds.extend(_ref_scan_seeds(model, scan_grid, tol))
+
+    out = []
+
+    def too_close(x):
+        for arr, _, _ in out:
+            d = arr - x[None, :]
+            if model.periodic:
+                d = _ref_torus_delta(d)
+            if float(np.min(np.hypot(d[:, 0], d[:, 1]))) < 0.75 * step:
+                return True
+        return False
+
+    for seed in seeds:
+        if any(float(np.hypot(*_ref_delta(seed, s, model.periodic))) < m.stop_r
+               for s in sing_locs):
+            continue
+        if not geo._inside(model.domain, seed) and not model.periodic:
+            continue
+        if too_close(seed):
+            continue
+        t0 = _ref_tangent(model, seed)
+        fwd, closed = m.march(seed, t0)
+        if closed:
+            chain = fwd
+        else:
+            bwd, closed = m.march(seed, -t0)
+            chain = bwd if closed else list(reversed(bwd))[:-1] + fwd
+        if len(chain) < 2:
+            continue
+        pts = np.array(chain)
+        seg = np.hypot(*(np.diff(pts, axis=0).T))
+        out.append((pts, np.concatenate([[0.0], np.cumsum(seg)]), closed))
+    return out
+
+
+def _ref_delta(a, b, periodic):
+    d = a - b
+    return _ref_torus_delta(d) if periodic else d
+
+
+def _custom_band(k):
+    k = np.asarray(k)
+    return -np.cos(k[..., 0]) - 0.8 * np.cos(k[..., 1]) + 0.4
+
+
+@pytest.mark.parametrize(
+    "model,step,excl,closed",
+    [
+        (DispersionModel.hubbard(0.3, 0.0), 0.01, 0.0, False),  # snap at saddle
+        (DispersionModel.hubbard(0.3, 0.0), 0.01, 0.05, False),  # disc crossing
+        (DispersionModel.hubbard(0.8, 0.0), 0.01, 0.05, False),  # ulp-sensitive
+        (DispersionModel.hubbard(0.3, -1.0), 0.01, 0.0, True),  # closed curve
+        (DispersionModel.xy(), 0.01, 0.05, False),  # box clip, disc crossing
+        (DispersionModel.custom(_custom_band), 0.01, 0.0, True),  # FD gradient
+    ],
+    ids=["hubbard-snap", "hubbard-disc", "hubbard-disc-0.8", "hubbard-closed",
+         "xy-box", "custom-fd"],
+)
+def test_scalar_marcher_matches_array_reference(model, step, excl, closed):
+    ref = _ref_trace(model, step, excl)
+    got = trace_fermi_curve(model, step=step, exclusion_radius=excl)
+    assert len(got) == len(ref) > 0
+    for b, (pts, cum, ref_closed) in zip(got, ref):
+        assert np.array_equal(b.points, pts)
+        assert np.array_equal(b.cumulative_arclength, cum)
+        assert b.closed == ref_closed == closed
+
+
+def test_dot_is_numpy_two_vector_dot():
+    # exactly a1*b1 + a2*b2 with the second product fused, which is how
+    # numpy's dot rounds a 2-vector product here
+    rng = np.random.default_rng(4)
+    for a1, a2, b1, b2 in rng.uniform(-3.0, 3.0, size=(20_000, 4)).tolist():
+        got = geo._dot(a1, a2, b1, b2)
+        fused = float(Fraction(a1 * b1) + Fraction(a2) * Fraction(b2))
+        assert got == fused
+        assert got == float(np.array([a1, a2]) @ np.array([b1, b2]))
+
+
+def _ref_flagged_length(vals, segs, threshold):
+    """The per-threshold flagging kernel the batched one replaced."""
+    a, b = vals[:-1], vals[1:]
+    fa = a <= threshold
+    fb = b <= threshold
+    frac = np.zeros_like(segs)
+    frac[fa & fb] = 1.0
+    out = fa & ~fb
+    frac[out] = (threshold - a[out]) / (b[out] - a[out])
+    into = ~fa & fb
+    frac[into] = (threshold - b[into]) / (a[into] - b[into])
+    return float(np.sum(frac * segs))
+
+
+def _flag_cases():
+    T = np.array([0.25, 0.01, 0.002])
+    # pairs: both in (0.001, 0.002 at 0.01), leaving (0.002 -> 0.5),
+    # entering (0.5 -> 0.003), a == b inside (0.003, 0.003), leaving
+    # (-> 0.7), a == b outside (0.7, 0.7), ends exactly on a threshold
+    # (0.25 and 0.002), both out (0.7 -> 0.3)
+    hand = np.array([0.001, 0.002, 0.5, 0.003, 0.003, 0.7, 0.7, 0.25, 0.002,
+                     0.7, 0.3])
+    rng = np.random.default_rng(2)
+    segs = rng.uniform(0.5, 1.5, size=len(hand) - 1)
+    yield hand, segs, T
+    yield np.full(6, 0.6), np.ones(5), T  # no candidate segment
+    yield np.zeros(4), np.ones(3), T  # a == b == 0 everywhere
+    m = DispersionModel.hubbard(0.3, 0.0)
+    T = 2.0 ** np.arange(-6.0, -13.0, -1.0)
+    for b in trace_fermi_curve(m, step=2.0 ** -9):
+        for p in rng.uniform(-math.pi, math.pi, size=(10, 2)):
+            for sign in (+1, -1):
+                vals = np.abs(evaluate(m, p[None, :] + sign * b.points))
+                yield vals, b.segment_lengths(), T
+
+
+def test_flagged_lengths_match_per_threshold_reference():
+    n_cases = 0
+    for vals, segs, T in _flag_cases():
+        got = geo._flagged_lengths(vals, segs, T)
+        ref = np.array([_ref_flagged_length(vals, segs, t) for t in T])
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+        n_cases += 1
+    assert n_cases == 3 + 4 * 10 * 2
+
+
+def test_flagged_lengths_on_threshold_and_empty():
+    vals, segs, T = next(_flag_cases())
+    # at T = 0.002 only the pair (0.001, 0.002) counts, fully; the three
+    # pairs with 0.002 as their lower end contribute a zero fraction
+    assert geo._flagged_lengths(vals, segs, T)[2] == segs[0]
+    assert np.array_equal(geo._flagged_lengths(np.full(6, 0.6), np.ones(5), T),
+                          np.zeros(3))
 
 def test_overlap_at_zero_momentum_is_full_length():
     m = DispersionModel.hubbard(0.3, -1.0)
@@ -207,6 +555,23 @@ def test_scaling_experiment_resolution_guard():
             m, M=2.0, j_range=[-8], num_p=5, delta=0.1, rng_seed=0, step=0.01
         )
 
+
+@pytest.mark.parametrize(
+    "num_p,delta,p_override",
+    [(0, 0.1, None), (5, 0.0, None), (5, 1.0, None), (1, 0.99, None),
+     (1, 0.1, None), (2, 0.99, None), (None, 0.1, np.array([[0.5, 0.0]]))],
+)
+def test_scaling_experiment_rejects_inputs_that_leave_no_sample(
+    num_p, delta, p_override
+):
+    # num_p < 1, delta outside (0, 1), or ceil(delta^2 num_p) >= num_p:
+    # the envelope fit would drop every momentum
+    m = DispersionModel.hubbard(0.3, 0.0)
+    with pytest.raises(ValueError):
+        overlap_scaling_experiment(
+            m, M=2.0, j_range=[-5, -6], num_p=num_p, delta=delta, rng_seed=0,
+            p_override=p_override,
+        )
 
 def test_scaling_experiment_single_threshold_no_fit():
     m = DispersionModel.hubbard(0.3, 0.0)
