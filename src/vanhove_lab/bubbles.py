@@ -58,7 +58,6 @@ __all__ = [
     "bubble_result",
     "bubble_ph_2d",
     "bubble_pp_2d",
-    "csv_row",
 ]
 
 _DPS = 50
@@ -199,13 +198,6 @@ def bubble_result(kind: str, beta: float) -> BubbleResult:
     value, pred, residual = _at_working_precision(compute)
     return BubbleResult(kind=kind, beta=beta, value=value,
                         asymptotic_prediction=pred, residual=residual)
-
-
-def csv_row(result: BubbleResult) -> str:
-    """Format one result as the row (kind, beta, value, prediction, residual)."""
-    return "%s,%.16e,%.16e,%.16e,%.16e" % (
-        result.kind, result.beta, result.value,
-        result.asymptotic_prediction, result.residual)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,7 @@ byte-identical CSV and JSON.
 
 Exit codes: 0 success; 2 configuration or validation failure; 3
 numerical non-convergence (any row with converged=false, or a
-numerical failure mid-run).  The environment variable
-``VANHOVE_LAB_THREADS`` caps sweep parallelism (default 1); nothing
-else is read from the environment.  Output row order always follows
-input order, whatever the completion order.
+numerical failure mid-run).  Nothing is read from the environment.
 """
 
 from __future__ import annotations
@@ -31,14 +28,11 @@ from __future__ import annotations
 import csv as csv_module
 import json
 import math
-import os
 import platform
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 from xml.sax.saxutils import escape
 
 import click
@@ -55,26 +49,6 @@ from .matsubara import ThermalState
 from .quad import QuadSpec
 
 __all__ = ["main"]
-
-
-def _threads() -> int:
-    raw = os.environ.get("VANHOVE_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"VANHOVE_LAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValueError("VANHOVE_LAB_THREADS must be >= 1")
-    return n
-
-
-def _map_ordered(fn: Callable, items: Sequence):
-    """Apply fn over items, in parallel when allowed, output in input order."""
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +117,6 @@ def _write_manifest(path: Path, command: str, config: dict, columns: dict,
         "columns": columns,
         "results": _jsonable(results),
         "wall_time_s": None if deterministic else wall_time,
-        "threads": None if deterministic else _threads(),
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
@@ -154,8 +127,7 @@ class Series:
     label: str
     x: np.ndarray
     y: np.ndarray
-    dashed: bool = False
-    markers: bool = True
+    dashed: bool = False  # dashed lines carry no markers
 
 
 @dataclass
@@ -164,7 +136,6 @@ class PlotSpec:
     xlabel: str
     ylabel: str
     series: List[Series] = field(default_factory=list)
-    logx: bool = True
 
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
@@ -177,17 +148,20 @@ def _ticks_linear(lo: float, hi: float, n: int = 5) -> np.ndarray:
 
 
 def _render_svg(path: Path, spec: PlotSpec, deterministic: bool) -> None:
-    """Dependency-light sweep plot: axes, ticks, polylines, legend."""
+    """Dependency-light sweep plot: axes, ticks, polylines, legend.
+
+    The x axis is logarithmic when every x is positive, linear otherwise.
+    """
     W, H = 720, 480
     ml, mr, mt, mb = 84, 24, 44, 58
     xs = np.concatenate([s.x for s in spec.series])
     ys = np.concatenate([s.y for s in spec.series])
-    finite = np.isfinite(xs) & (xs > 0 if spec.logx else np.isfinite(xs))
+    logx = bool(np.all(xs > 0))
 
     def tx(x):
-        return np.log10(x) if spec.logx else x
+        return np.log10(x) if logx else x
 
-    ux = tx(xs[finite])
+    ux = tx(xs[np.isfinite(xs)])
     ulo, uhi = float(ux.min()), float(ux.max())
     if uhi <= ulo:
         uhi = ulo + 1.0
@@ -214,7 +188,7 @@ def _render_svg(path: Path, spec: PlotSpec, deterministic: bool) -> None:
     out.append(f'<line x1="{ml}" y1="{H-mb}" x2="{W-mr}" y2="{H-mb}" {axis}/>')
     out.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H-mb}" {axis}/>')
 
-    if spec.logx:
+    if logx:
         for d in range(math.floor(ulo), math.floor(uhi) + 1):
             if d < ulo - 1e-9 or d > uhi + 1e-9:
                 continue
@@ -250,7 +224,7 @@ def _render_svg(path: Path, spec: PlotSpec, deterministic: bool) -> None:
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
-        if s.markers:
+        if not s.dashed:
             for x, y in zip(s.x, s.y):
                 if np.isfinite(y):
                     out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" '
@@ -376,13 +350,16 @@ def _quad_options(abs_tol: float, rel_tol: float, max_evals: int):
     return deco
 
 
-def _q0_grid_options(lo: float, hi: float, points: int):
+def _grid_options(var: str, noun: str, lo: float, hi: float, points: int):
+    """The ``--VAR-min/-max/-points`` grid of a sweep and its spacing."""
     def deco(f):
-        f = click.option("--q0-min", type=float, default=lo, show_default=True,
-                         help="Smallest frequency in the sweep.")(f)
-        f = click.option("--q0-max", type=float, default=hi, show_default=True,
-                         help="Largest frequency in the sweep.")(f)
-        f = click.option("--q0-points", type=int, default=points,
+        f = click.option(f"--{var}-min", type=float, default=lo,
+                         show_default=True,
+                         help=f"Smallest {noun} in the sweep.")(f)
+        f = click.option(f"--{var}-max", type=float, default=hi,
+                         show_default=True,
+                         help=f"Largest {noun} in the sweep.")(f)
+        f = click.option(f"--{var}-points", type=int, default=points,
                          show_default=True, help="Number of sweep points.")(f)
         f = click.option("--geometric/--linear", "geometric", default=True,
                          show_default=True,
@@ -394,6 +371,63 @@ def _q0_grid_options(lo: float, hi: float, points: int):
 def _svg_option(f):
     return click.option("--svg", is_flag=True, default=False,
                         help="Also write PREFIX.svg with the sweep plot.")(f)
+
+
+# ---------------------------------------------------------------------------
+# the sweep driver
+# ---------------------------------------------------------------------------
+
+_QUAD_COLUMNS = {
+    "error_estimate": "quadrature error estimate",
+    "evaluations": "integrand evaluations used",
+    "converged": "quadrature met its tolerance",
+}
+
+
+def _quad_cells(p) -> tuple:
+    return (p.error_estimate, p.evaluations, p.converged)
+
+
+def _quad_summary(points: list) -> dict:
+    return {"max_error_estimate": max(p.error_estimate for p in points),
+            "non_converged_rows": sum(not p.converged for p in points)}
+
+
+def _sweep(ctx: click.Context, params: dict, command: str, var: str,
+           setup: Callable, title: str, ylabel: str,
+           series: Sequence[tuple] = (("sweep", 1, False),),
+           fit: bool = False, summary: Callable = _quad_summary) -> None:
+    """Run a sweep command over the grid of ``var`` and write its artifacts.
+
+    ``setup(cfg)`` returns ``(point, row, columns)``: the function of one
+    grid value, the CSV row of its result and the column docs.
+    ``summary(points)`` gives the manifest results.  The plot draws the row
+    columns named by ``series`` as ``(label, index, dashed)`` against the
+    grid.  With ``fit``, five or more rows and every grid value positive,
+    column 1 gets an a (ln x)^2 + b ln x + c fit, in the manifest and the
+    plot.
+    """
+    def body() -> int:
+        t0 = time.perf_counter()
+        cfg = _merge_config(ctx, params)
+        grid = _grid(cfg[f"{var}_min"], cfg[f"{var}_max"],
+                     cfg[f"{var}_points"], cfg["geometric"])
+        point, row, columns = setup(cfg)
+        points = [point(x) for x in grid]
+        rows = [row(p) for p in points]
+        results = summary(points)
+        plot = PlotSpec(title=title, xlabel=var, ylabel=ylabel, series=[
+            Series(label, grid, np.array([r[i] for r in rows]), dashed)
+            for label, i, dashed in series])
+        if fit and len(rows) >= 5 and grid.min() > 0:
+            report = fitlab.fit_log_square([(r[0], r[1]) for r in rows])
+            results["fit"] = report.to_dict()
+            dense = np.geomspace(grid[0], grid[-1], 200)
+            plot.series.append(Series("fit", dense, report.predict(dense),
+                                      dashed=True))
+        return _finish(cfg, command, columns, rows, results, {}, t0, plot)
+
+    _run_guarded(ctx, body)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +452,7 @@ def main() -> None:
 
 @main.command("sigma2")
 @_common_options
-@_q0_grid_options(0.3, 0.3, 1)
+@_grid_options("q0", "frequency", 0.3, 0.3, 1)
 @click.option("--q", nargs=2, type=float, default=(0.0, 0.0), show_default=True,
               help="Momentum measured from the saddle.")
 @click.option("--beta", type=float, default=8.0, show_default=True,
@@ -432,50 +466,27 @@ def cmd_sigma2(ctx, **params):
     Columns: q0, re_value, im_value, error_estimate, evaluations,
     converged.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        grid = _grid(cfg["q0_min"], cfg["q0_max"], cfg["q0_points"],
-                     cfg["geometric"])
+    def setup(cfg: dict):
         state = ThermalState.finite(cfg["beta"])
         spec = _quad_spec(cfg)
         q = np.asarray(cfg["q"], dtype=float)
         if q.shape != (2,):
             raise ValueError("q must be a 2-vector")
+        return (lambda q0: selfenergy.sigma2(q0, q, state, spec),
+                lambda p: (p.q0, p.value.real, p.value.imag) + _quad_cells(p),
+                {"q0": "external frequency",
+                 "re_value": "real part of the self-energy",
+                 "im_value": "imaginary part of the self-energy",
+                 **_QUAD_COLUMNS})
 
-        def one(q0: float):
-            return selfenergy.sigma2(q0, q, state, spec)
-
-        points = _map_ordered(one, list(grid))
-        rows = [(p.q0, p.value.real, p.value.imag, p.error_estimate,
-                 p.evaluations, p.converged) for p in points]
-        columns = {
-            "q0": "external frequency",
-            "re_value": "real part of the self-energy",
-            "im_value": "imaginary part of the self-energy",
-            "error_estimate": "quadrature error estimate",
-            "evaluations": "integrand evaluations used",
-            "converged": "quadrature met its tolerance",
-        }
-        results = {
-            "max_error_estimate": max(p.error_estimate for p in points),
-            "non_converged_rows": sum(not p.converged for p in points),
-        }
-        plot = PlotSpec(
-            title="second-order self-energy at fixed momentum",
-            xlabel="q0", ylabel="value",
-            series=[
-                Series("re", grid, np.array([p.value.real for p in points])),
-                Series("im", grid, np.array([p.value.imag for p in points])),
-            ])
-        return _finish(cfg, "sigma2", columns, rows, results, {}, t0, plot)
-
-    _run_guarded(ctx, body)
+    _sweep(ctx, params, "sigma2", "q0", setup,
+           "second-order self-energy at fixed momentum", "value",
+           series=(("re", 1, False), ("im", 2, False)))
 
 
 @main.command("dsigma-domega")
 @_common_options
-@_q0_grid_options(1e-6, 1e-2, 9)
+@_grid_options("q0", "frequency", 1e-6, 1e-2, 9)
 @click.option("--method", type=click.Choice(["reduced", "orthant4d", "cube4d"]),
               default="reduced", show_default=True,
               help="Evaluation route for the frequency derivative.")
@@ -488,44 +499,17 @@ def cmd_dsigma_domega(ctx, **params):
 
     Columns: q0, value, error_estimate, evaluations, converged.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        grid = _grid(cfg["q0_min"], cfg["q0_max"], cfg["q0_points"],
-                     cfg["geometric"])
+    def setup(cfg: dict):
         spec = _quad_spec(cfg)
+        return (lambda q0: selfenergy.im_d0_sigma2(q0, spec,
+                                                   method=cfg["method"]),
+                lambda p: (p.q0, p.value.real) + _quad_cells(p),
+                {"q0": "external frequency",
+                 "value": "imaginary part of the frequency derivative",
+                 **_QUAD_COLUMNS})
 
-        def one(q0: float):
-            return selfenergy.im_d0_sigma2(q0, spec, method=cfg["method"])
-
-        points = _map_ordered(one, list(grid))
-        rows = [(p.q0, p.value.real, p.error_estimate, p.evaluations,
-                 p.converged) for p in points]
-        columns = {
-            "q0": "external frequency",
-            "value": "imaginary part of the frequency derivative",
-            "error_estimate": "quadrature error estimate",
-            "evaluations": "integrand evaluations used",
-            "converged": "quadrature met its tolerance",
-        }
-        results = {
-            "max_error_estimate": max(p.error_estimate for p in points),
-            "non_converged_rows": sum(not p.converged for p in points),
-        }
-        plot = PlotSpec(title="frequency derivative at the saddle",
-                        xlabel="q0", ylabel="Im d/dq0",
-                        series=[Series("sweep", grid,
-                                       np.array([r[1] for r in rows]))])
-        if len(rows) >= 5:
-            fit = fitlab.fit_log_square([(r[0], r[1]) for r in rows])
-            results["fit"] = fit.to_dict()
-            dense = np.geomspace(grid[0], grid[-1], 200)
-            plot.series.append(Series("fit", dense, fit.predict(dense),
-                                      dashed=True, markers=False))
-        return _finish(cfg, "dsigma-domega", columns, rows, results, {}, t0,
-                       plot)
-
-    _run_guarded(ctx, body)
+    _sweep(ctx, params, "dsigma-domega", "q0", setup,
+           "frequency derivative at the saddle", "Im d/dq0", fit=True)
 
 
 @main.command("grad-check")
@@ -550,12 +534,9 @@ def cmd_grad_check(ctx, **params):
         if not cfg["betas"]:
             raise ValueError("need at least one --beta")
         spec = _quad_spec(cfg)
-
-        def one(beta: float):
-            state = ThermalState.finite(beta)
-            return beta, selfenergy.grad_sigma2_at_vh(cfg["q0"], state, spec)
-
-        out = _map_ordered(one, list(cfg["betas"]))
+        out = [(beta, selfenergy.grad_sigma2_at_vh(
+                    cfg["q0"], ThermalState.finite(beta), spec))
+               for beta in cfg["betas"]]
         rows = [(beta, cfg["q0"], g.value[0].real, g.value[0].imag,
                  g.value[1].real, g.value[1].imag, g.error_estimate[0],
                  g.error_estimate[1], g.evaluations, g.converged)
@@ -587,7 +568,7 @@ def cmd_grad_check(ctx, **params):
 
 @main.command("d2-xieta")
 @_common_options
-@_q0_grid_options(1e-5, 1e-2, 9)
+@_grid_options("q0", "frequency", 1e-5, 1e-2, 9)
 @click.option("--zeta12-method", type=click.Choice(["reduced", "zform"]),
               default="reduced", show_default=True,
               help="Route for the boundary-bracket piece.")
@@ -601,52 +582,25 @@ def cmd_d2_xieta(ctx, **params):
     Columns: q0, value, zeta11, zeta12, error_estimate, evaluations,
     converged.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        grid = _grid(cfg["q0_min"], cfg["q0_max"], cfg["q0_points"],
-                     cfg["geometric"])
+    def setup(cfg: dict):
         spec = _quad_spec(cfg)
+        return (lambda q0: selfenergy.d2_sigma2_xi_eta(
+                    q0, spec, zeta12_method=cfg["zeta12_method"]),
+                lambda p: (p.q0, p.value.real, p.pieces["zeta11"],
+                           p.pieces["zeta12"]) + _quad_cells(p),
+                {"q0": "external frequency",
+                 "value": "mixed second derivative (real)",
+                 "zeta11": "interior piece",
+                 "zeta12": "boundary piece",
+                 **_QUAD_COLUMNS})
 
-        def one(q0: float):
-            return selfenergy.d2_sigma2_xi_eta(
-                q0, spec, zeta12_method=cfg["zeta12_method"])
-
-        points = _map_ordered(one, list(grid))
-        rows = [(p.q0, p.value.real, float(np.real(p.pieces["zeta11"])),
-                 float(np.real(p.pieces["zeta12"])), p.error_estimate,
-                 p.evaluations, p.converged) for p in points]
-        columns = {
-            "q0": "external frequency",
-            "value": "mixed second derivative (real)",
-            "zeta11": "interior piece",
-            "zeta12": "boundary piece",
-            "error_estimate": "quadrature error estimate",
-            "evaluations": "integrand evaluations used",
-            "converged": "quadrature met its tolerance",
-        }
-        results = {
-            "max_error_estimate": max(p.error_estimate for p in points),
-            "non_converged_rows": sum(not p.converged for p in points),
-        }
-        plot = PlotSpec(title="mixed second derivative at the saddle",
-                        xlabel="q0", ylabel="value",
-                        series=[Series("sweep", grid,
-                                       np.array([r[1] for r in rows]))])
-        if len(rows) >= 5:
-            fit = fitlab.fit_log_square([(r[0], r[1]) for r in rows])
-            results["fit"] = fit.to_dict()
-            dense = np.geomspace(grid[0], grid[-1], 200)
-            plot.series.append(Series("fit", dense, fit.predict(dense),
-                                      dashed=True, markers=False))
-        return _finish(cfg, "d2-xieta", columns, rows, results, {}, t0, plot)
-
-    _run_guarded(ctx, body)
+    _sweep(ctx, params, "d2-xieta", "q0", setup,
+           "mixed second derivative at the saddle", "value", fit=True)
 
 
 @main.command("d2-xixi")
 @_common_options
-@_q0_grid_options(1e-5, 1e-2, 9)
+@_grid_options("q0", "frequency", 1e-5, 1e-2, 9)
 @click.option("--with-imaginary", is_flag=True, default=False,
               help="Also integrate the imaginary-part pieces "
                    "(adds columns, slower).")
@@ -660,27 +614,15 @@ def cmd_d2_xixi(ctx, **params):
     Columns: q0, value, b0_term, i20_term, error_estimate, evaluations,
     converged; --with-imaginary appends im_value, im_x1, im_i20, im_x3.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        grid = _grid(cfg["q0_min"], cfg["q0_max"], cfg["q0_points"],
-                     cfg["geometric"])
+    def setup(cfg: dict):
         spec = _quad_spec(cfg)
         with_im = cfg["with_imaginary"]
-
-        def one(q0: float):
-            return selfenergy.d2_sigma2_xi_xi(q0, spec,
-                                              include_imaginary=with_im)
-
-        points = _map_ordered(one, list(grid))
         columns = {
             "q0": "external frequency",
             "value": "assembled bounded-growth profile (real)",
             "b0_term": "closed-form boundary piece",
             "i20_term": "real interior piece",
-            "error_estimate": "quadrature error estimate",
-            "evaluations": "integrand evaluations used",
-            "converged": "quadrature met its tolerance",
+            **_QUAD_COLUMNS,
         }
         if with_im:
             columns.update({
@@ -689,88 +631,48 @@ def cmd_d2_xixi(ctx, **params):
                 "im_i20": "interior piece, imaginary part",
                 "im_x3": "double-pole boundary piece",
             })
-        rows = []
-        for p in points:
-            row = [p.q0, p.value.real, float(p.pieces["b0"]),
-                   float(p.pieces["re_i20"]), p.error_estimate, p.evaluations,
-                   p.converged]
+
+        def row(p) -> tuple:
+            cells = (p.q0, p.value.real, p.pieces["b0"],
+                     p.pieces["re_i20"]) + _quad_cells(p)
             if with_im:
-                row += [p.value.imag, float(p.pieces["im_x1"]),
-                        float(p.pieces["im_i20"]), float(p.pieces["im_x3"])]
-            rows.append(tuple(row))
-        results = {
-            "max_error_estimate": max(p.error_estimate for p in points),
-            "non_converged_rows": sum(not p.converged for p in points),
-        }
-        plot = PlotSpec(title="pure second derivative profile at the saddle",
-                        xlabel="q0", ylabel="value",
-                        series=[Series("sweep", grid,
-                                       np.array([r[1] for r in rows]))])
-        if len(rows) >= 5:
-            fit = fitlab.fit_log_square([(r[0], r[1]) for r in rows])
-            results["fit"] = fit.to_dict()
-            dense = np.geomspace(grid[0], grid[-1], 200)
-            plot.series.append(Series("fit", dense, fit.predict(dense),
-                                      dashed=True, markers=False))
-        return _finish(cfg, "d2-xixi", columns, rows, results, {}, t0, plot)
+                cells += (p.value.imag, p.pieces["im_x1"], p.pieces["im_i20"],
+                          p.pieces["im_x3"])
+            return cells
 
-    _run_guarded(ctx, body)
+        return (lambda q0: selfenergy.d2_sigma2_xi_xi(
+                    q0, spec, include_imaginary=with_im), row, columns)
+
+    _sweep(ctx, params, "d2-xixi", "q0", setup,
+           "pure second derivative profile at the saddle", "value", fit=True)
 
 
-def _bubble_body(ctx, params, kind: str) -> None:
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        grid = _grid(cfg["beta_min"], cfg["beta_max"], cfg["beta_points"],
-                     cfg["geometric"])
-        points = _map_ordered(lambda b: bubbles.bubble_result(kind, b),
-                              list(grid))
-        rows = [(r.kind, r.beta, r.value, r.asymptotic_prediction, r.residual)
-                for r in points]
-        columns = {
-            "kind": "bubble channel (ph or pp)",
-            "beta": "inverse temperature",
-            "value": "exact 1D-reduced bubble value",
-            "prediction": "large-beta asymptotic prediction",
-            "residual": "value minus prediction",
-        }
-        results = {
-            "K": bubbles.k_constant(),
-            "K_prime": bubbles.k_prime_constant(),
-            "max_abs_residual": max(abs(r.residual) for r in points),
-            "non_converged_rows": 0,
-        }
-        plot = PlotSpec(title=f"{kind} bubble against asymptotic prediction",
-                        xlabel="beta", ylabel="value",
-                        series=[
-                            Series("value", grid,
-                                   np.array([r.value for r in points])),
-                            Series("prediction", grid,
-                                   np.array([r.asymptotic_prediction
-                                             for r in points]),
-                                   dashed=True, markers=False),
-                        ])
-        return _finish(cfg, f"bubble-{kind}", columns, rows, results, {}, t0,
-                       plot)
+def _bubble_sweep(ctx, params, kind: str) -> None:
+    def setup(cfg: dict):
+        return (lambda beta: bubbles.bubble_result(kind, beta),
+                lambda r: (r.kind, r.beta, r.value, r.asymptotic_prediction,
+                           r.residual),
+                {"kind": "bubble channel (ph or pp)",
+                 "beta": "inverse temperature",
+                 "value": "exact 1D-reduced bubble value",
+                 "prediction": "large-beta asymptotic prediction",
+                 "residual": "value minus prediction"})
 
-    _run_guarded(ctx, body)
+    def summary(points: list) -> dict:
+        return {"K": bubbles.k_constant(),
+                "K_prime": bubbles.k_prime_constant(),
+                "max_abs_residual": max(abs(r.residual) for r in points),
+                "non_converged_rows": 0}
 
-
-def _beta_grid_options(f):
-    f = click.option("--beta-min", type=float, default=10.0, show_default=True,
-                     help="Smallest inverse temperature.")(f)
-    f = click.option("--beta-max", type=float, default=80.0, show_default=True,
-                     help="Largest inverse temperature.")(f)
-    f = click.option("--beta-points", type=int, default=4, show_default=True,
-                     help="Number of grid points.")(f)
-    f = click.option("--geometric/--linear", "geometric", default=True,
-                     show_default=True, help="Spacing of the beta grid.")(f)
-    return f
+    _sweep(ctx, params, f"bubble-{kind}", "beta", setup,
+           f"{kind} bubble against asymptotic prediction", "value",
+           series=(("value", 2, False), ("prediction", 3, True)),
+           summary=summary)
 
 
 @main.command("bubble-ph")
 @_common_options
-@_beta_grid_options
+@_grid_options("beta", "inverse temperature", 10.0, 80.0, 4)
 @_svg_option
 @click.pass_context
 def cmd_bubble_ph(ctx, **params):
@@ -779,12 +681,12 @@ def cmd_bubble_ph(ctx, **params):
 
     Columns: kind, beta, value, prediction, residual.
     """
-    _bubble_body(ctx, params, "ph")
+    _bubble_sweep(ctx, params, "ph")
 
 
 @main.command("bubble-pp")
 @_common_options
-@_beta_grid_options
+@_grid_options("beta", "inverse temperature", 10.0, 80.0, 4)
 @_svg_option
 @click.pass_context
 def cmd_bubble_pp(ctx, **params):
@@ -793,7 +695,7 @@ def cmd_bubble_pp(ctx, **params):
 
     Columns: kind, beta, value, prediction, residual.
     """
-    _bubble_body(ctx, params, "pp")
+    _bubble_sweep(ctx, params, "pp")
 
 
 def _model_from(cfg: dict) -> dispersion.DispersionModel:
@@ -973,7 +875,7 @@ def cmd_interval_check(ctx, **params):
                                               grid=cfg["grid"])
             return (ident, k, eta, eps, r.measured_volume, r.bound, r.holds)
 
-        rows = _map_ordered(one, corpus)
+        rows = [one(entry) for entry in corpus]
         columns = {
             "poly_id": "corpus index",
             "k": "derivative order with the lower bound",
@@ -1046,7 +948,7 @@ def cmd_fit(ctx, **params):
                                        np.array([r[1] for r in rows]))])
         dense = np.geomspace(x.min(), x.max(), 200)
         plot.series.append(Series("fit", dense, fit.predict(dense),
-                                  dashed=True, markers=False))
+                                  dashed=True))
         return _finish(cfg, "fit", columns, rows, results, {}, t0, plot)
 
     _run_guarded(ctx, body)

@@ -38,14 +38,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NonFiniteSample
 
-__all__ = ["QuadResult", "QuadSpec", "integrate", "integrate_mc", "rule_pair"]
+__all__ = ["QuadResult", "QuadSpec", "combine", "integrate", "integrate_mc",
+           "rule_pair"]
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
@@ -68,6 +69,29 @@ class QuadResult:
     rounds: int = 0
     leaves: int = 0
     frozen: int = 0
+
+    def scaled(self, k: complex) -> "QuadResult":
+        """This result times the constant ``k``: value k v, error |k| e."""
+        return replace(self, value=k * self.value,
+                       error_estimate=abs(k) * self.error_estimate)
+
+
+def combine(*rs: QuadResult) -> QuadResult:
+    """Sum of results, added left to right: values, errors, evaluations and
+    telemetry add up, and the sum converged only if every term did."""
+    first, *rest = rs
+    value, err, evals = first.value, first.error_estimate, first.evaluations
+    rounds, leaves, frozen = first.rounds, first.leaves, first.frozen
+    for r in rest:
+        value += r.value
+        err += r.error_estimate
+        evals += r.evaluations
+        rounds += r.rounds
+        leaves += r.leaves
+        frozen += r.frozen
+    return QuadResult(value=value, error_estimate=err, evaluations=evals,
+                      converged=all(r.converged for r in rs), rounds=rounds,
+                      leaves=leaves, frozen=frozen)
 
 
 @dataclass(frozen=True)

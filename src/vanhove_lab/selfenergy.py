@@ -44,8 +44,7 @@ adaptive quadrature runs:
                      u = beta E1 replaces a hopeless direct quadrature.
 
 Every operation validates q0 != 0 and returns its quadrature error
-estimate and evaluation count alongside the value, ready for the CSV row
-format (q0, re, im, err, evals, kind).
+estimate and evaluation count alongside the value.
 """
 
 from __future__ import annotations
@@ -59,8 +58,8 @@ import numpy as np
 
 from . import quad
 from .errors import ZeroFrequency
-from .matsubara import ThermalState, approx_delta, fermi
-from .quad import QuadResult, QuadSpec
+from .matsubara import ThermalState, _numerator, approx_delta, fermi
+from .quad import QuadResult, QuadSpec, combine
 
 __all__ = [
     "DerivativeKind",
@@ -87,7 +86,6 @@ __all__ = [
     "x3_limit",
     "b0_closed",
     "b0_direct",
-    "csv_row",
 ]
 
 
@@ -172,14 +170,6 @@ def _require_q0(q0: float) -> None:
 
 def _beta_of(state: ThermalState) -> float:
     return math.inf if state.zero_temperature else state.beta
-
-
-def csv_row(q0: float, value: complex, error_estimate: float,
-            evaluations: int, kind: str) -> str:
-    """Format one result as the row (q0, re, im, err, evals, kind)."""
-    v = complex(value)
-    return "%.16e,%.16e,%.16e,%.16e,%d,%s" % (
-        q0, v.real, v.imag, error_estimate, evaluations, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +269,6 @@ def _phi(q0: float, eps: np.ndarray) -> np.ndarray:
     return (e2 - q2) / (e2 + q2) ** 2
 
 
-def _zt_numerator(E1: np.ndarray, E2: np.ndarray, E3: np.ndarray) -> np.ndarray:
-    # (f1 + b23)(f2 - f3) at zero temperature via the pole-free identity
-    zt = ThermalState.zero()
-    f1 = fermi(zt, E1)
-    f2 = fermi(zt, E2)
-    f3 = fermi(zt, E3)
-    return f1 * (f2 - f3) + f2 * (f3 - 1.0)
-
-
 def _i_reduced(q0: float, spec: QuadSpec) -> QuadResult:
     """I(q0) after both exact inner integrations, as a 2D quadrature.
 
@@ -310,8 +291,7 @@ def _i_reduced(q0: float, spec: QuadSpec) -> QuadResult:
         return (L(y + yp) - L(y + 2.0 * yp)) / yp
 
     r = quad.integrate(f, [(0.0, 1.0), (0.0, 1.0)], spec)
-    return QuadResult(value=2.0 * r.value, error_estimate=2.0 * r.error_estimate,
-                      evaluations=r.evaluations, converged=r.converged)
+    return r.scaled(2.0)
 
 
 def _i_orthant_4d(q0: float, spec: QuadSpec) -> QuadResult:
@@ -334,8 +314,7 @@ def _i_orthant_4d(q0: float, spec: QuadSpec) -> QuadResult:
     guided = replace(spec, refinement="singularity_guided", q0=q0,
                      epsilon_fn=eps)
     r = quad.integrate(f, [(0.0, 1.0)] * 4, guided)
-    return QuadResult(value=4.0 * r.value, error_estimate=4.0 * r.error_estimate,
-                      evaluations=r.evaluations, converged=r.converged)
+    return r.scaled(4.0)
 
 
 def _im_d0_cube_4d(q0: float, spec: QuadSpec) -> QuadResult:
@@ -345,13 +324,14 @@ def _im_d0_cube_4d(q0: float, spec: QuadSpec) -> QuadResult:
     numerator; equality with -2 I(q0) validates the whole sign-pattern
     folding that produces the orthant form.
     """
+    zt = ThermalState.zero()
 
     def f(P: np.ndarray) -> np.ndarray:
         x, y, xp, yp = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
         E1 = (x - xp) * (y - yp)
         E2 = x * y
         E3 = xp * yp
-        return _phi(q0, E2 - E3 - E1) * _zt_numerator(E1, E2, E3)
+        return _phi(q0, E2 - E3 - E1) * _numerator(zt, E1, E2, E3)
 
     return quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
 
@@ -370,19 +350,16 @@ def im_d0_sigma2(q0: float, spec: QuadSpec,
     _require_q0(q0)
     a = abs(q0)
     if method == "reduced":
-        r = _i_reduced(a, spec)
-        value, err = -2.0 * r.value, 2.0 * r.error_estimate
+        r = _i_reduced(a, spec).scaled(-2.0)
     elif method == "orthant4d":
-        r = _i_orthant_4d(a, spec)
-        value, err = -2.0 * r.value, 2.0 * r.error_estimate
+        r = _i_orthant_4d(a, spec).scaled(-2.0)
     elif method == "cube4d":
         r = _im_d0_cube_4d(a, spec)
-        value, err = r.value, r.error_estimate
     else:
         raise ValueError(f"unknown method {method!r}")
     return SelfEnergyPoint(
-        q0=q0, q=(0.0, 0.0), beta=math.inf, value=complex(np.real(value)),
-        derivative_kind=DerivativeKind.d_omega, error_estimate=err,
+        q0=q0, q=(0.0, 0.0), beta=math.inf, value=complex(np.real(r.value)),
+        derivative_kind=DerivativeKind.d_omega, error_estimate=r.error_estimate,
         evaluations=r.evaluations, converged=r.converged)
 
 
@@ -434,10 +411,7 @@ def s2_integrand(P: np.ndarray, q0: float, state: ThermalState,
     E2 = x * y
     E3 = xp * yp
     eps = E2 - E3 - E1
-    zt = state.zero_temperature
-    num = (_zt_numerator(E1, E2, E3) if zt else
-           fermi(state, E1) * (fermi(state, E2) - fermi(state, E3))
-           + fermi(state, E2) * (fermi(state, E3) - 1.0))
+    num = _numerator(state, E1, E2, E3)
     return _transverse(P, component) * num / (1j * q0 + eps) ** 2
 
 
@@ -502,11 +476,7 @@ def _zeta12_reduced(q0: float, spec: QuadSpec) -> QuadResult:
         return (2.0 / eta) * ((y + eta) / Q1 - (y + 2.0 * eta) / Q2)
 
     r_rt = quad.integrate(rt, [(0.0, 1.0), (0.0, 1.0)], spec)
-    return QuadResult(
-        value=-4.0 * (r_bt.value + r_rt.value),
-        error_estimate=4.0 * (r_bt.error_estimate + r_rt.error_estimate),
-        evaluations=r_bt.evaluations + r_rt.evaluations,
-        converged=r_bt.converged and r_rt.converged)
+    return combine(r_bt, r_rt).scaled(-4.0)
 
 
 def _zeta12_zform(q0: float, spec: QuadSpec) -> QuadResult:
@@ -525,8 +495,7 @@ def _zeta12_zform(q0: float, spec: QuadSpec) -> QuadResult:
         return np.real(a * z * z / den)
 
     r = quad.integrate(f, [(0.0, 1.0)] * 3, spec)
-    return QuadResult(value=-8.0 * r.value, error_estimate=8.0 * r.error_estimate,
-                      evaluations=r.evaluations, converged=r.converged)
+    return r.scaled(-8.0)
 
 
 def d2_sigma2_xi_eta(q0: float, spec: QuadSpec,
@@ -554,22 +523,21 @@ def d2_sigma2_xi_eta(q0: float, spec: QuadSpec,
     """
     _require_q0(q0)
     a = abs(q0)
-    r_i = _i_reduced(a, spec)
-    z11 = 2.0 * np.real(r_i.value)
     if zeta12_method == "reduced":
-        r_z12 = _zeta12_reduced(a, spec)
+        route = _zeta12_reduced
     elif zeta12_method == "zform":
-        r_z12 = _zeta12_zform(a, spec)
+        route = _zeta12_zform
     else:
         raise ValueError(f"unknown zeta12_method {zeta12_method!r}")
-    z12 = float(np.real(r_z12.value))
+    r_z11 = _i_reduced(a, spec).scaled(2.0)
+    r_z12 = route(a, spec)
+    r = combine(r_z11, r_z12)
     return SecondDerivativeResult(
-        q0=q0, value=complex(z11 + z12),
+        q0=q0, value=complex(r.value),
         derivative_kind=DerivativeKind.d_xi_eta,
-        pieces={"zeta11": z11, "zeta12": z12},
-        error_estimate=2.0 * r_i.error_estimate + r_z12.error_estimate,
-        evaluations=r_i.evaluations + r_z12.evaluations,
-        converged=r_i.converged and r_z12.converged)
+        pieces={"zeta11": r_z11.value, "zeta12": r_z12.value},
+        error_estimate=r.error_estimate, evaluations=r.evaluations,
+        converged=r.converged)
 
 
 # ---------------------------------------------------------------------------
@@ -761,8 +729,7 @@ def b0_direct(q0: float, spec: QuadSpec) -> QuadResult:
         return (y + 1.0) * d / (q2 + d * d)
 
     r = quad.integrate(f, [(-1.0, 1.0), (0.0, 1.0)], spec)
-    return QuadResult(value=4.0 * r.value, error_estimate=4.0 * r.error_estimate,
-                      evaluations=r.evaluations, converged=r.converged)
+    return r.scaled(4.0)
 
 
 def _re_i20(q0: float, spec: QuadSpec) -> QuadResult:
@@ -777,8 +744,7 @@ def _re_i20(q0: float, spec: QuadSpec) -> QuadResult:
         return y * (np.arctan((1.0 + y) / q0) - np.arctan((1.0 - y) / q0)) / q0
 
     r = quad.integrate(f, [(0.0, 1.0)], spec)
-    return QuadResult(value=-4.0 * r.value, error_estimate=4.0 * r.error_estimate,
-                      evaluations=r.evaluations, converged=r.converged)
+    return r.scaled(-4.0)
 
 
 def _i20_3d(q0: float, spec: QuadSpec) -> QuadResult:
@@ -800,8 +766,7 @@ def _i20_3d(q0: float, spec: QuadSpec) -> QuadResult:
                                   - (yp - 2.0 * y) / (1j * q0 - x * d) ** 2)
 
     r = quad.integrate(f, [(-1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)], spec)
-    return QuadResult(value=2.0 * r.value, error_estimate=2.0 * r.error_estimate,
-                      evaluations=r.evaluations, converged=r.converged)
+    return r.scaled(2.0)
 
 
 def _im_x30(q0: float, spec: QuadSpec) -> QuadResult:
@@ -819,8 +784,7 @@ def _im_x30(q0: float, spec: QuadSpec) -> QuadResult:
         return (y + 1.0) * d * occ * np.imag(1.0 / (1j * q0 + x * d) ** 2)
 
     r = quad.integrate(f, [(-1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)], spec)
-    return QuadResult(value=8.0 * r.value, error_estimate=8.0 * r.error_estimate,
-                      evaluations=r.evaluations, converged=r.converged)
+    return r.scaled(8.0)
 
 
 def _im_x10(q0: float, spec: QuadSpec) -> QuadResult:
@@ -859,11 +823,7 @@ def _im_x10(q0: float, spec: QuadSpec) -> QuadResult:
         return (yp * yp * (1.0 - s) ** 2 / 2.0) * (phi(b) - psi)
 
     r2 = quad.integrate(f2, [(0.0, 1.0), (0.0, 1.0)], spec)
-    return QuadResult(
-        value=8.0 * (r1.value + r2.value),
-        error_estimate=8.0 * (r1.error_estimate + r2.error_estimate),
-        evaluations=r1.evaluations + r2.evaluations,
-        converged=r1.converged and r2.converged)
+    return combine(r1, r2).scaled(8.0)
 
 
 def x1(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
@@ -885,8 +845,7 @@ def x1(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
         E1 = (x - xp) * (y - yp)
         E2 = x * y
         E3 = xp * yp
-        num = (fermi(state, E1) * (fermi(state, E2) - fermi(state, E3))
-               + fermi(state, E2) * (fermi(state, E3) - 1.0))
+        num = _numerator(state, E1, E2, E3)
         return -2.0 * (y - yp) ** 2 * num / (1j * q0 + E2 - E3 - E1) ** 3
 
     return quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
@@ -901,13 +860,14 @@ def x1_zt_direct(q0: float, spec: QuadSpec) -> QuadResult:
     the oracle for the reduced _im_x10 forms.
     """
     _require_q0(q0)
+    zt = ThermalState.zero()
 
     def f(P: np.ndarray) -> np.ndarray:
         x, y, xp, yp = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
         E1 = (x - xp) * (y - yp)
         E2 = x * y
         E3 = xp * yp
-        num = _zt_numerator(E1, E2, E3)
+        num = _numerator(zt, E1, E2, E3)
         return -2.0 * (y - yp) ** 2 * num / (1j * q0 + E2 - E3 - E1) ** 3
 
     return quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
@@ -924,9 +884,7 @@ def x3_limit(q0: float, spec: QuadSpec) -> QuadResult:
     """Large-beta limit of x3: purely imaginary, returned as complex."""
     _require_q0(q0)
     r = _im_x30(abs(q0), spec)
-    return QuadResult(value=1j * np.real(r.value),
-                      error_estimate=r.error_estimate,
-                      evaluations=r.evaluations, converged=r.converged)
+    return replace(r, value=1j * np.real(r.value))
 
 
 def d2_sigma2_xi_xi(q0: float, spec: QuadSpec,
@@ -952,34 +910,26 @@ def d2_sigma2_xi_xi(q0: float, spec: QuadSpec,
     _require_q0(q0)
     a = abs(q0)
     b0 = b0_closed(a)
-    r_re = _re_i20(a, spec)
-    pieces: Dict[str, complex] = {"b0": b0, "re_i20": float(np.real(r_re.value))}
-    err = r_re.error_estimate
-    evals = r_re.evaluations
-    conv = r_re.converged
+    r = _re_i20(a, spec)
+    pieces: Dict[str, complex] = {"b0": b0, "re_i20": r.value}
     imag = 0.0
     if include_imaginary:
-        r_x1 = _im_x10(a, spec)
-        r_i20 = _i20_3d(a, spec)
-        r_x3 = _im_x30(a, spec)
-        pieces["im_x1"] = float(np.real(r_x1.value))
-        pieces["im_i20"] = float(np.imag(r_i20.value))
-        pieces["im_x3"] = float(np.real(r_x3.value))
+        r_x1, r_i20, r_x3 = _im_x10(a, spec), _i20_3d(a, spec), _im_x30(a, spec)
+        pieces["im_x1"] = r_x1.value
+        pieces["im_i20"] = np.imag(r_i20.value)
+        pieces["im_x3"] = r_x3.value
         imag = pieces["im_x1"] + pieces["im_i20"] + pieces["im_x3"]
-        err += r_x1.error_estimate + r_i20.error_estimate + r_x3.error_estimate
-        evals += r_x1.evaluations + r_i20.evaluations + r_x3.evaluations
-        conv = conv and r_x1.converged and r_i20.converged and r_x3.converged
+        # only the accounting of the sum is used: error, cost, convergence
+        r = combine(r, combine(r_x1, r_i20, r_x3))
     return SecondDerivativeResult(
-        q0=q0, value=complex(b0 + float(np.real(r_re.value)), imag),
+        q0=q0, value=complex(b0 + pieces["re_i20"], imag),
         derivative_kind=DerivativeKind.d_xi_xi, pieces=pieces,
-        error_estimate=err, evaluations=evals, converged=conv)
+        error_estimate=r.error_estimate, evaluations=r.evaluations,
+        converged=r.converged)
 
 
 def d2_sigma2_eta_eta(q0: float, spec: QuadSpec,
                       include_imaginary: bool = False) -> SecondDerivativeResult:
     """d2 Sigma2 / deta^2: equal to the xi-xi derivative by symmetry."""
     r = d2_sigma2_xi_xi(q0, spec, include_imaginary)
-    return SecondDerivativeResult(
-        q0=r.q0, value=r.value, derivative_kind=DerivativeKind.d_eta_eta,
-        pieces=r.pieces, error_estimate=r.error_estimate,
-        evaluations=r.evaluations, converged=r.converged)
+    return replace(r, derivative_kind=DerivativeKind.d_eta_eta)

@@ -144,16 +144,6 @@ def test_pp_2d_oracle_matches_reduction():
 # ---------------------------------------------------------------------------
 
 
-def test_csv_row_roundtrip():
-    r = bubbles.bubble_result("pp", 12.5)
-    kind, beta, value, pred, residual = bubbles.csv_row(r).split(",")
-    assert kind == "pp"
-    assert float(beta) == 12.5
-    assert float(value) == r.value
-    assert float(pred) == r.asymptotic_prediction
-    assert float(residual) == r.residual
-
-
 def test_determinism():
     a = bubbles.bubble_result("ph", 17.0)
     b = bubbles.bubble_result("ph", 17.0)

@@ -41,11 +41,68 @@ def test_group_help_lists_commands(runner):
         assert cmd in r.output
 
 
-@pytest.mark.parametrize("cmd", ["dsigma-domega", "overlap", "bubble-pp"])
-def test_command_help_documents_columns(runner, cmd):
+def documented_columns(runner, cmd):
+    """Column names listed after "Columns:" in the command's --help, and
+    those that --with-imaginary appends."""
     r = runner.invoke(main, [cmd, "--help"])
     assert r.exit_code == 0
-    assert "Columns:" in r.output
+    text = " ".join(r.output.split("Columns:")[1].split("Options:")[0].split())
+    base, _, extra = text.partition("; --with-imaginary appends ")
+    return [[w.strip(" .") for w in part.split(",")] if part else []
+            for part in (base, extra)]
+
+
+# A cheap invocation of every command, keyed by name.
+COLUMN_CASES = {
+    "sigma2": ["sigma2", "--q0-min", "0.5", "--abs-tol", "0.05",
+               "--rel-tol", "0.05", "--max-evals", "20000"],
+    "dsigma-domega": ["dsigma-domega", "--q0-min", "0.1", "--q0-points", "1",
+                      "--abs-tol", "1e-5", "--rel-tol", "1e-5"],
+    "grad-check": ["grad-check", "--beta", "4", "--abs-tol", "0.05",
+                   "--rel-tol", "0.05", "--max-evals", "20000"],
+    "d2-xieta": ["d2-xieta", "--q0-min", "0.1", "--q0-points", "1",
+                 "--abs-tol", "1e-5", "--rel-tol", "1e-5"],
+    "d2-xixi": ["d2-xixi", "--q0-min", "0.2", "--q0-points", "1",
+                "--abs-tol", "1e-5", "--rel-tol", "1e-5"],
+    "d2-xixi --with-imaginary": [
+        "d2-xixi", "--with-imaginary", "--q0-min", "0.2", "--q0-points", "1",
+        "--abs-tol", "1e-4", "--rel-tol", "1e-4"],
+    "bubble-ph": ["bubble-ph", "--beta-points", "1"],
+    "bubble-pp": ["bubble-pp", "--beta-points", "1"],
+    "overlap": ["overlap", "--num-p", "2", "--j-min", "-2"],
+    "normal-form": ["normal-form", "--grid", "21"],
+    "interval-check": ["interval-check", "--per-k", "1", "--grid", "2000"],
+    "fit": ["fit"],
+}
+
+
+def test_every_command_is_column_checked(runner):
+    r = runner.invoke(main, ["--help"])
+    listed = {line.split()[0] for line in
+              r.output.split("Commands:")[1].strip().splitlines()}
+    assert listed == {case.split()[0] for case in COLUMN_CASES}
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+def test_command_help_documents_columns(runner, tmp_path, case):
+    argv = list(COLUMN_CASES[case])
+    if argv == ["fit"]:
+        src = tmp_path / "sweep.csv"
+        src.write_text("q0,value\n" + "".join(
+            "%.16e,%.16e\n" % (x, math.log(x) ** 2)
+            for x in np.geomspace(1e-5, 0.1, 5)))
+        argv += ["--input", str(src)]
+    prefix = tmp_path / "cols"
+    r = runner.invoke(main, argv + ["--out-prefix", str(prefix),
+                                    "--deterministic"])
+    assert r.exit_code in (0, 3), r.output
+    base, extra = documented_columns(runner, argv[0])
+    expected = base + extra if "--with-imaginary" in argv else base
+    header, _ = read_csv(prefix.with_suffix(".csv"))
+    assert header == expected
+    man = read_json(prefix.with_suffix(".json"))
+    assert sorted(man["columns"]) == sorted(expected)
+    assert "threads" not in man
 
 
 def test_version(runner):
@@ -254,6 +311,28 @@ def test_budget_exhaustion_exits_3_but_writes_artifacts(runner, tmp_path):
     assert prefix.with_suffix(".json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["dsigma-domega", "--q0-min", "-0.05", "--q0-max", "-0.01",
+     "--q0-points", "5"],
+    ["dsigma-domega", "--q0-min", "-0.05", "--q0-max", "-0.01",
+     "--q0-points", "3"],
+    ["d2-xieta", "--q0-min", "-0.05", "--q0-max", "0.05", "--q0-points", "2"],
+], ids=["dsigma-5", "dsigma-3", "xieta-straddle"])
+def test_sweep_over_nonpositive_q0_plots_linear_without_fit(
+        runner, tmp_path, argv):
+    # both derivatives are even in q0, so these are valid sweeps; a log
+    # axis and the log-square fit need every swept q0 > 0
+    prefix = tmp_path / "neg"
+    r = runner.invoke(main, argv + ["--linear", "--svg", "--out-prefix",
+                                    str(prefix), "--deterministic"])
+    assert r.exit_code == 0, r.output
+    for suffix in (".csv", ".json", ".svg"):
+        assert prefix.with_suffix(suffix).exists()
+    svg = prefix.with_suffix(".svg").read_text()
+    assert "nan" not in svg and "<circle" in svg
+    assert "fit" not in read_json(prefix.with_suffix(".json"))["results"]
+
+
 def test_config_file_merge_and_flag_precedence(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
@@ -279,28 +358,19 @@ def test_unknown_config_key_is_config_error(runner, tmp_path):
     assert "unknown config keys" in r.stderr
 
 
-def test_deterministic_reruns_byte_identical_across_threads(
-        runner, tmp_path, monkeypatch):
+def test_deterministic_reruns_byte_identical(runner, tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
         {"q0_min": 2e-3, "q0_max": 2e-2, "q0_points": 5}))
     outs = []
-    for sub, env in (("a", None), ("b", None),
-                     ("c", {"VANHOVE_LAB_THREADS": "3"})):
+    for sub in ("a", "b"):
         d = tmp_path / sub
         d.mkdir()
         monkeypatch.chdir(d)
         r = runner.invoke(main, [
             "dsigma-domega", "--config", str(cfg),
-            "--out-prefix", "run", "--deterministic"], env=env)
+            "--out-prefix", "run", "--deterministic"])
         assert r.exit_code == 0, r.output
         outs.append(((d / "run.csv").read_bytes(),
                      (d / "run.json").read_bytes()))
-    assert outs[0] == outs[1] == outs[2]
-
-
-def test_bad_thread_env_rejected(runner, tmp_path):
-    r = runner.invoke(main, [
-        "bubble-ph", "--out-prefix", str(tmp_path / "t")],
-        env={"VANHOVE_LAB_THREADS": "zero"})
-    assert r.exit_code == 2
+    assert outs[0] == outs[1]

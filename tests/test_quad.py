@@ -1,6 +1,7 @@
 """Tests for the adaptive cubature engine and the Monte-Carlo cross-check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from vanhove_lab import quad
 from vanhove_lab.errors import NonFiniteSample
-from vanhove_lab.quad import QuadSpec, integrate, integrate_mc, rule_pair
+from vanhove_lab.quad import (QuadResult, QuadSpec, combine, integrate,
+                              integrate_mc, rule_pair)
 
 UNIT = [(0.0, 1.0)]
 
@@ -323,6 +325,60 @@ def test_cells_too_thin_to_split_are_frozen(box, npts, evaluations):
     assert r.frozen > 0
     assert r.leaves == 0 or r.evaluations >= spec.max_evaluations
     assert r.leaves + r.frozen == 1 + (r.evaluations // npts - 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# scaling and summing results
+# ---------------------------------------------------------------------------
+
+
+def _accounting(r):
+    return (r.value, r.error_estimate, r.evaluations, r.converged)
+
+
+def test_scaled_negative_factor_keeps_error_positive():
+    r = QuadResult(value=1.5 - 0.5j, error_estimate=0.25, evaluations=17,
+                   converged=False, rounds=3, leaves=4, frozen=1)
+    s = r.scaled(-4.0)
+    assert s.value == -6.0 + 2.0j
+    assert s.error_estimate == 1.0
+    assert (s.evaluations, s.converged, s.rounds, s.leaves, s.frozen) \
+        == (17, False, 3, 4, 1)
+
+
+def test_combine_sums_accounting_and_ands_converged():
+    a = QuadResult(value=1.0, error_estimate=0.25, evaluations=10,
+                   converged=True, rounds=1, leaves=2, frozen=0)
+    b = QuadResult(value=2.0j, error_estimate=0.5, evaluations=20,
+                   converged=False, rounds=3, leaves=4, frozen=5)
+    assert combine(a, b) == QuadResult(
+        value=1.0 + 2.0j, error_estimate=0.75, evaluations=30,
+        converged=False, rounds=4, leaves=6, frozen=5)
+    assert combine(a, a).converged
+    assert not combine(b, a, a).converged
+    assert combine(a) == a
+
+
+def test_helpers_equal_the_hand_built_forms():
+    r1 = integrate(lambda P: np.sin(7.0 * P[:, 0] * P[:, 1]), UNIT * 2,
+                   QuadSpec(abs_tol=1e-8))
+    r2 = integrate(lambda P: np.exp(-3.0 * P[:, 0]), UNIT,
+                   QuadSpec(abs_tol=1e-12))
+    assert r1.rounds > 0 and r1.leaves > 0
+    s = r1.scaled(-4.0)
+    assert s == replace(r1, value=-4.0 * r1.value,
+                        error_estimate=4.0 * r1.error_estimate)
+    assert _accounting(s) == _accounting(QuadResult(
+        value=-4.0 * r1.value, error_estimate=4.0 * r1.error_estimate,
+        evaluations=r1.evaluations, converged=r1.converged))
+    c = combine(r1, r2).scaled(8.0)
+    assert _accounting(c) == _accounting(QuadResult(
+        value=8.0 * (r1.value + r2.value),
+        error_estimate=8.0 * (r1.error_estimate + r2.error_estimate),
+        evaluations=r1.evaluations + r2.evaluations,
+        converged=r1.converged and r2.converged))
+    assert (c.rounds, c.leaves, c.frozen) == (
+        r1.rounds + r2.rounds, r1.leaves + r2.leaves, r1.frozen + r2.frozen)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanhove_lab import quad
+from vanhove_lab import matsubara, quad
 from vanhove_lab.errors import ZeroFrequency
 from vanhove_lab.matsubara import ThermalState, fermi
 from vanhove_lab.quad import QuadSpec
@@ -64,18 +64,6 @@ def test_finite_beta_terms_validate_beta():
 def test_im_d0_unknown_method_raises():
     with pytest.raises(ValueError):
         se.im_d0_sigma2(0.1, MEDIUM, method="magic")
-
-
-def test_csv_row_roundtrip():
-    row = se.csv_row(0.25, 1.5 - 2.5j, 1e-9, 12345, "d_omega")
-    parts = row.split(",")
-    assert len(parts) == 6
-    assert float(parts[0]) == 0.25
-    assert float(parts[1]) == 1.5
-    assert float(parts[2]) == -2.5
-    assert float(parts[3]) == 1e-9
-    assert int(parts[4]) == 12345
-    assert parts[5] == "d_omega"
 
 
 def test_derivative_kind_names():
@@ -217,7 +205,8 @@ def test_xi_eta_matches_direct_zt_quadrature():
         E2 = x * y
         E3 = xp * yp
         den = 1j * q0 + E2 - E3 - E1
-        return (1.0 + 2.0 * E1 / den) * se._zt_numerator(E1, E2, E3) / den ** 2
+        num = matsubara._numerator(ThermalState.zero(), E1, E2, E3)
+        return (1.0 + 2.0 * E1 / den) * num / den ** 2
 
     direct = quad.integrate(f, [(-1.0, 1.0)] * 4,
                             QuadSpec(abs_tol=2e-5, rel_tol=0.0,
