@@ -13,29 +13,36 @@ Rules
 
 Adaptivity is global and batched, as in DCUHRE (Berntsen, Espelid & Genz,
 ACM TOMS 17, 1991).  Cells live in growable arrays indexed by creation id
-(center, half-width, value, error, split axis and a ``live`` flag); a heap
-of ``(-priority, id)`` keys hands out the worst cells first, a fixed batch
-per round, and the children of a batch are built and evaluated in one
-vectorized step.  The priority is the cell's error contribution; in
-``singularity_guided`` mode it is multiplied by 1 + q0/(q0 + min |eps|)
-where eps is a caller-supplied proxy for the near-singular denominator, so
-cells hugging the eps = 0 manifold are refined preferentially.  A cell too
-thin to bisect in floating point is frozen: it keeps its estimate and
-leaves the heap, and refinement goes on with the remaining cells.  Running
-out of budget is an expected outcome, not an exception: the result is
-returned with ``converged=False``.
+(center, half-width, value, error, priority roundoff and split axis); a
+queue hands out the worst cells first, and the children of a round are
+built and evaluated in one vectorized step.  Each round is sized by the
+error excess: it takes the worst cells until their errors sum to the share
+``_EXCESS_SHARE`` of ``run_err - tol``, at least ``_BATCH[d]`` cells and at
+most ``_ROUND_POINTS`` new sample points.  Past ``_BATCH[d]`` cells a round
+also stays within the evaluation budget left, so a run that uses up its
+budget ends at most ``2 * _BATCH[d] * npts`` evaluations over it.  A round
+goes on through near ties of its last cell (equal priority and roundoff up
+to summation order), so mirror-image twins split together and
+cancellations by reflection survive to roundoff.  The rule reads only the running totals, the
+tolerance and the queued cells, so it is deterministic.  The priority is
+the cell's error contribution; in ``singularity_guided`` mode it is
+multiplied by 1 + q0/(q0 + min |eps|) where eps is a caller-supplied proxy
+for the near-singular denominator, so cells hugging the eps = 0 manifold
+are refined preferentially.  A cell too thin to bisect in floating point
+is frozen: it keeps its estimate and leaves the queue, and refinement goes
+on with the remaining cells.  Running out of budget is an expected
+outcome, not an exception: the result is returned with ``converged=False``.
 
 Integrands are vectorized: ``f(points)`` receives an array of shape
 ``(n, d)`` (also for d = 1) and must return shape ``(n,)``, real or
 complex.  Cell evaluations are pure and independent; the final value is
 re-summed over live cells in creation order, then frozen cells in the
 order they froze, so the reported number does not depend on the layout of
-the heap.
+the queue.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -52,14 +59,23 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 
 _EPS = float(np.finfo(float).eps)
 
-# Cells popped per refinement round; fixed so runs are reproducible.
+# Refinement round sizing (see the module docstring), fixed so runs are
+# reproducible: least cells per round, share of the error excess a round
+# covers, most new sample points per round, relative tie tolerance of the
+# roundoff.  Share and cap come from a scan over the benchmark's cubature
+# calls, recorded in CHANGES.md.
 _BATCH = {1: 64, 2: 32, 3: 16, 4: 16}
+_EXCESS_SHARE = 0.5
+_ROUND_POINTS = 1 << 14
+_TIE = 1e-12
+# The queue keeps this many of the largest rounds' cells sorted.
+_HEAD_ROUNDS = 16
 
 
 @dataclass(frozen=True)
 class QuadResult:
     """Value and error of one cubature, with :func:`integrate`'s telemetry:
-    refinement ``rounds``, ``leaves`` (cells left in the heap at the end) and
+    refinement ``rounds``, ``leaves`` (live cells at the end) and
     ``frozen`` cells (too thin to bisect).  Other producers leave them 0."""
 
     value: complex
@@ -266,15 +282,17 @@ def _eval_cells(
 ):
     """Apply the rule pair to a batch of cells.
 
-    Returns per-cell high/low estimates, error, split axis, priority
-    weight (None unless refinement is singularity guided), plus the raw
-    sample count.
+    Returns per-cell high/low estimates, error, the error's roundoff floor,
+    split axis, priority weight (None unless refinement is singularity
+    guided), plus the raw sample count.
     """
     m = centers.shape[0]
-    pts = np.empty((m, rule.npts, rule.d))
+    # Built coordinate by coordinate, so each column of ``flat`` is contiguous.
+    pts = np.empty((rule.d, m, rule.npts))
     for i in range(rule.d):
-        pts[:, :, i] = centers[:, i, None] + halves[:, i, None] * rule.points[:, i]
-    flat = pts.reshape(m * rule.npts, rule.d)
+        np.multiply(halves[:, i, None], rule.points[:, i], out=pts[i])
+        pts[i] += centers[:, i, None]
+    flat = pts.reshape(rule.d, m * rule.npts).T
     vals = np.asarray(f(flat))
     if vals.shape != (m * rule.npts,):
         raise ValueError(
@@ -308,14 +326,15 @@ def _eval_cells(
         split_axis = np.argmax(dd, axis=1)
     # Roundoff floor keeps symmetric cancellations honest: a cell whose
     # signed sum vanishes still carries summation noise ~ eps * int |f|.
-    err = np.maximum(err, 50.0 * _EPS * resabs)
+    noise = 50.0 * _EPS * resabs
+    err = np.maximum(err, noise)
     if spec is not None and spec.refinement == "singularity_guided":
         eps_vals = np.asarray(spec.epsilon_fn(flat)).reshape(m, rule.npts)
         eps_min = np.min(np.abs(eps_vals), axis=1)
         weight = 1.0 + spec.q0 / (spec.q0 + eps_min)
     else:
         weight = None
-    return hi, lo, err, split_axis, weight, m * rule.npts
+    return hi, lo, err, noise, split_axis, weight, m * rule.npts
 
 
 def rule_pair(f: Integrand, box: Sequence[Sequence[float]]):
@@ -328,8 +347,110 @@ def rule_pair(f: Integrand, box: Sequence[Sequence[float]]):
     rule = _RULES[b.shape[0]]
     centers = ((b[:, 0] + b[:, 1]) / 2.0)[None, :]
     halves = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
-    hi, lo, err, _, _, n = _eval_cells(f, rule, centers, halves, None)
+    hi, lo, err, _, _, _, n = _eval_cells(f, rule, centers, halves, None)
     return hi[0], lo[0], float(err[0]), n
+
+
+class _Queue:
+    """Live cell ids, worst first: priority descending, ties by creation id.
+
+    Only a head of the worst cells is kept sorted, by ``key = -priority``.
+    Every other live cell waits unsorted in ``rest`` with a key above
+    ``bound``, and so behind every head cell, until a refill needs it.  A
+    round therefore costs one merge into the head, not one heap operation
+    per cell.
+    """
+
+    def __init__(self, size: int):
+        self.size = size  # head length a refill aims for
+        self.head_id = np.empty(0, np.intp)
+        self.head_key = np.empty(0)
+        self.rest_id = np.empty(0, np.intp)
+        self.rest_key = np.empty(0)
+        self.n_rest = 0
+        self.bound = math.inf
+
+    def __len__(self) -> int:
+        return len(self.head_id) + self.n_rest
+
+    def push(self, ids: np.ndarray, pri: np.ndarray) -> None:
+        """Add cells, in id order, whose ids exceed every id already queued."""
+        key = -pri
+        wait = key > self.bound
+        if wait.any():
+            self._stash(ids[wait], key[wait])
+            ids, key = ids[~wait], key[~wait]
+        # A stable sort keeps equal keys in id order: the head's ids are in
+        # order within ties already, and all precede the new ones.
+        key = np.concatenate((self.head_key, key))
+        order = np.argsort(key, kind="stable")
+        self.head_id = np.concatenate((self.head_id, ids))[order]
+        self.head_key = key[order]
+        if len(self.head_key) > 2 * self.size:
+            # Keep ties with the last kept key in the head.
+            cut = int(np.searchsorted(self.head_key, self.head_key[self.size - 1],
+                                      side="right"))
+            self._stash(self.head_id[cut:], self.head_key[cut:])
+            self.bound = float(self.head_key[cut - 1])
+            self.head_id, self.head_key = self.head_id[:cut], self.head_key[:cut]
+
+    def _stash(self, ids: np.ndarray, key: np.ndarray) -> None:
+        n = self.n_rest + len(ids)
+        if n > len(self.rest_id):
+            grown_id, grown_key = np.empty(2 * n, np.intp), np.empty(2 * n)
+            grown_id[:self.n_rest] = self.rest_id[:self.n_rest]
+            grown_key[:self.n_rest] = self.rest_key[:self.n_rest]
+            self.rest_id, self.rest_key = grown_id, grown_key
+        self.rest_id[self.n_rest:n], self.rest_key[self.n_rest:n] = ids, key
+        self.n_rest = n
+
+    def top(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Ids and priorities of the ``k`` worst cells (fewer if fewer live)."""
+        if len(self.head_id) < k and self.n_rest:
+            ids = np.concatenate((self.head_id, self.rest_id[:self.n_rest]))
+            key = np.concatenate((self.head_key, self.rest_key[:self.n_rest]))
+            keep = max(k, self.size)
+            self.n_rest = 0
+            if len(ids) > keep:
+                self.bound = float(np.partition(key, keep - 1)[keep - 1])
+                wait = key > self.bound
+                self._stash(ids[wait], key[wait])
+                ids, key = ids[~wait], key[~wait]
+            else:
+                self.bound = math.inf
+            order = np.lexsort((ids, key))
+            self.head_id, self.head_key = ids[order], key[order]
+        return self.head_id[:k], -self.head_key[:k]
+
+    def drop(self, k: int) -> None:
+        """Remove the ``k`` worst cells."""
+        self.head_id, self.head_key = self.head_id[k:], self.head_key[k:]
+
+    def ids(self) -> np.ndarray:
+        """Every queued id, in creation order."""
+        return np.sort(np.concatenate((self.head_id, self.rest_id[:self.n_rest])))
+
+
+def _round_size(pri: np.ndarray, err: np.ndarray, noise: np.ndarray,
+                least: int, most: int, target: float) -> int:
+    """Cells to split this round, given the worst-first priorities, errors
+    and priority roundoff of at least ``most + 1`` cells (or every live one).
+
+    The worst cells whose errors first sum to ``target``, clamped to
+    ``[least, most]``, then each next cell that is a mirror image of the
+    previous one, up to ``most``.  Twins differ only by summation order,
+    which ``|hi - lo|`` can magnify beyond any fixed relative tolerance, but
+    their roundoff, a sum of ``|f|``, cannot.  So a twin has a priority
+    within the previous cell's roundoff, and a roundoff equal to it within
+    ``_TIE`` relative.
+    """
+    count = min(max(least, int(np.searchsorted(np.cumsum(err), target)) + 1),
+                most, len(pri))
+    last, nxt = slice(count - 1, -1), slice(count, None)
+    ties = ((pri[last] - pri[nxt] <= noise[last])
+            & (np.abs(noise[last] - noise[nxt]) <= _TIE * noise[last]))
+    return min(count + int(np.argmin(ties) if not ties.all() else len(ties)),
+               most)
 
 
 def integrate(
@@ -345,15 +466,16 @@ def integrate(
     b = _check_box(box)
     d = b.shape[0]
     rule = _RULES[d]
-    # Cell store, indexed by creation id; ``live`` marks the cells in the heap.
+    most = max(_BATCH[d], _ROUND_POINTS // (2 * rule.npts))
+    # Cell store, indexed by creation id; the queue holds the live ids.
     cap = 256
     center, half = np.empty((cap, d)), np.empty((cap, d))
     val = np.empty(cap, dtype=complex)  # real values are stored exactly
-    err, axis, live = np.empty(cap), np.empty(cap, np.intp), np.zeros(cap, bool)
+    err, noise, axis = np.empty(cap), np.empty(cap), np.empty(cap, np.intp)
     n = evals = rounds = 0
-    heap: list = []  # (-priority, id): ties resolve by creation id
+    queue = _Queue(_HEAD_ROUNDS * most)
     frozen: list = []  # ids of cells too thin to split, in freeze order
-    # Running totals drive the tolerance test and are updated one cell at
+    # Running totals drive the tolerance test and are updated one batch at
     # a time in a fixed order; the reported value is re-summed at the end.
     run_val = 0.0 + 0.0j
     run_err = 0.0
@@ -361,52 +483,57 @@ def integrate(
     h = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
     is_complex = False
     while True:
-        hi, _, e, ax, weight, k = _eval_cells(f, rule, c, h, spec)
+        hi, _, e, floor, ax, weight, k = _eval_cells(f, rule, c, h, spec)
         is_complex = is_complex or np.iscomplexobj(hi)
         evals += k
         m = len(hi)
         if n + m > cap:
+            # Copy only the rows in use, so unused capacity is never touched.
             cap = 2 * (n + m)
-            center, half, val, err, axis, live = (
-                np.concatenate((a, np.zeros((cap - len(a),) + a.shape[1:], a.dtype)))
-                for a in (center, half, val, err, axis, live))
+            grown = []
+            for a in (center, half, val, err, noise, axis):
+                g = np.empty((cap,) + a.shape[1:], a.dtype)
+                g[:n] = a[:n]
+                grown.append(g)
+            center, half, val, err, noise, axis = grown
         new = slice(n, n + m)
         center[new], half[new], val[new], err[new], axis[new] = c, h, hi, e, ax
-        live[new] = True
-        prio = e if weight is None else e * weight
-        for key in zip((-prio).tolist(), range(n, n + m)):
-            heapq.heappush(heap, key)
-        for v, ev in zip(val[new].tolist(), err[new].tolist()):
-            run_val += v
-            run_err += ev
+        w = 1.0 if weight is None else weight
+        noise[new] = floor * w  # roundoff of the priority e * w
+        queue.push(np.arange(n, n + m), e * w)
+        run_val += complex(hi.sum())
+        run_err += float(e.sum())
         n += m
 
         tol = max(spec.abs_tol, spec.rel_tol * abs(run_val))
-        if run_err <= tol or evals >= spec.max_evaluations or not heap:
+        if run_err <= tol or evals >= spec.max_evaluations or not len(queue):
             break
-        # Pop batches until one has a cell to split or the heap runs dry.
+        # Round size: enough worst cells to cover a fixed share of the error
+        # excess, within [_BATCH[d], most] and within the budget left.
+        upper = min(most, max(_BATCH[d], (spec.max_evaluations - evals)
+                              // (2 * rule.npts)))
+        target = _EXCESS_SHARE * (run_err - tol)
+        # Take rounds until one has a cell to split or the queue runs dry.
         while True:
-            ids = np.array([heapq.heappop(heap)[1]
-                            for _ in range(min(_BATCH[d], len(heap)))])
-            live[ids] = False
-            for v, ev in zip(val[ids].tolist(), err[ids].tolist()):
-                run_val -= v
-                run_err -= ev
-            run_err = max(run_err, 0.0)
+            ids, pri = queue.top(upper + 1)
+            ids = ids[:_round_size(pri, err[ids], noise[ids], _BATCH[d], upper,
+                                   target)]
+            queue.drop(len(ids))
+            run_val -= complex(val[ids].sum())
+            run_err = max(run_err - float(err[ids].sum()), 0.0)
             ax = axis[ids]
             c, h = center[ids], half[ids]
             rows = np.arange(len(ids))
             c_ax, h_ax = c[rows, ax], h[rows, ax] / 2.0
             thin = (h_ax == 0.0) | (c_ax + h_ax == c_ax)
             if thin.any():
-                # Frozen cells keep their estimate and never return to the heap.
-                for v, ev in zip(val[ids[thin]].tolist(), err[ids[thin]].tolist()):
-                    run_val += v
-                    run_err += ev
+                # Frozen cells keep their estimate and never return to the queue.
+                run_val += complex(val[ids[thin]].sum())
+                run_err += float(err[ids[thin]].sum())
                 frozen.extend(ids[thin].tolist())
                 c, h, ax, c_ax, h_ax = (a[~thin] for a in (c, h, ax, c_ax, h_ax))
                 rows = rows[:len(ax)]
-            if len(ax) or not heap:
+            if len(ax) or not len(queue):
                 break
         if not len(ax):
             break
@@ -417,7 +544,7 @@ def integrate(
         c[2 * rows + 1, ax] = c_ax + h_ax
         rounds += 1
 
-    leaf = np.flatnonzero(live[:n])
+    leaf = queue.ids()
     total = complex(math.fsum(val[leaf].real.tolist()),
                     math.fsum(val[leaf].imag.tolist())) + sum(val[frozen].tolist())
     e_tot = math.fsum(err[leaf].tolist()) + math.fsum(err[frozen].tolist())
