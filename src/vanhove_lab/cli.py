@@ -46,7 +46,7 @@ from .errors import (
     ZeroFrequency,
 )
 from .matsubara import ThermalState
-from .quad import QuadSpec
+from .quad import QuadSpec, combine
 
 __all__ = ["main"]
 
@@ -305,7 +305,9 @@ def _finish(cfg: dict, command: str, columns: dict, rows: list,
                     cfg.get("deterministic", False))
     bad = results.get("non_converged_rows", 0)
     if bad:
-        click.echo(f"non-convergence: {bad} row(s) with converged=false",
+        pieces = ", ".join(results.get("non_converged_pieces", []))
+        click.echo(f"non-convergence: {bad} row(s) with converged=false"
+                   + (f"; failing pieces: {pieces}" if pieces else ""),
                    err=True)
         return 3
     return 0
@@ -388,9 +390,23 @@ def _quad_cells(p) -> tuple:
     return (p.error_estimate, p.evaluations, p.converged)
 
 
+_PIECE_FIELDS = ("error_estimate", "evaluations", "converged", "rounds",
+                 "leaves", "frozen")
+
+
 def _quad_summary(points: list) -> dict:
-    return {"max_error_estimate": max(p.error_estimate for p in points),
-            "non_converged_rows": sum(not p.converged for p in points)}
+    """Error and convergence over the rows; for results summed from pieces,
+    also each row's accounting of every piece and the failing names."""
+    results = {"max_error_estimate": max(p.error_estimate for p in points),
+               "non_converged_rows": sum(not p.converged for p in points)}
+    if any(p.pieces for p in points):
+        results["pieces"] = [
+            {name: {k: getattr(r, k) for k in _PIECE_FIELDS}
+             for name, r in p.pieces.items()} for p in points]
+        results["non_converged_pieces"] = sorted(
+            {name for p in points for name, r in p.pieces.items()
+             if not r.converged})
+    return results
 
 
 def _sweep(ctx: click.Context, params: dict, command: str, var: str,
@@ -400,12 +416,12 @@ def _sweep(ctx: click.Context, params: dict, command: str, var: str,
     """Run a sweep command over the grid of ``var`` and write its artifacts.
 
     ``setup(cfg)`` returns ``(point, row, columns)``: the function of one
-    grid value, the CSV row of its result and the column docs.
-    ``summary(points)`` gives the manifest results.  The plot draws the row
-    columns named by ``series`` as ``(label, index, dashed)`` against the
-    grid.  With ``fit``, five or more rows and every grid value positive,
-    column 1 gets an a (ln x)^2 + b ln x + c fit, in the manifest and the
-    plot.
+    grid value, the CSV row of a grid value and its result, and the column
+    docs.  ``summary(points)`` gives the manifest results.  The plot draws
+    the row columns named by ``series`` as ``(label, index, dashed)``
+    against the grid.  With ``fit``, five or more rows and grid values
+    that are positive and pairwise distinct, column 1 gets an
+    a (ln x)^2 + b ln x + c fit, in the manifest and the plot.
     """
     def body() -> int:
         t0 = time.perf_counter()
@@ -414,12 +430,13 @@ def _sweep(ctx: click.Context, params: dict, command: str, var: str,
                      cfg[f"{var}_points"], cfg["geometric"])
         point, row, columns = setup(cfg)
         points = [point(x) for x in grid]
-        rows = [row(p) for p in points]
+        rows = [row(x, p) for x, p in zip(grid, points)]
         results = summary(points)
         plot = PlotSpec(title=title, xlabel=var, ylabel=ylabel, series=[
             Series(label, grid, np.array([r[i] for r in rows]), dashed)
             for label, i, dashed in series])
-        if fit and len(rows) >= 5 and grid.min() > 0:
+        if (fit and len(rows) >= 5 and grid.min() > 0
+                and len(np.unique(grid)) == len(grid)):
             report = fitlab.fit_log_square([(r[0], r[1]) for r in rows])
             results["fit"] = report.to_dict()
             dense = np.geomspace(grid[0], grid[-1], 200)
@@ -473,7 +490,8 @@ def cmd_sigma2(ctx, **params):
         if q.shape != (2,):
             raise ValueError("q must be a 2-vector")
         return (lambda q0: selfenergy.sigma2(q0, q, state, spec),
-                lambda p: (p.q0, p.value.real, p.value.imag) + _quad_cells(p),
+                lambda q0, p: (q0, p.value.real, p.value.imag)
+                + _quad_cells(p),
                 {"q0": "external frequency",
                  "re_value": "real part of the self-energy",
                  "im_value": "imaginary part of the self-energy",
@@ -503,7 +521,7 @@ def cmd_dsigma_domega(ctx, **params):
         spec = _quad_spec(cfg)
         return (lambda q0: selfenergy.im_d0_sigma2(q0, spec,
                                                    method=cfg["method"]),
-                lambda p: (p.q0, p.value.real) + _quad_cells(p),
+                lambda q0, p: (q0, p.value.real) + _quad_cells(p),
                 {"q0": "external frequency",
                  "value": "imaginary part of the frequency derivative",
                  **_QUAD_COLUMNS})
@@ -537,10 +555,11 @@ def cmd_grad_check(ctx, **params):
         out = [(beta, selfenergy.grad_sigma2_at_vh(
                     cfg["q0"], ThermalState.finite(beta), spec))
                for beta in cfg["betas"]]
-        rows = [(beta, cfg["q0"], g.value[0].real, g.value[0].imag,
-                 g.value[1].real, g.value[1].imag, g.error_estimate[0],
-                 g.error_estimate[1], g.evaluations, g.converged)
-                for beta, g in out]
+        both = [combine(gx, gy) for _, (gx, gy) in out]
+        rows = [(beta, cfg["q0"], gx.value.real, gx.value.imag,
+                 gy.value.real, gy.value.imag, gx.error_estimate,
+                 gy.error_estimate, g.evaluations, g.converged)
+                for (beta, (gx, gy)), g in zip(out, both)]
         columns = {
             "beta": "inverse temperature",
             "q0": "external frequency",
@@ -553,13 +572,14 @@ def cmd_grad_check(ctx, **params):
             "evaluations": "integrand evaluations used",
             "converged": "quadrature met its tolerance",
         }
-        max_abs = max(max(abs(g.value[0]), abs(g.value[1])) for _, g in out)
-        max_err = max(max(g.error_estimate) for _, g in out)
+        comps = [g for _, pair in out for g in pair]
+        max_abs = max(abs(g.value) for g in comps)
+        max_err = max(g.error_estimate for g in comps)
         results = {
             "max_abs_component": max_abs,
             "max_error_estimate": max_err,
             "zero_within_10_sigma": bool(max_abs <= 10.0 * max(max_err, 1e-300)),
-            "non_converged_rows": sum(not g.converged for _, g in out),
+            "non_converged_rows": sum(not g.converged for g in both),
         }
         return _finish(cfg, "grad-check", columns, rows, results, {}, t0)
 
@@ -586,8 +606,8 @@ def cmd_d2_xieta(ctx, **params):
         spec = _quad_spec(cfg)
         return (lambda q0: selfenergy.d2_sigma2_xi_eta(
                     q0, spec, zeta12_method=cfg["zeta12_method"]),
-                lambda p: (p.q0, p.value.real, p.pieces["zeta11"],
-                           p.pieces["zeta12"]) + _quad_cells(p),
+                lambda q0, p: (q0, p.value.real, p.pieces["zeta11"].value,
+                               p.pieces["zeta12"].value) + _quad_cells(p),
                 {"q0": "external frequency",
                  "value": "mixed second derivative (real)",
                  "zeta11": "interior piece",
@@ -632,12 +652,13 @@ def cmd_d2_xixi(ctx, **params):
                 "im_x3": "double-pole boundary piece",
             })
 
-        def row(p) -> tuple:
-            cells = (p.q0, p.value.real, p.pieces["b0"],
-                     p.pieces["re_i20"]) + _quad_cells(p)
+        def row(q0, p) -> tuple:
+            cells = (q0, p.value.real, p.pieces["b0"].value,
+                     p.pieces["re_i20"].value) + _quad_cells(p)
             if with_im:
-                cells += (p.value.imag, p.pieces["im_x1"], p.pieces["im_i20"],
-                          p.pieces["im_x3"])
+                cells += (p.value.imag,) + tuple(
+                    p.pieces[name].value.imag
+                    for name in ("im_x1", "im_i20", "im_x3"))
             return cells
 
         return (lambda q0: selfenergy.d2_sigma2_xi_xi(
@@ -650,8 +671,8 @@ def cmd_d2_xixi(ctx, **params):
 def _bubble_sweep(ctx, params, kind: str) -> None:
     def setup(cfg: dict):
         return (lambda beta: bubbles.bubble_result(kind, beta),
-                lambda r: (r.kind, r.beta, r.value, r.asymptotic_prediction,
-                           r.residual),
+                lambda beta, r: (r.kind, beta, r.value,
+                                 r.asymptotic_prediction, r.residual),
                 {"kind": "bubble channel (ph or pp)",
                  "beta": "inverse temperature",
                  "value": "exact 1D-reduced bubble value",

@@ -23,15 +23,16 @@ also stays within the evaluation budget left, so a run that uses up its
 budget ends at most ``2 * _BATCH[d] * npts`` evaluations over it.  A round
 goes on through near ties of its last cell (equal priority and roundoff up
 to summation order), so mirror-image twins split together and
-cancellations by reflection survive to roundoff.  The rule reads only the running totals, the
-tolerance and the queued cells, so it is deterministic.  The priority is
-the cell's error contribution; in ``singularity_guided`` mode it is
-multiplied by 1 + q0/(q0 + min |eps|) where eps is a caller-supplied proxy
-for the near-singular denominator, so cells hugging the eps = 0 manifold
-are refined preferentially.  A cell too thin to bisect in floating point
-is frozen: it keeps its estimate and leaves the queue, and refinement goes
-on with the remaining cells.  Running out of budget is an expected
-outcome, not an exception: the result is returned with ``converged=False``.
+cancellations by reflection survive to roundoff.  The rule reads only the
+running totals, the tolerance and the queued cells, so it is
+deterministic.  The priority is the cell's error contribution; in
+``singularity_guided`` mode it is multiplied by 1 + q0/(q0 + min |eps|)
+where eps is a caller-supplied proxy for the near-singular denominator, so
+cells hugging the eps = 0 manifold are refined preferentially.  A cell too
+thin to bisect in floating point is frozen: it keeps its estimate and
+leaves the queue, and refinement goes on with the remaining cells.
+Running out of budget is an expected outcome, not an exception: the result
+is returned with ``converged=False``.
 
 Integrands are vectorized: ``f(points)`` receives an array of shape
 ``(n, d)`` (also for d = 1) and must return shape ``(n,)``, real or
@@ -45,8 +46,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +77,9 @@ _HEAD_ROUNDS = 16
 class QuadResult:
     """Value and error of one cubature, with :func:`integrate`'s telemetry:
     refinement ``rounds``, ``leaves`` (live cells at the end) and
-    ``frozen`` cells (too thin to bisect).  Other producers leave them 0."""
+    ``frozen`` cells (too thin to bisect).  Other producers leave them 0.
+    A result assembled from named sub-results keeps them in ``pieces``;
+    :meth:`scaled` and :func:`combine` leave it empty."""
 
     value: complex
     error_estimate: float
@@ -85,11 +88,12 @@ class QuadResult:
     rounds: int = 0
     leaves: int = 0
     frozen: int = 0
+    pieces: Dict[str, QuadResult] = field(default_factory=dict, hash=False)
 
     def scaled(self, k: complex) -> "QuadResult":
         """This result times the constant ``k``: value k v, error |k| e."""
         return replace(self, value=k * self.value,
-                       error_estimate=abs(k) * self.error_estimate)
+                       error_estimate=abs(k) * self.error_estimate, pieces={})
 
 
 def combine(*rs: QuadResult) -> QuadResult:

@@ -43,15 +43,18 @@ adaptive quadrature runs:
                      an inner panel rule sized to the weight's support in
                      u = beta E1 replaces a hopeless direct quadrature.
 
-Every operation validates q0 != 0 and returns its quadrature error
-estimate and evaluation count alongside the value.
+Every operation validates q0 != 0 and returns a ``QuadResult``: the
+value with its quadrature error estimate, evaluation count, convergence
+flag and refinement telemetry.  The gradient is the (xi, eta) pair of
+them, and each second derivative is the sum of its named pieces, kept in
+``pieces`` as results of their own.  Only the frequency-sum oracle has a
+result type of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 import numpy as np
@@ -62,10 +65,6 @@ from .matsubara import ThermalState, _numerator, approx_delta, fermi
 from .quad import QuadResult, QuadSpec, combine
 
 __all__ = [
-    "DerivativeKind",
-    "SelfEnergyPoint",
-    "GradientResult",
-    "SecondDerivativeResult",
     "FrequencySumResult",
     "sigma2",
     "frequency_sum_sigma2",
@@ -74,7 +73,6 @@ __all__ = [
     "s1_integrand",
     "s2_integrand",
     "d2_sigma2_xi_eta",
-    "d2_sigma2_eta_eta",
     "d2_sigma2_xi_xi",
     "zeta2",
     "zeta3",
@@ -87,60 +85,6 @@ __all__ = [
     "b0_closed",
     "b0_direct",
 ]
-
-
-class DerivativeKind(str, Enum):
-    none = "none"
-    d_omega = "d_omega"
-    grad = "grad"
-    d_xi_xi = "d_xi_xi"
-    d_xi_eta = "d_xi_eta"
-    d_eta_eta = "d_eta_eta"
-
-
-@dataclass(frozen=True)
-class SelfEnergyPoint:
-    """One evaluated point: value plus the quadrature's own accounting.
-
-    ``beta`` is the inverse temperature, ``math.inf`` at zero
-    temperature.  ``q0 != 0`` always; the kernel has a pole wall there.
-    """
-
-    q0: float
-    q: Tuple[float, float]
-    beta: float
-    value: complex
-    derivative_kind: DerivativeKind = DerivativeKind.none
-    error_estimate: float = 0.0
-    evaluations: int = 0
-    converged: bool = True
-
-    def __post_init__(self) -> None:
-        if self.q0 == 0:
-            raise ZeroFrequency("self-energy point needs q0 != 0")
-
-
-@dataclass(frozen=True)
-class GradientResult:
-    """Both components of grad Sigma2(q0, 0) with per-component errors."""
-
-    value: np.ndarray
-    error_estimate: np.ndarray
-    evaluations: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class SecondDerivativeResult:
-    """A second derivative assembled from named reduced sub-integrals."""
-
-    q0: float
-    value: complex
-    derivative_kind: DerivativeKind
-    pieces: Dict[str, complex] = field(default_factory=dict)
-    error_estimate: float = 0.0
-    evaluations: int = 0
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -168,17 +112,13 @@ def _require_q0(q0: float) -> None:
         raise ZeroFrequency("q0 = 0 sits on the kernel pole wall")
 
 
-def _beta_of(state: ThermalState) -> float:
-    return math.inf if state.zero_temperature else state.beta
-
-
 # ---------------------------------------------------------------------------
 # Sigma2 itself: 4D quadrature and the brute-force frequency-sum oracle
 # ---------------------------------------------------------------------------
 
 
 def sigma2(q0: float, q: Tuple[float, float], state: ThermalState,
-           spec: QuadSpec) -> SelfEnergyPoint:
+           spec: QuadSpec) -> QuadResult:
     """Sigma2(q0, q) by adaptive 4D quadrature of the summed kernel.
 
     The numerator is assembled through the pole-free product identity,
@@ -200,11 +140,7 @@ def sigma2(q0: float, q: Tuple[float, float], state: ThermalState,
             assert np.max(np.abs(vals)) <= bound
         return np.asarray(vals)
 
-    r = quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
-    return SelfEnergyPoint(
-        q0=q0, q=(xi, eta), beta=_beta_of(state), value=complex(r.value),
-        derivative_kind=DerivativeKind.none, error_estimate=r.error_estimate,
-        evaluations=r.evaluations, converged=r.converged)
+    return quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
 
 
 def frequency_sum_sigma2(q0: float, q: Tuple[float, float], beta: float,
@@ -337,7 +273,7 @@ def _im_d0_cube_4d(q0: float, spec: QuadSpec) -> QuadResult:
 
 
 def im_d0_sigma2(q0: float, spec: QuadSpec,
-                 method: str = "reduced") -> SelfEnergyPoint:
+                 method: str = "reduced") -> QuadResult:
     """Im dSigma2/dq0 at q = 0, zero temperature.
 
     Even in q0 by construction: the kernel depends on q0 only through
@@ -350,17 +286,12 @@ def im_d0_sigma2(q0: float, spec: QuadSpec,
     _require_q0(q0)
     a = abs(q0)
     if method == "reduced":
-        r = _i_reduced(a, spec).scaled(-2.0)
-    elif method == "orthant4d":
-        r = _i_orthant_4d(a, spec).scaled(-2.0)
-    elif method == "cube4d":
-        r = _im_d0_cube_4d(a, spec)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return SelfEnergyPoint(
-        q0=q0, q=(0.0, 0.0), beta=math.inf, value=complex(np.real(r.value)),
-        derivative_kind=DerivativeKind.d_omega, error_estimate=r.error_estimate,
-        evaluations=r.evaluations, converged=r.converged)
+        return _i_reduced(a, spec).scaled(-2.0)
+    if method == "orthant4d":
+        return _i_orthant_4d(a, spec).scaled(-2.0)
+    if method == "cube4d":
+        return _im_d0_cube_4d(a, spec)
+    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -416,31 +347,26 @@ def s2_integrand(P: np.ndarray, q0: float, state: ThermalState,
 
 
 def grad_sigma2_at_vh(q0: float, state: ThermalState,
-                      spec: QuadSpec) -> GradientResult:
+                      spec: QuadSpec) -> Tuple[QuadResult, QuadResult]:
     """grad Sigma2(q0, 0) by direct 4D quadrature of S1 + S2.
 
-    Returns the derivative vector itself (so minus the S sums).  Both
-    components are exact zeros of the integral; the quadrature returns
-    a residual bounded by its own error estimate, which is the test.
-    Needs finite beta: S1 contains the thermal delta.
+    Returns the (xi, eta) components of the derivative itself, so minus
+    the S sums; the negation flips only signs, those of zeros included.
+    Both components are exact zeros of the integral; the quadrature
+    returns a residual bounded by its own error estimate, which is the
+    test.  Needs finite beta: S1 contains the thermal delta.
     """
     _require_q0(q0)
-    vals = np.empty(2, dtype=complex)
-    errs = np.empty(2)
-    evals = 0
-    conv = True
-    for comp in (0, 1):
-        def f(P: np.ndarray, c: int = comp) -> np.ndarray:
+
+    def component(c: int) -> QuadResult:
+        def f(P: np.ndarray) -> np.ndarray:
             return (s1_integrand(P, q0, state, c)
                     + s2_integrand(P, q0, state, c))
 
         r = quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
-        vals[comp] = -r.value
-        errs[comp] = r.error_estimate
-        evals += r.evaluations
-        conv = conv and r.converged
-    return GradientResult(value=vals, error_estimate=errs,
-                          evaluations=evals, converged=conv)
+        return replace(r, value=-r.value)
+
+    return component(0), component(1)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +425,7 @@ def _zeta12_zform(q0: float, spec: QuadSpec) -> QuadResult:
 
 
 def d2_sigma2_xi_eta(q0: float, spec: QuadSpec,
-                     zeta12_method: str = "reduced") -> SecondDerivativeResult:
+                     zeta12_method: str = "reduced") -> QuadResult:
     """Re d2 Sigma2 / dxi deta at q = 0, zero temperature.
 
     Assembled as zeta11 + zeta12: zeta11 = 2 I(q0) reuses the frequency
@@ -507,7 +433,8 @@ def d2_sigma2_xi_eta(q0: float, spec: QuadSpec,
     term.  The returned value is real by construction (the reductions
     compute the real part; the imaginary part of the derivative is not
     assembled here).  ``zeta12_method`` is "reduced" (1D+2D production
-    route) or "zform" (3D cross-route).
+    route) or "zform" (3D cross-route).  The result is the sum of its
+    ``pieces`` "zeta11" and "zeta12".
 
     Both derivatives act on E1 alone; at q = 0, d_xi E1 d_eta E1 = E1
     and d_xi d_eta E1 = 1, so d_xi d_eta K(E1) = d/dE1 (E1 K'(E1)).  At
@@ -529,15 +456,9 @@ def d2_sigma2_xi_eta(q0: float, spec: QuadSpec,
         route = _zeta12_zform
     else:
         raise ValueError(f"unknown zeta12_method {zeta12_method!r}")
-    r_z11 = _i_reduced(a, spec).scaled(2.0)
-    r_z12 = route(a, spec)
-    r = combine(r_z11, r_z12)
-    return SecondDerivativeResult(
-        q0=q0, value=complex(r.value),
-        derivative_kind=DerivativeKind.d_xi_eta,
-        pieces={"zeta11": r_z11.value, "zeta12": r_z12.value},
-        error_estimate=r.error_estimate, evaluations=r.evaluations,
-        converged=r.converged)
+    pieces = {"zeta11": _i_reduced(a, spec).scaled(2.0),
+              "zeta12": route(a, spec)}
+    return replace(combine(*pieces.values()), pieces=pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +809,7 @@ def x3_limit(q0: float, spec: QuadSpec) -> QuadResult:
 
 
 def d2_sigma2_xi_xi(q0: float, spec: QuadSpec,
-                    include_imaginary: bool = False) -> SecondDerivativeResult:
+                    include_imaginary: bool = False) -> QuadResult:
     """d2 Sigma2 / dxi^2 at q = 0, zero temperature.
 
     The derivative itself is purely imaginary: the reflection
@@ -906,30 +827,20 @@ def d2_sigma2_xi_xi(q0: float, spec: QuadSpec,
     which is the advertised bound on the derivative's size; fitting it
     over a q0 window must show a negligible (log)^2 coefficient.  The
     eta-eta derivative is identical by the x <-> y symmetry.
+
+    The result is the sum of its ``pieces``: "b0" (exact: no error, no
+    evaluations) and "re_i20", then with the imaginary part "im_x1",
+    "im_i20" and "im_x3", each i times its imaginary value.
     """
     _require_q0(q0)
     a = abs(q0)
-    b0 = b0_closed(a)
-    r = _re_i20(a, spec)
-    pieces: Dict[str, complex] = {"b0": b0, "re_i20": r.value}
-    imag = 0.0
+    pieces: Dict[str, QuadResult] = {
+        "b0": QuadResult(value=b0_closed(a), error_estimate=0.0,
+                         evaluations=0, converged=True),
+        "re_i20": _re_i20(a, spec)}
     if include_imaginary:
-        r_x1, r_i20, r_x3 = _im_x10(a, spec), _i20_3d(a, spec), _im_x30(a, spec)
-        pieces["im_x1"] = r_x1.value
-        pieces["im_i20"] = np.imag(r_i20.value)
-        pieces["im_x3"] = r_x3.value
-        imag = pieces["im_x1"] + pieces["im_i20"] + pieces["im_x3"]
-        # only the accounting of the sum is used: error, cost, convergence
-        r = combine(r, combine(r_x1, r_i20, r_x3))
-    return SecondDerivativeResult(
-        q0=q0, value=complex(b0 + pieces["re_i20"], imag),
-        derivative_kind=DerivativeKind.d_xi_xi, pieces=pieces,
-        error_estimate=r.error_estimate, evaluations=r.evaluations,
-        converged=r.converged)
-
-
-def d2_sigma2_eta_eta(q0: float, spec: QuadSpec,
-                      include_imaginary: bool = False) -> SecondDerivativeResult:
-    """d2 Sigma2 / deta^2: equal to the xi-xi derivative by symmetry."""
-    r = d2_sigma2_xi_xi(q0, spec, include_imaginary)
-    return replace(r, derivative_kind=DerivativeKind.d_eta_eta)
+        r_i20 = _i20_3d(a, spec)
+        pieces["im_x1"] = _im_x10(a, spec).scaled(1j)
+        pieces["im_i20"] = replace(r_i20, value=1j * r_i20.value.imag)
+        pieces["im_x3"] = _im_x30(a, spec).scaled(1j)
+    return replace(combine(*pieces.values()), pieces=pieces)

@@ -311,17 +311,39 @@ def test_budget_exhaustion_exits_3_but_writes_artifacts(runner, tmp_path):
     assert prefix.with_suffix(".json").exists()
 
 
+def test_manifest_names_non_converged_pieces(runner, tmp_path):
+    prefix = tmp_path / "starved"
+    r = runner.invoke(main, [
+        "d2-xixi", "--with-imaginary", "--q0-min", "1e-2", "--q0-max",
+        "1e-2", "--q0-points", "1", "--max-evals", "200000",
+        "--out-prefix", str(prefix), "--deterministic"])
+    assert r.exit_code == 3
+    assert "im_i20, im_x3" in r.stderr
+    results = read_json(prefix.with_suffix(".json"))["results"]
+    assert results["non_converged_pieces"] == ["im_i20", "im_x3"]
+    (row,) = results["pieces"]
+    assert sorted(row) == ["b0", "im_i20", "im_x1", "im_x3", "re_i20"]
+    for name, acct in row.items():
+        assert sorted(acct) == ["converged", "error_estimate", "evaluations",
+                                "frozen", "leaves", "rounds"]
+        assert acct["converged"] is (name not in ("im_i20", "im_x3"))
+    _, rows = read_csv(prefix.with_suffix(".csv"))
+    assert int(rows[0][5]) == sum(a["evaluations"] for a in row.values())
+
+
 @pytest.mark.parametrize("argv", [
     ["dsigma-domega", "--q0-min", "-0.05", "--q0-max", "-0.01",
      "--q0-points", "5"],
     ["dsigma-domega", "--q0-min", "-0.05", "--q0-max", "-0.01",
      "--q0-points", "3"],
     ["d2-xieta", "--q0-min", "-0.05", "--q0-max", "0.05", "--q0-points", "2"],
-], ids=["dsigma-5", "dsigma-3", "xieta-straddle"])
-def test_sweep_over_nonpositive_q0_plots_linear_without_fit(
-        runner, tmp_path, argv):
+    ["dsigma-domega", "--q0-min", "0.01", "--q0-max", "0.01",
+     "--q0-points", "5"],
+], ids=["dsigma-5", "dsigma-3", "xieta-straddle", "dsigma-repeated"])
+def test_sweep_outside_fit_domain_plots_without_fit(runner, tmp_path, argv):
     # both derivatives are even in q0, so these are valid sweeps; a log
-    # axis and the log-square fit need every swept q0 > 0
+    # axis needs every swept q0 > 0, and the log-square fit also needs
+    # the swept q0 pairwise distinct
     prefix = tmp_path / "neg"
     r = runner.invoke(main, argv + ["--linear", "--svg", "--out-prefix",
                                     str(prefix), "--deterministic"])

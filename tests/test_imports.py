@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name in its ``__all__`` exists in it.
 
 No linter ships with the project, so this is the unused-import check.
 A name counts as used when the module reads it anywhere, annotations
@@ -7,6 +8,7 @@ annotation is not seen; no module has one.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,13 @@ def test_checker_flags_only_unused_names():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_export_is_defined(path):
+    name = "vanhove_lab" if path.stem == "__init__" \
+        else f"vanhove_lab.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", [])
+            if not hasattr(module, n)] == []
