@@ -431,6 +431,10 @@ def morse_normal_form(
     exceeds the tolerance the radius is halved (up to 6 times) before
     giving up.
     """
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError("radius must be positive and finite")
+    if grid < 2:
+        raise ValueError("grid needs at least 2 nodes per side")
     A = _isotropic_frame(p)
     loc = p.location
 

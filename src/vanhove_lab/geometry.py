@@ -19,15 +19,25 @@ bit for bit.
 
 The overlap length of a traced curve with its translate measures
 arclen{k on curve : |e(p +/- k)| <= threshold} by flagging polyline
-segments, with linear interpolation at the threshold crossings.  One
-kernel, ``_flagged_lengths``, flags all thresholds of one (p, sign,
-branch) at once, on the few segments whose lower end value lies below
-the largest threshold.  The scaling experiment samples translation
-momenta p, measures the overlap at thresholds M^j, and compares with the
-bound (M^j / delta)^(1/n0) outside a delta^2 fraction of exceptional p.
+segments, with linear interpolation at the threshold crossings.  Only
+segments whose lower end value lies below the largest threshold can be
+flagged, a few percent of the curve.  So each branch is cut once into
+chunks of 64 segments with a center and a radius, and for a momentum p a
+chunk is evaluated only when |e| at its center is within max T plus a
+gradient bound times its radius (``_overlap_lengths``; a custom model
+has no bound and keeps every chunk).  One kernel, ``_flagged_lengths``,
+flags all thresholds of one (p, sign, branch) at once on the candidate
+segments of the kept chunks, in curve order: the set an evaluation of
+the whole curve would flag, so the lengths are the same bit for bit.
+The scaling experiment samples translation momenta p, measures the
+overlap at thresholds M^j, and compares with the bound
+(M^j / delta)^(1/n0) outside a delta^2 fraction of exceptional p.
 
 The interval lemma check verifies |{x : |f(x)| <= eps}| against the
-bound 2^(k+1) (eps/eta)^(1/k) for functions with |f^(k)| >= eta.
+bound 2^(k+1) (eps/eta)^(1/k) for functions with |f^(k)| >= eta.  It
+counts the sublevel points in blocks of 16,384, so f's temporaries stay
+in cache; the count over the grid size has the bits of the mean of the
+flags.
 """
 
 from __future__ import annotations
@@ -459,27 +469,145 @@ def _bisect_edge(e, a: Point, b: Point, iters=40) -> Point:
 # ---------------------------------------------------------------------------
 
 
-def _flagged_lengths(
-    vals: np.ndarray, segs: np.ndarray, thresholds: np.ndarray
-) -> np.ndarray:
-    """Flagged arc length of a polyline at each threshold T.
+_CHUNK = 64  # segments per prefilter chunk
+_BLOCK = 16_384  # points per evaluation block, overlap rows and sublevel count
+_SLACK = 1e-12  # relative rounding allowance of the chunk test
 
-    vals are |e| at the points, segs the segment lengths.  With lo, hi
-    the smaller and larger end value of a segment, the segment counts
-    fully when hi <= T and by the fraction (T - lo) / (hi - lo) when it
-    crosses T (e taken as linear along it).  Only the segments with
-    lo <= max(T) take part, so the threshold-by-segment table is built
-    on that short compacted set, never on the whole curve.
+
+class _Chunks(NamedTuple):
+    """The branches of a curve cut into chunks of ``_CHUNK`` segments.
+
+    Row c of ``pts`` holds chunk c's points, the first point of the next
+    chunk included, so that every segment of the curve lies in exactly
+    one chunk; the last chunk of a branch repeats the branch's last
+    point, and ``valid`` marks its padded segments false.
     """
-    a, b = vals[:-1], vals[1:]
-    idx = np.flatnonzero(np.minimum(a, b) <= thresholds.max())
-    a, b = a[idx], b[idx]
+
+    pts: np.ndarray  # (C, _CHUNK + 1, 2)
+    segs: np.ndarray  # (C, _CHUNK) segment lengths
+    valid: np.ndarray  # (C, _CHUNK) the segment lies on the branch
+    centers: np.ndarray  # (C, 2) the middle point of each chunk
+    radius: np.ndarray  # (C,) largest distance of a row point from it
+    branch: np.ndarray  # (C,) branch index
+    n_branches: int
+    scale: float  # largest coordinate magnitude on the curve
+
+
+def _chunk_branches(branches: Sequence[CurveSample]) -> _Chunks:
+    pts, segs, valid, centers, radius, branch = [], [], [], [], [], []
+    j = np.arange(_CHUNK + 1)
+    for ib, b in enumerate(branches):
+        n = len(b.points)
+        start = _CHUNK * np.arange(-(-(n - 1) // _CHUNK))
+        idx = np.minimum(start[:, None] + j, n - 1)
+        cum = b.cumulative_arclength
+        # cum[i + 1] - cum[i] has the bits of segment_lengths()
+        segs.append(cum[idx[:, 1:]] - cum[idx[:, :-1]])
+        valid.append(start[:, None] + j[:-1] < n - 1)
+        rows = b.points[idx]
+        mid = b.points[start + np.minimum(_CHUNK, n - 1 - start) // 2]
+        d = rows - mid[:, None, :]
+        pts.append(rows)
+        centers.append(mid)
+        radius.append(np.max(np.hypot(d[..., 0], d[..., 1]), axis=1))
+        branch.append(np.full(len(start), ib))
+    return _Chunks(
+        pts=np.concatenate(pts),
+        segs=np.concatenate(segs),
+        valid=np.concatenate(valid),
+        centers=np.concatenate(centers),
+        radius=np.concatenate(radius),
+        branch=np.concatenate(branch),
+        n_branches=len(branches),
+        scale=max(float(np.max(np.abs(b.points))) for b in branches),
+    )
+
+
+def _grad_bound(model: DispersionModel, k: np.ndarray, radius: np.ndarray):
+    """A bound on |grad e| over the disc of the given radius about each
+    chunk center k (already translated)."""
+    if model.kind == "hubbard":
+        # |d e / d k_i| = |sin k_i (1 - theta cos k_j)| <= 1 + theta
+        return math.sqrt(2.0) * (1.0 + model.theta)
+    if model.kind == "xy":
+        # grad e = (k2, k1), so |grad e| = |k| <= |center| + radius
+        return np.hypot(k[..., 0], k[..., 1]) + radius
+    return math.inf  # custom: every chunk is kept
+
+
+def _flagged_lengths(
+    a: np.ndarray, b: np.ndarray, segs: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """Flagged arc length of a set of polyline segments at each threshold T.
+
+    a, b are |e| at the segment ends, segs the segment lengths.  With lo,
+    hi the smaller and larger end value, a segment counts fully when
+    hi <= T and by the fraction (T - lo) / (hi - lo) when it crosses T
+    (e taken as linear along it).  The caller passes only the candidate
+    segments, those with lo <= max(T), in curve order, so the
+    threshold-by-segment table is built on that short set.
+    """
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     # a segment with hi == lo is never partly flagged
     width = np.where(hi > lo, hi - lo, np.inf)
     T = thresholds[:, None]
     frac = np.where(hi <= T, 1.0, np.maximum(T - lo, 0.0) / width)
-    return np.sum(frac * segs[idx], axis=1)
+    return np.sum(frac * segs, axis=1)
+
+
+def _overlap_lengths(
+    model: DispersionModel,
+    chunks: _Chunks,
+    p: np.ndarray,
+    signs: Tuple[int, ...],
+    thresholds: np.ndarray,
+) -> np.ndarray:
+    """(len(signs), len(thresholds)) overlap lengths of a chunked curve
+    with its translate by p.
+
+    By the mean value theorem |e(x)| >= |e(c)| - G r on a chunk with
+    center c, radius r and gradient bound G, so a chunk with
+    |e(c)| > max(T) + G r holds no candidate segment and is skipped.
+    The slack added to the right side covers the rounding of e, of the
+    translation and of the radius.  The kept chunks are evaluated
+    exactly and their candidate segments flagged branch by branch in
+    curve order: the compacted set, the table and its sum are those of
+    an evaluation of the whole curve, bit for bit.
+    """
+    t_max = thresholds.max()
+    sgn = np.array(signs, dtype=float)[:, None, None]
+    kc = p + sgn * chunks.centers  # (S, C, 2)
+    ec = np.abs(evaluate(model, kc))
+    G = _grad_bound(model, kc, chunks.radius)
+    scale = chunks.scale + float(np.max(np.abs(p)))
+    reach = t_max + G * chunks.radius + _SLACK * (1.0 + ec + G * scale)
+    # written as a negation so that a NaN bound keeps its chunk
+    s_idx, c_idx = np.nonzero(~(ec > reach))
+    # rows in blocks of about _BLOCK points, to bound the temporaries;
+    # (-1) * x + p has the bits of p - x
+    vals = np.empty((len(c_idx), _CHUNK + 1))
+    step = _BLOCK // (_CHUNK + 1)
+    for lo in range(0, len(c_idx), step):
+        k = chunks.pts[c_idx[lo:lo + step]]
+        k *= sgn[s_idx[lo:lo + step]]
+        k += p
+        vals[lo:lo + step] = np.abs(evaluate(model, k))
+    a, b = vals[:, :-1], vals[:, 1:]
+    hit = (np.minimum(a, b) <= t_max) & chunks.valid[c_idx]
+    a, b, segs = a[hit], b[hit], chunks.segs[c_idx][hit]
+    # kept rows come sorted by (sign, branch); find each group's hits
+    n_groups = len(signs) * chunks.n_branches
+    group = s_idx * chunks.n_branches + chunks.branch[c_idx]
+    ends = np.concatenate([[0], np.cumsum(np.count_nonzero(hit, axis=1))])
+    bounds = ends[np.searchsorted(group, np.arange(n_groups + 1))]
+    out = np.zeros((len(signs), len(thresholds)))
+    for g in range(n_groups):
+        lo, hi = bounds[g], bounds[g + 1]
+        if hi > lo:
+            out[g // chunks.n_branches] += _flagged_lengths(
+                a[lo:hi], b[lo:hi], segs[lo:hi], thresholds
+            )
+    return out
 
 
 def overlap_length(
@@ -490,15 +618,17 @@ def overlap_length(
     threshold: float = 1e-3,
 ) -> float:
     """Arc length of {k on curve : |e(p + sign k)| <= threshold}."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise ValueError("threshold must be positive and finite")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     p = np.asarray(p, dtype=float)
-    vals = np.abs(evaluate(model, p[None, :] + sign * curve.points))
-    return float(
-        _flagged_lengths(vals, curve.segment_lengths(), np.array([threshold]))[0]
+    if p.shape != (2,):
+        raise ValueError(f"p must have shape (2,), not {p.shape}")
+    out = _overlap_lengths(
+        model, _chunk_branches([curve]), p, (sign,), np.array([threshold])
     )
+    return float(out[0, 0])
 
 
 @dataclass(frozen=True)
@@ -629,16 +759,11 @@ def overlap_scaling_experiment(
         )
 
     thresholds = np.array([M ** j for j in j_sorted])
-    lengths = {+1: np.zeros((num_p, len(j_sorted))), -1: np.zeros((num_p, len(j_sorted)))}
-    seglists = [(b.points, b.segment_lengths()) for b in branches]
-    for ip in range(num_p):
-        p = p_samples[ip]
-        for sign in (+1, -1):
-            for pts, segs in seglists:
-                # p - pts has the bits of p + (-1) * pts, without the copy
-                k = p + pts if sign > 0 else p - pts
-                vals = np.abs(evaluate(model, k))
-                lengths[sign][ip] += _flagged_lengths(vals, segs, thresholds)
+    chunks = _chunk_branches(branches)
+    both = np.array(
+        [_overlap_lengths(model, chunks, p, (+1, -1), thresholds) for p in p_samples]
+    )
+    lengths = {+1: both[:, 0].copy(), -1: both[:, 1].copy()}
 
     bounds = None
     viol = {+1: None, -1: None}
@@ -709,6 +834,9 @@ def interval_lemma_check(
     a, b = interval
     if not b > a:
         raise ValueError("empty interval")
+    grid = int(grid)
+    if grid < 2:
+        raise ValueError("grid needs at least 2 points")
 
     n_check = 2001
     xc = np.linspace(a, b, n_check)
@@ -719,8 +847,13 @@ def interval_lemma_check(
             f"|f^({k})| falls below eta={eta} on the check grid"
         )
 
-    x = np.linspace(a, b, int(grid))
-    inside = np.abs(np.asarray(f(x), dtype=float)) <= eps
-    measured = float(np.mean(inside) * (b - a))
+    # count block by block, so that f's temporaries stay in cache; the
+    # float64 count over grid has the bits of np.mean of the flags
+    x = np.linspace(a, b, grid)
+    count = 0
+    for lo in range(0, grid, _BLOCK):
+        fx = np.asarray(f(x[lo:lo + _BLOCK]), dtype=float)
+        count += int(np.count_nonzero(np.abs(fx) <= eps))
+    measured = float(np.float64(count) / grid * (b - a))
     bound = 2.0 ** (k + 1) * (eps / eta) ** (1.0 / k)
     return IntervalLemmaResult(measured, bound, measured <= bound)

@@ -226,6 +226,17 @@ def test_overlap_bad_sample_inputs_exit_2(runner, tmp_path, args):
     assert "ValueError" in r.output
     assert not (tmp_path / "ov.csv").exists()
 
+@pytest.mark.parametrize("args", [
+    ["--grid", "1"], ["--grid", "0"], ["--radius", "0"], ["--radius", "-1"],
+    ["--radius", "nan"], ["--radius", "inf"]])
+def test_normal_form_bad_patch_inputs_exit_2(runner, tmp_path, args):
+    r = runner.invoke(main, ["normal-form", "--out-prefix", str(tmp_path / "nf")]
+                      + args)
+    assert r.exit_code == 2
+    assert "ValueError" in r.output
+    assert not (tmp_path / "nf.csv").exists()
+
+
 def test_normal_form_rows(runner, tmp_path):
     prefix = tmp_path / "nf"
     r = runner.invoke(main, ["normal-form", "--out-prefix", str(prefix),
@@ -250,6 +261,15 @@ def test_interval_check_all_hold(runner, tmp_path):
     assert len(rows) == 9
     assert all(row[6] == "true" for row in rows)
     assert read_json(prefix.with_suffix(".json"))["results"]["all_hold"] is True
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_interval_check_grid_below_two_exits_2(runner, tmp_path, grid):
+    r = runner.invoke(main, ["interval-check", "--per-k", "1", "--grid", grid,
+                             "--out-prefix", str(tmp_path / "ic")])
+    assert r.exit_code == 2
+    assert "ValueError" in r.output
+    assert not (tmp_path / "ic.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,47 @@ def _ref_flagged_length(vals, segs, threshold):
     return float(np.sum(frac * segs))
 
 
+def _candidates(vals, segs, thresholds):
+    """End values and lengths of the segments with min(a, b) <= max(T),
+    in curve order: the set ``_flagged_lengths`` expects."""
+    a, b = vals[:-1], vals[1:]
+    idx = np.flatnonzero(np.minimum(a, b) <= thresholds.max())
+    return a[idx], b[idx], segs[idx]
+
+
+def _ref_flagged_lengths(vals, segs, thresholds):
+    """The unfiltered flagging of a whole branch that the chunk
+    prefilter replaced, kept as the bit-identity reference."""
+    a, b, segs = _candidates(vals, segs, thresholds)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    width = np.where(hi > lo, hi - lo, np.inf)
+    T = thresholds[:, None]
+    frac = np.where(hi <= T, 1.0, np.maximum(T - lo, 0.0) / width)
+    return np.sum(frac * segs, axis=1)
+
+
+def _ref_overlap_lengths(model, branches, p, sign, thresholds):
+    """The unfiltered per-branch loop: evaluate every curve point."""
+    out = np.zeros(len(thresholds))
+    for b in branches:
+        k = p + b.points if sign > 0 else p - b.points
+        vals = np.abs(evaluate(model, k))
+        out += _ref_flagged_lengths(vals, b.segment_lengths(), thresholds)
+    return out
+
+
+def _hubbard_flag_curves():
+    """(model, branch, p, sign, thresholds): 80 translated hubbard curves."""
+    m = DispersionModel.hubbard(0.3, 0.0)
+    T = 2.0 ** np.arange(-6.0, -13.0, -1.0)
+    rng = np.random.default_rng(2)
+    rng.uniform(0.5, 1.5, size=10)  # the draws of the hand case
+    for b in trace_fermi_curve(m, step=2.0 ** -9):
+        for p in rng.uniform(-math.pi, math.pi, size=(10, 2)):
+            for sign in (+1, -1):
+                yield m, b, p, sign, T
+
+
 def _flag_cases():
     T = np.array([0.25, 0.01, 0.002])
     # pairs: both in (0.001, 0.002 at 0.01), leaving (0.002 -> 0.5),
@@ -411,19 +452,15 @@ def _flag_cases():
     yield hand, segs, T
     yield np.full(6, 0.6), np.ones(5), T  # no candidate segment
     yield np.zeros(4), np.ones(3), T  # a == b == 0 everywhere
-    m = DispersionModel.hubbard(0.3, 0.0)
-    T = 2.0 ** np.arange(-6.0, -13.0, -1.0)
-    for b in trace_fermi_curve(m, step=2.0 ** -9):
-        for p in rng.uniform(-math.pi, math.pi, size=(10, 2)):
-            for sign in (+1, -1):
-                vals = np.abs(evaluate(m, p[None, :] + sign * b.points))
-                yield vals, b.segment_lengths(), T
+    for m, b, p, sign, T in _hubbard_flag_curves():
+        vals = np.abs(evaluate(m, p[None, :] + sign * b.points))
+        yield vals, b.segment_lengths(), T
 
 
 def test_flagged_lengths_match_per_threshold_reference():
     n_cases = 0
     for vals, segs, T in _flag_cases():
-        got = geo._flagged_lengths(vals, segs, T)
+        got = geo._flagged_lengths(*_candidates(vals, segs, T), T)
         ref = np.array([_ref_flagged_length(vals, segs, t) for t in T])
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
         n_cases += 1
@@ -434,9 +471,168 @@ def test_flagged_lengths_on_threshold_and_empty():
     vals, segs, T = next(_flag_cases())
     # at T = 0.002 only the pair (0.001, 0.002) counts, fully; the three
     # pairs with 0.002 as their lower end contribute a zero fraction
-    assert geo._flagged_lengths(vals, segs, T)[2] == segs[0]
-    assert np.array_equal(geo._flagged_lengths(np.full(6, 0.6), np.ones(5), T),
-                          np.zeros(3))
+    assert geo._flagged_lengths(*_candidates(vals, segs, T), T)[2] == segs[0]
+    empty = _candidates(np.full(6, 0.6), np.ones(5), T)
+    assert np.array_equal(geo._flagged_lengths(*empty, T), np.zeros(3))
+
+
+class _CountingEvaluate:
+    """Stands in for ``geometry.evaluate``; counts its calls and points."""
+
+    def __init__(self):
+        self.calls = 0
+        self.points = 0
+
+    def __call__(self, model, k):
+        self.calls += 1
+        self.points += np.size(k) // 2
+        return evaluate(model, k)
+
+
+def _prefiltered(model, branches, p, sign, T):
+    return geo._overlap_lengths(model, geo._chunk_branches(branches), p,
+                                (sign,), T)[0]
+
+
+def test_prefilter_matches_unfiltered_loop_on_hubbard_curves(monkeypatch):
+    counter = _CountingEvaluate()
+    monkeypatch.setattr(geo, "evaluate", counter)
+    n_cases = n_points = 0
+    for m, b, p, sign, T in _hubbard_flag_curves():
+        got = _prefiltered(m, [b], p, sign, T)
+        assert np.array_equal(got, _ref_overlap_lengths(m, [b], p, sign, T))
+        n_cases += 1
+        n_points += len(b.points)
+    assert n_cases == 80
+    # the bound skips most of the curve
+    assert counter.points < 0.25 * n_points
+
+
+def test_prefilter_matches_unfiltered_loop_on_scaling_run():
+    m = DispersionModel.hubbard(0.3, 0.0)
+    rep = overlap_scaling_experiment(
+        m, M=2.0, j_range=range(-6, -10, -1), num_p=100, delta=0.1, rng_seed=42
+    )
+    branches = trace_fermi_curve(m, step=rep.step)
+    T = np.array([2.0 ** j for j in rep.j_values])
+    for ip, p in enumerate(rep.p_samples):
+        for sign, lengths in ((+1, rep.measured_lengths),
+                              (-1, rep.measured_lengths_minus)):
+            ref = _ref_overlap_lengths(m, branches, p, sign, T)
+            assert np.array_equal(lengths[ip], ref)
+
+
+def test_prefilter_matches_unfiltered_loop_on_xy_branches(monkeypatch):
+    # the per-chunk bound |grad e| <= |center| + radius
+    m = DispersionModel.xy()
+    branches = trace_fermi_curve(m, step=2.0 ** -9, exclusion_radius=0.05)
+    counter = _CountingEvaluate()
+    monkeypatch.setattr(geo, "evaluate", counter)
+    T = 2.0 ** np.arange(-4.0, -9.0, -1.0)
+    rng = np.random.default_rng(7)
+    ps = np.concatenate([rng.uniform(-1.0, 1.0, size=(20, 2)),
+                         [[0.5, 0.0], [0.0, -0.3], [0.0, 0.0]]])
+    n_points = 0
+    for p in ps:
+        for sign in (+1, -1):
+            got = _prefiltered(m, branches, p, sign, T)
+            assert np.array_equal(got, _ref_overlap_lengths(m, branches, p, sign, T))
+            n_points += sum(len(b.points) for b in branches)
+    assert counter.points < 0.5 * n_points
+
+
+def test_prefilter_keeps_every_chunk_of_a_custom_model(monkeypatch):
+    m = DispersionModel.custom(_custom_band)
+    branches = trace_fermi_curve(m, step=0.01)
+    chunks = geo._chunk_branches(branches)
+    counter = _CountingEvaluate()
+    monkeypatch.setattr(geo, "evaluate", counter)
+    T = 2.0 ** np.arange(-4.0, -8.0, -1.0)
+    p = np.array([0.7, -0.4])
+    for sign in (+1, -1):
+        got = geo._overlap_lengths(m, chunks, p, (sign,), T)[0]
+        assert np.array_equal(got, _ref_overlap_lengths(m, branches, p, sign, T))
+    # the centers and all (_CHUNK + 1)-point rows, for both signs
+    assert counter.points == 2 * len(chunks.pts) * (geo._CHUNK + 2)
+
+
+def test_prefilter_rows_in_several_blocks_match_unfiltered_loop(monkeypatch):
+    # a tiny p keeps the whole curve near e = 0 for sign -1, so the kept
+    # rows span several evaluation blocks
+    m = DispersionModel.hubbard(0.3, 0.0)
+    branches = trace_fermi_curve(m, step=2.0 ** -11)
+    chunks = geo._chunk_branches(branches)
+    counter = _CountingEvaluate()
+    monkeypatch.setattr(geo, "evaluate", counter)
+    T = 2.0 ** np.arange(-6.0, -12.0, -1.0)
+    p = np.array([1e-3, -2e-3])
+    got = geo._overlap_lengths(m, chunks, p, (+1, -1), T)
+    rows_per_block = geo._BLOCK // (geo._CHUNK + 1)
+    assert counter.calls >= 1 + math.ceil(len(chunks.pts) / rows_per_block) >= 4
+    for i, sign in enumerate((+1, -1)):
+        assert np.array_equal(got[i], _ref_overlap_lengths(m, branches, p, sign, T))
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 64, 65, 66, 7 * 64 + 1, 7 * 64 + 2])
+def test_prefilter_matches_unfiltered_loop_on_short_and_ragged_branches(n):
+    # shorter than one chunk, and 64 k + 1 (k full chunks) or 64 k + 2
+    # (a last chunk of one segment) points
+    m = DispersionModel.hubbard(0.3, 0.0)
+    full = max(trace_fermi_curve(m, step=2.0 ** -9),
+               key=lambda b: len(b.points))
+    rng = np.random.default_rng(n)
+    T = 2.0 ** np.arange(-2.0, -9.0, -1.0)
+    n_nonzero = 0
+    for start in rng.integers(0, len(full.points) - n, size=20):
+        # segment lengths spread over three decades make the sums depend
+        # on which segments enter them, padding ones included
+        segs = 10.0 ** rng.uniform(-3.0, 0.0, size=n - 1)
+        cut = geo.CurveSample(
+            points=full.points[start:start + n],
+            cumulative_arclength=np.concatenate([[0.0], np.cumsum(segs)]),
+            branch_id=0,
+        )
+        # p = 0 keeps the whole cut on the level set
+        for p in (np.zeros(2), rng.uniform(-0.1, 0.1, size=2)):
+            for sign in (+1, -1):
+                got = _prefiltered(m, [cut], p, sign, T)
+                assert np.array_equal(got, _ref_overlap_lengths(m, [cut], p, sign, T))
+                n_nonzero += bool(got[0] > 0.0)
+                one = _ref_overlap_lengths(m, [cut], p, sign, T[-1:])
+                assert overlap_length(m, cut, p, sign, T[-1]) == one[0]
+    assert n_nonzero > 0
+
+
+def test_chunks_cover_each_segment_once_within_their_radius():
+    m = DispersionModel.hubbard(0.3, 0.0)
+    branches = trace_fermi_curve(m, step=0.01, exclusion_radius=0.05)
+    chunks = geo._chunk_branches(branches)
+    assert np.array_equal(
+        chunks.segs[chunks.valid],
+        np.concatenate([b.segment_lengths() for b in branches]),
+    )
+    d = chunks.pts - chunks.centers[:, None, :]
+    assert np.all(np.hypot(d[..., 0], d[..., 1]) <= chunks.radius[:, None])
+    # each row starts where the previous row of its branch ended
+    same = chunks.branch[1:] == chunks.branch[:-1]
+    assert np.array_equal(chunks.pts[1:, 0][same], chunks.pts[:-1, -1][same])
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1e-3])
+def test_overlap_length_rejects_bad_threshold(threshold):
+    m = DispersionModel.hubbard(0.3, -1.0)
+    curve = trace_fermi_curve(m, step=0.01)[0]
+    with pytest.raises(ValueError):
+        overlap_length(m, curve, np.zeros(2), +1, threshold)
+
+
+@pytest.mark.parametrize("p", [0.5, [0.5], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_overlap_length_rejects_p_not_a_2_vector(p):
+    m = DispersionModel.hubbard(0.3, -1.0)
+    curve = trace_fermi_curve(m, step=0.01)[0]
+    with pytest.raises(ValueError):
+        overlap_length(m, curve, p, +1, 1e-3)
+
 
 def test_overlap_at_zero_momentum_is_full_length():
     m = DispersionModel.hubbard(0.3, -1.0)
@@ -643,3 +839,18 @@ def test_interval_lemma_validation():
         interval_lemma_check(lambda x: x, k=0, eta=1.0, eps=0.1)
     with pytest.raises(ValueError):
         interval_lemma_check(lambda x: x, k=1, eta=-1.0, eps=0.1)
+    for grid in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            interval_lemma_check(lambda x: x, k=1, eta=1.0, eps=0.1, grid=grid)
+
+
+@pytest.mark.parametrize("grid", [1000, 16_384, 16_385, 123_457, 200_000])
+def test_interval_lemma_blocked_count_matches_one_pass_mean(grid):
+    # the criterion-10 corpus; blocks of 16,384 points
+    from vanhove_lab.cli import _interval_corpus
+
+    x = np.linspace(-1.0, 1.0, grid)
+    for _, k, eta, eps, f in _interval_corpus(seed=0, per_k=100):
+        one_pass = float(np.mean(np.abs(f(x)) <= eps) * 2.0)
+        assert interval_lemma_check(f, k, eta, eps, grid=grid).measured_volume \
+            == one_pass
