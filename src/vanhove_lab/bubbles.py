@@ -8,11 +8,13 @@ frequency and momentum (the zero-frequency limit is taken first):
 
 Because the energy is the product xy, one variable integrates exactly
 and the other leaves a logarithm, giving exact 1D forms valid at every
-beta (these are the production paths; the 2D parents survive only as
-consistency oracles):
+beta (the 2D parents survive only as consistency oracles):
 
     B_ph(beta) = - int_0^beta  ln(beta/u) / cosh^2(u/2) du,
     B_pp(beta) =   int_0^{beta/2} (ln(2v/beta))^2 / cosh^2 v dv.
+
+:func:`bubble_result` is the production entry point: it returns either
+bubble by its 1D form next to its large-beta prediction.
 
 Expanding the logarithms against the thermal window produces the
 asymptotics the lab verifies,
@@ -53,8 +55,6 @@ __all__ = [
     "BubbleResult",
     "k_constant",
     "k_prime_constant",
-    "bubble_ph",
-    "bubble_pp",
     "bubble_result",
     "bubble_ph_2d",
     "bubble_pp_2d",
@@ -123,30 +123,6 @@ def _bubble_pp_mpf(b: mp.mpf) -> mp.mpf:
     pts = [p for p in (mp.mpf(0), mp.mpf(1), mp.mpf(10)) if p < upper]
     return mp.quad(lambda v: mp.log(2 * v / b) ** 2 / mp.cosh(v) ** 2,
                    pts + [upper])
-
-
-def bubble_ph(beta: float) -> float:
-    """Density-channel bubble, exact 1D form at finite beta.
-
-    B_ph(beta) = - int_0^beta ln(beta/u) / cosh^2(u/2) du.  The log
-    endpoint singularity at u = 0 is integrable; the thermal window
-    cuts the integrand off at u of order one.
-    """
-    if not beta > 0:
-        raise ValueError("bubble needs beta > 0")
-    return float(_at_working_precision(lambda: _bubble_ph_mpf(mp.mpf(beta))))
-
-
-def bubble_pp(beta: float) -> float:
-    """Pairing-channel bubble, exact 1D form at finite beta.
-
-    B_pp(beta) = int_0^{beta/2} (ln(2v/beta))^2 / cosh^2 v dv; the
-    squared log makes the (ln beta)^2 divergence explicit once the
-    cosh window is expanded.
-    """
-    if not beta > 0:
-        raise ValueError("bubble needs beta > 0")
-    return float(_at_working_precision(lambda: _bubble_pp_mpf(mp.mpf(beta))))
 
 
 @dataclass(frozen=True)

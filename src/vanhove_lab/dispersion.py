@@ -230,11 +230,12 @@ def _default_seeds(model: DispersionModel) -> List[Tuple[float, float]]:
     return list(model.seeds)
 
 
-def find_singular_points(
-    model: DispersionModel,
-    gradient_tolerance: float = 1e-10,
-    hessian_tolerance: float = 1e-8,
-) -> List[SingularPoint]:
+_GRADIENT_TOL = 1e-10  # |grad e| of a critical point, and |e| on the surface
+_HESSIAN_TOL = 1e-8  # smallest |Hessian eigenvalue| of a nondegenerate saddle
+_FACTORIZATION_TOL = 1e-6  # largest residual of an accepted normal form
+
+
+def find_singular_points(model: DispersionModel) -> List[SingularPoint]:
     """Newton-refine the critical-point seeds and keep the saddles that
     lie on the Fermi surface (|e| below tolerance)."""
     found = []
@@ -243,7 +244,7 @@ def find_singular_points(
         ok = False
         for _ in range(60):
             g = gradient(model, k)
-            if np.linalg.norm(g) < gradient_tolerance:
+            if np.linalg.norm(g) < _GRADIENT_TOL:
                 ok = True
                 break
             H = hessian(model, k)
@@ -255,11 +256,11 @@ def find_singular_points(
         if not ok:
             continue
         k = _wrap(model, k)
-        if abs(float(evaluate(model, k))) >= gradient_tolerance:
+        if abs(float(evaluate(model, k))) >= _GRADIENT_TOL:
             continue  # critical but off the Fermi surface
         H = hessian(model, k)
         eigvals, eigvecs = np.linalg.eigh(H)
-        if np.min(np.abs(eigvals)) < hessian_tolerance:
+        if np.min(np.abs(eigvals)) < _HESSIAN_TOL:
             raise DegenerateHessian(
                 f"Hessian eigenvalue {eigvals} below tolerance at {k}"
             )
@@ -421,7 +422,6 @@ def morse_normal_form(
     p: SingularPoint,
     radius: float = 0.1,
     grid: int = 41,
-    factorization_tolerance: float = 1e-6,
 ) -> NormalForm:
     """Factor e(p + A k) = a(k) (k1 - k2^nu1 b)(k2 - k1^nu2 c) on a
     square grid of half-width ``radius``.
@@ -448,19 +448,17 @@ def morse_normal_form(
     for attempt in range(7):
         rho = radius / 2 ** attempt
         try:
-            nf = _build_normal_form(
-                model, A, ebar, debar, rho, grid, factorization_tolerance
-            )
+            nf = _build_normal_form(A, ebar, debar, rho, grid)
         except FactorizationFailed:
             continue
-        if nf.max_residual <= factorization_tolerance:
+        if nf.max_residual <= _FACTORIZATION_TOL:
             return nf
     raise FactorizationFailed(
-        f"residual above {factorization_tolerance} after 6 radius halvings"
+        f"residual above {_FACTORIZATION_TOL} after 6 radius halvings"
     )
 
 
-def _build_normal_form(model, A, ebar, debar, rho, grid, tol) -> NormalForm:
+def _build_normal_form(A, ebar, debar, rho, grid) -> NormalForm:
     solve1 = _branch_solver(ebar, debar, 0)  # k1 = phi1(k2)
     solve2 = _branch_solver(ebar, debar, 1)  # k2 = phi2(k1)
     nu1, lead1 = _branch_order(solve1, rho)

@@ -91,6 +91,12 @@ class CurveSample:
 
 Point = Tuple[float, float]
 
+_TRACE_TOL = 1e-10  # |e| at which a traced point counts as on the curve
+_MAX_STEPS = 2_000_000  # steps before one march is declared stalled
+_SCAN_GRID = 48  # nodes per side of the sign-change seed scan
+_TRACE_STEP_CAP = 0.01  # largest default trace step of the scaling experiment
+_INTERVAL = (-1.0, 1.0)  # the interval lemma's interval
+
 
 def _torus_delta(d):
     """Periodic difference in [-pi, pi); works on floats and arrays."""
@@ -145,13 +151,13 @@ def _image_near(target: Point, ref: Point, periodic: bool) -> Point:
     return (r1 + _torus_delta(target[0] - r1), r2 + _torus_delta(target[1] - r2))
 
 
-def _project(fns, x, tol, max_iter=30) -> Point:
+def _project(fns, x, max_iter=30) -> Point:
     """Newton projection onto {e = 0} along grad e."""
     e, grad = fns
     x1, x2 = x
     for _ in range(max_iter):
         v = e(x1, x2)
-        if abs(v) < tol:
+        if abs(v) < _TRACE_TOL:
             return x1, x2
         g1, g2 = grad(x1, x2)
         g_sq = _dot(g1, g2, g1, g2)
@@ -162,14 +168,14 @@ def _project(fns, x, tol, max_iter=30) -> Point:
     raise TraceStalled(f"level-set projection failed near {(x1, x2)}")
 
 
-def _project_along(fns, x, direction, tol, max_iter=40) -> Point:
+def _project_along(fns, x, direction, max_iter=40) -> Point:
     """1D Newton for e(x + s d) = 0 along a fixed unit direction d."""
     e, grad = fns
     x1, x2 = x
     d1, d2 = direction
     for _ in range(max_iter):
         v = e(x1, x2)
-        if abs(v) < tol:
+        if abs(v) < _TRACE_TOL:
             return x1, x2
         g1, g2 = grad(x1, x2)
         slope = _dot(g1, g2, d1, d2)
@@ -214,13 +220,11 @@ def _clip_to_box(x_from, x_to, box):
 
 
 class _Marcher:
-    def __init__(self, model, step, exclusion_radius, tol, max_steps, sing_locs):
+    def __init__(self, model, step, exclusion_radius, sing_locs):
         self.fns = scalar_functions(model)
         self.box = model.domain
         self.h = step
         self.excl = exclusion_radius
-        self.tol = tol
-        self.max_steps = max_steps
         self.sing = sing_locs  # list of (x1, x2)
         self.periodic = model.periodic
         # fold the four arc rays into the saddle itself when no exclusion
@@ -239,21 +243,21 @@ class _Marcher:
 
         Returns (points, closed), the points a list of (x1, x2) tuples.
         """
-        fns, h, tol = self.fns, self.h, self.tol
+        fns, h = self.fns, self.h
         pts = [x0]
         d1, d2 = direction
-        for n_step in range(self.max_steps):
+        for n_step in range(_MAX_STEPS):
             x = pts[-1]
             x1, x2 = x
             t1, t2 = _tangent(fns, x)
             if t1 * d1 + t2 * d2 < 0.0:
                 t1, t2 = -t1, -t2
             d1, d2 = t1, t2
-            cand = _project(fns, (x1 + h * t1, x2 + h * t2), tol)
+            cand = _project(fns, (x1 + h * t1, x2 + h * t2))
             spacing = _gap(cand, x)
             if not 0.25 * h <= spacing <= 4.0 * h:
                 half = 0.5 * h
-                cand = _project(fns, (x1 + half * t1, x2 + half * t2), tol)
+                cand = _project(fns, (x1 + half * t1, x2 + half * t2))
                 spacing = _gap(cand, x)
                 if not 0.25 * h <= spacing <= 4.0 * h:
                     raise TraceStalled(
@@ -278,7 +282,7 @@ class _Marcher:
                     b = (x1 + s * (cand[0] - x1), x2 + s * (cand[1] - x2))
                     along = (0.0, 1.0) if wall[0] == 0 else (1.0, 0.0)
                     try:
-                        b = _project_along(fns, b, along, tol)
+                        b = _project_along(fns, b, along)
                     except TraceStalled:
                         pass  # keep the chord point; boundary grazing
                     if _gap(b, x) >= 0.25 * h:
@@ -295,7 +299,7 @@ class _Marcher:
                         start_img = _image_near(pts[0], pts[-1], self.periodic)
                     pts.append(start_img)
                     return pts, True
-        raise TraceStalled(f"no termination within {self.max_steps} steps")
+        raise TraceStalled(f"no termination within {_MAX_STEPS} steps")
 
     def _disc_crossing(self, a: Point, b: Point, center: Point) -> Optional[Point]:
         """Point where segment a->b enters the disc around center, pulled
@@ -319,7 +323,7 @@ class _Marcher:
         if nrm == 0.0:
             return hit
         try:
-            return _project_along(self.fns, hit, (-r2 / nrm, r1 / nrm), self.tol)
+            return _project_along(self.fns, hit, (-r2 / nrm, r1 / nrm))
         except TraceStalled:
             return hit
 
@@ -335,9 +339,6 @@ def trace_fermi_curve(
     model: DispersionModel,
     step: float = 0.01,
     exclusion_radius: float = 0.0,
-    trace_tolerance: float = 1e-10,
-    max_steps: int = 2_000_000,
-    scan_grid: int = 48,
 ) -> List[CurveSample]:
     """All connected branches of {e = 0}, as ordered point chains.
 
@@ -352,7 +353,7 @@ def trace_fermi_curve(
         raise ValueError("exclusion_radius must be nonnegative")
     singular = _singular_locations(model)
     sing_locs = [tuple(p.location.tolist()) for p in singular]
-    m = _Marcher(model, step, exclusion_radius, trace_tolerance, max_steps, sing_locs)
+    m = _Marcher(model, step, exclusion_radius, sing_locs)
     fns = m.fns
 
     seeds: List[Point] = []
@@ -363,10 +364,10 @@ def trace_fermi_curve(
             for sgn in (+1.0, -1.0):
                 raw = p.location + sgn * r_seed * A[:, col]
                 try:
-                    seeds.append(_project(fns, raw.tolist(), trace_tolerance))
+                    seeds.append(_project(fns, raw.tolist()))
                 except TraceStalled:
                     continue
-    seeds.extend(_scan_seeds(model, fns, scan_grid, trace_tolerance))
+    seeds.extend(_scan_seeds(model, fns))
 
     branches: List[CurveSample] = []
     # traced points with their first coordinate (mod 2 pi when periodic)
@@ -427,10 +428,10 @@ def _inside(box, x) -> bool:
     return all(box[i][0] - 1e-12 <= x[i] <= box[i][1] + 1e-12 for i in range(2))
 
 
-def _scan_seeds(model, fns, n, tol) -> List[Point]:
+def _scan_seeds(model, fns) -> List[Point]:
     (x0, x1), (y0, y1) = model.domain
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
+    xs = np.linspace(x0, x1, _SCAN_GRID)
+    ys = np.linspace(y0, y1, _SCAN_GRID)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     E = evaluate(model, np.stack([X, Y], axis=-1))
     xs, ys = xs.tolist(), ys.tolist()
@@ -445,7 +446,7 @@ def _scan_seeds(model, fns, n, tol) -> List[Point]:
     out = []
     for s in seeds:
         try:
-            out.append(_project(fns, s, tol))
+            out.append(_project(fns, s))
         except TraceStalled:
             continue
     return out
@@ -707,7 +708,6 @@ def overlap_scaling_experiment(
     step: Optional[float] = None,
     exclusion_radius: float = 0.0,
     n0: Optional[int] = None,
-    trace_step_cap: float = 0.01,
     p_override: Optional[np.ndarray] = None,
 ) -> OverlapScalingReport:
     """Sample translation momenta, measure overlap lengths at the
@@ -736,7 +736,7 @@ def overlap_scaling_experiment(
     j_sorted = tuple(sorted(set(int(j) for j in j_range), reverse=True))
     resolution = M ** min(j_sorted)
     if step is None:
-        step = min(trace_step_cap, resolution)
+        step = min(_TRACE_STEP_CAP, resolution)
     if step > resolution * (1.0 + 1e-12):
         raise InsufficientResolution(
             f"trace step {step} exceeds smallest threshold {resolution}"
@@ -820,9 +820,9 @@ def interval_lemma_check(
     eta: float,
     eps: float,
     grid: int = 1_000_000,
-    interval: Tuple[float, float] = (-1.0, 1.0),
 ) -> IntervalLemmaResult:
-    """Measure |{x : |f(x)| <= eps}| and compare with 2^(k+1) (eps/eta)^(1/k).
+    """Measure |{x : |f(x)| <= eps}| on [-1, 1] and compare with
+    2^(k+1) (eps/eta)^(1/k).
 
     The derivative hypothesis |f^(k)| >= eta is verified first by k-fold
     finite differencing on a coarse stencil grid.
@@ -831,9 +831,7 @@ def interval_lemma_check(
         raise ValueError("k must be a positive integer")
     if eta <= 0.0 or eps <= 0.0:
         raise ValueError("eta and eps must be positive")
-    a, b = interval
-    if not b > a:
-        raise ValueError("empty interval")
+    a, b = _INTERVAL
     grid = int(grid)
     if grid < 2:
         raise ValueError("grid needs at least 2 points")

@@ -35,8 +35,8 @@ class ThermalState:
     zero_temperature: bool = False
 
     def __post_init__(self) -> None:
-        if not self.zero_temperature and not self.beta > 0:
-            raise ValueError("finite-temperature state needs beta > 0")
+        if not self.zero_temperature and not 0 < self.beta < np.inf:
+            raise ValueError("finite-temperature state needs finite beta > 0")
 
     @classmethod
     def finite(cls, beta: float) -> "ThermalState":

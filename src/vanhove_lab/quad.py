@@ -25,12 +25,13 @@ goes on through near ties of its last cell (equal priority and roundoff up
 to summation order), so mirror-image twins split together and
 cancellations by reflection survive to roundoff.  The rule reads only the
 running totals, the tolerance and the queued cells, so it is
-deterministic.  The priority is the cell's error contribution; in
-``singularity_guided`` mode it is multiplied by 1 + q0/(q0 + min |eps|)
-where eps is a caller-supplied proxy for the near-singular denominator, so
-cells hugging the eps = 0 manifold are refined preferentially.  A cell too
-thin to bisect in floating point is frozen: it keeps its estimate and
-leaves the queue, and refinement goes on with the remaining cells.
+deterministic.  The priority is the cell's error contribution.  A spec
+that gives ``epsilon_fn``, a caller-supplied proxy eps for the
+near-singular denominator, turns on guidance: the priority is multiplied
+by 1 + q0/(q0 + min |eps|), so cells hugging the eps = 0 manifold are
+refined preferentially.  A cell too thin to bisect in floating point is
+frozen: it keeps its estimate and leaves the queue, and refinement goes
+on with the remaining cells.
 Running out of budget is an expected outcome, not an exception: the result
 is returned with ``converged=False``.
 
@@ -116,35 +117,30 @@ def combine(*rs: QuadResult) -> QuadResult:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerance and refinement policy for :func:`integrate`.
+    """Tolerances, budget and optional guidance for :func:`integrate`.
 
-    Either tolerance may be zero (disabled) but not both.  The
-    ``singularity_guided`` mode needs ``q0`` and ``epsilon_fn`` (same
+    Either tolerance may be zero (disabled) but not both, and both must
+    be finite.  Guidance is on exactly when ``epsilon_fn`` is given (same
     vectorized signature as the integrand, returning the denominator
-    proxy eps at each point).
+    proxy eps at each point); it then needs ``q0 > 0``.
     """
 
     abs_tol: float = 0.0
     rel_tol: float = 1e-8
     max_evaluations: int = 10_000_000
-    refinement: str = "uniform"
     q0: Optional[float] = None
     epsilon_fn: Optional[Integrand] = None
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not all(0 <= t < math.inf for t in (self.abs_tol, self.rel_tol)):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("abs_tol and rel_tol cannot both be zero")
         if self.max_evaluations <= 0:
             raise ValueError("max_evaluations must be positive")
-        if self.refinement not in ("uniform", "singularity_guided"):
-            raise ValueError(f"unknown refinement mode {self.refinement!r}")
-        if self.refinement == "singularity_guided":
-            if self.q0 is None or self.q0 <= 0:
-                raise ValueError("singularity_guided needs q0 > 0")
-            if self.epsilon_fn is None:
-                raise ValueError("singularity_guided needs epsilon_fn")
+        if self.epsilon_fn is not None and not (
+                self.q0 is not None and self.q0 > 0):
+            raise ValueError("guided refinement needs q0 > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +283,8 @@ def _eval_cells(
     """Apply the rule pair to a batch of cells.
 
     Returns per-cell high/low estimates, error, the error's roundoff floor,
-    split axis, priority weight (None unless refinement is singularity
-    guided), plus the raw sample count.
+    split axis, priority weight (None unless ``spec`` gives ``epsilon_fn``),
+    plus the raw sample count.
     """
     m = centers.shape[0]
     # Built coordinate by coordinate, so each column of ``flat`` is contiguous.
@@ -332,7 +328,7 @@ def _eval_cells(
     # signed sum vanishes still carries summation noise ~ eps * int |f|.
     noise = 50.0 * _EPS * resabs
     err = np.maximum(err, noise)
-    if spec is not None and spec.refinement == "singularity_guided":
+    if spec is not None and spec.epsilon_fn is not None:
         eps_vals = np.asarray(spec.epsilon_fn(flat)).reshape(m, rule.npts)
         eps_min = np.min(np.abs(eps_vals), axis=1)
         weight = 1.0 + spec.q0 / (spec.q0 + eps_min)

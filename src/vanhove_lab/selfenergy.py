@@ -110,6 +110,14 @@ class FrequencySumResult:
 def _require_q0(q0: float) -> None:
     if q0 == 0:
         raise ZeroFrequency("q0 = 0 sits on the kernel pole wall")
+    if not math.isfinite(q0):
+        raise ValueError(f"q0 must be finite, got {q0}")
+
+
+def _energies(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E1, E2, E3) at q = 0 for the 4D points (x, y, x', y') of ``P``."""
+    x, y, xp, yp = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
+    return (x - xp) * (y - yp), x * y, xp * yp
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +255,8 @@ def _i_orthant_4d(q0: float, spec: QuadSpec) -> QuadResult:
     def eps(P: np.ndarray) -> np.ndarray:
         return P[:, 2] * ((2.0 - P[:, 3]) * P[:, 1] + P[:, 0])
 
-    guided = replace(spec, refinement="singularity_guided", q0=q0,
-                     epsilon_fn=eps)
-    r = quad.integrate(f, [(0.0, 1.0)] * 4, guided)
+    r = quad.integrate(f, [(0.0, 1.0)] * 4,
+                       replace(spec, q0=q0, epsilon_fn=eps))
     return r.scaled(4.0)
 
 
@@ -263,10 +270,7 @@ def _im_d0_cube_4d(q0: float, spec: QuadSpec) -> QuadResult:
     zt = ThermalState.zero()
 
     def f(P: np.ndarray) -> np.ndarray:
-        x, y, xp, yp = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-        E1 = (x - xp) * (y - yp)
-        E2 = x * y
-        E3 = xp * yp
+        E1, E2, E3 = _energies(P)
         return _phi(q0, E2 - E3 - E1) * _numerator(zt, E1, E2, E3)
 
     return quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
@@ -317,10 +321,7 @@ def s1_integrand(P: np.ndarray, q0: float, state: ThermalState,
     exactly in floating point, not just to rounding.
     """
     _require_q0(q0)
-    x, y, xp, yp = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-    E1 = (x - xp) * (y - yp)
-    E2 = x * y
-    E3 = xp * yp
+    E1, E2, E3 = _energies(P)
     eps = E2 - E3 - E1
     f2 = fermi(state, E2)
     f3 = fermi(state, E3)
@@ -337,10 +338,7 @@ def s2_integrand(P: np.ndarray, q0: float, state: ThermalState,
     the S1 integrand.
     """
     _require_q0(q0)
-    x, y, xp, yp = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-    E1 = (x - xp) * (y - yp)
-    E2 = x * y
-    E3 = xp * yp
+    E1, E2, E3 = _energies(P)
     eps = E2 - E3 - E1
     num = _numerator(state, E1, E2, E3)
     return _transverse(P, component) * num / (1j * q0 + eps) ** 2
@@ -747,6 +745,19 @@ def _im_x10(q0: float, spec: QuadSpec) -> QuadResult:
     return combine(r1, r2).scaled(8.0)
 
 
+def _x1_4d(q0: float, state: ThermalState, spec: QuadSpec) -> QuadResult:
+    """x1 = -2 < (y-y')^2 (f1+b23)(f2-f3) / (iq0+eps)^3 > by direct 4D
+    quadrature at ``state``."""
+
+    def f(P: np.ndarray) -> np.ndarray:
+        E1, E2, E3 = _energies(P)
+        num = _numerator(state, E1, E2, E3)
+        return (-2.0 * (P[:, 1] - P[:, 3]) ** 2 * num
+                / (1j * q0 + E2 - E3 - E1) ** 3)
+
+    return quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
+
+
 def x1(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
     """Thermal-weight-free piece of the pure second derivative.
 
@@ -757,41 +768,18 @@ def x1(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
     cross-checked against central finite differences of sigma2.
     """
     _require_q0(q0)
-    if not beta > 0:
-        raise ValueError("finite-temperature term needs beta > 0")
-    state = ThermalState.finite(beta)
-
-    def f(P: np.ndarray) -> np.ndarray:
-        x, y, xp, yp = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-        E1 = (x - xp) * (y - yp)
-        E2 = x * y
-        E3 = xp * yp
-        num = _numerator(state, E1, E2, E3)
-        return -2.0 * (y - yp) ** 2 * num / (1j * q0 + E2 - E3 - E1) ** 3
-
-    return quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
+    return _x1_4d(q0, ThermalState.finite(beta), spec)
 
 
 def x1_zt_direct(q0: float, spec: QuadSpec) -> QuadResult:
     """Triple-denominator term by direct zero-temperature 4D quadrature.
 
-    x1 = -2 < (y-y')^2 (occupation numerator) / (iq0+eps)^3 >, the
-    thermal-weight-free piece of the pure second derivative (so that
-    x1 + x2 + x3 is the derivative itself); purely imaginary, kept as
-    the oracle for the reduced _im_x10 forms.
+    x1 at zero temperature, the thermal-weight-free piece of the pure
+    second derivative (so that x1 + x2 + x3 is the derivative itself);
+    purely imaginary, kept as the oracle for the reduced _im_x10 forms.
     """
     _require_q0(q0)
-    zt = ThermalState.zero()
-
-    def f(P: np.ndarray) -> np.ndarray:
-        x, y, xp, yp = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-        E1 = (x - xp) * (y - yp)
-        E2 = x * y
-        E3 = xp * yp
-        num = _numerator(zt, E1, E2, E3)
-        return -2.0 * (y - yp) ** 2 * num / (1j * q0 + E2 - E3 - E1) ** 3
-
-    return quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
+    return _x1_4d(q0, ThermalState.zero(), spec)
 
 
 def i20_limit(q0: float, spec: QuadSpec) -> QuadResult:

@@ -17,6 +17,10 @@ def bars(result):
     return 3.0 * result.error_estimate
 
 
+def value(kind, beta):
+    return bubbles.bubble_result(kind, beta).value
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -24,12 +28,9 @@ def bars(result):
 
 @pytest.mark.parametrize("beta", [0.0, -3.0])
 def test_nonpositive_beta_rejected(beta):
-    with pytest.raises(ValueError):
-        bubbles.bubble_ph(beta)
-    with pytest.raises(ValueError):
-        bubbles.bubble_pp(beta)
-    with pytest.raises(ValueError):
-        bubbles.bubble_result("ph", beta)
+    for kind in ("ph", "pp"):
+        with pytest.raises(ValueError):
+            bubbles.bubble_result(kind, beta)
 
 
 def test_unknown_kind_rejected():
@@ -72,7 +73,7 @@ def test_k_prime_positive():
 
 def test_ph_prediction_at_beta_50():
     K = bubbles.k_constant()
-    assert abs(bubbles.bubble_ph(50.0) - (-2.0 * math.log(50.0) + 2.0 * K)) \
+    assert abs(value("ph", 50.0) - (-2.0 * math.log(50.0) + 2.0 * K)) \
         < 1e-6
 
 
@@ -80,16 +81,16 @@ def test_pp_prediction_at_beta_50():
     K = bubbles.k_constant()
     L = math.log(50.0)
     pred = L ** 2 - 2.0 * K * L + bubbles.k_prime_constant()
-    assert abs(bubbles.bubble_pp(50.0) - pred) < 1e-6
+    assert abs(value("pp", 50.0) - pred) < 1e-6
 
 
 def test_ph_monotone_decreasing():
-    vals = [bubbles.bubble_ph(b) for b in (5.0, 10.0, 20.0, 40.0, 80.0)]
+    vals = [value("ph", b) for b in (5.0, 10.0, 20.0, 40.0, 80.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_pp_ratio_approaches_one():
-    gaps = [abs(bubbles.bubble_pp(b) / math.log(b) ** 2 - 1.0)
+    gaps = [abs(value("pp", b) / math.log(b) ** 2 - 1.0)
             for b in (1e2, 1e3, 1e4)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 0.05
@@ -113,9 +114,7 @@ def test_residual_decay_rate():
 def test_adjacent_differences_track_prediction_derivative(kind):
     K = bubbles.k_constant()
     for b1, b2 in ((20.0, 40.0), (40.0, 80.0)):
-        dv = (bubbles.bubble_pp(b2) - bubbles.bubble_pp(b1)) / (b2 - b1) \
-            if kind == "pp" else \
-            (bubbles.bubble_ph(b2) - bubbles.bubble_ph(b1)) / (b2 - b1)
+        dv = (value(kind, b2) - value(kind, b1)) / (b2 - b1)
         mid = 0.5 * (b1 + b2)
         dp = (2.0 * math.log(mid) - 2.0 * K) / mid if kind == "pp" \
             else -2.0 / mid
@@ -130,13 +129,13 @@ def test_adjacent_differences_track_prediction_derivative(kind):
 def test_ph_2d_oracle_matches_reduction():
     r = bubbles.bubble_ph_2d(10.0, ORACLE2D)
     assert r.converged
-    assert abs(r.value.real - bubbles.bubble_ph(10.0)) <= max(bars(r), 1e-10)
+    assert abs(r.value.real - value("ph", 10.0)) <= max(bars(r), 1e-10)
 
 
 def test_pp_2d_oracle_matches_reduction():
     r = bubbles.bubble_pp_2d(10.0, ORACLE2D)
     assert r.converged
-    assert abs(r.value.real - bubbles.bubble_pp(10.0)) <= max(bars(r), 1e-10)
+    assert abs(r.value.real - value("pp", 10.0)) <= max(bars(r), 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,21 @@ def test_zero_frequency_is_config_error(runner, tmp_path):
     assert "ZeroFrequency" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["grad-check", "--q0", "nan"],
+    ["dsigma-domega", "--linear", "--q0-min", "nan", "--q0-max", "0.01",
+     "--q0-points", "2"],
+    ["d2-xixi", "--q0-min", "inf", "--q0-points", "1"],
+    ["sigma2", "--beta", "inf"],
+    ["dsigma-domega", "--abs-tol", "nan", "--rel-tol", "nan"],
+], ids=["grad-check-q0-nan", "dsigma-q0-min-nan", "d2-xixi-q0-min-inf",
+        "sigma2-beta-inf", "dsigma-tols-nan"])
+def test_non_finite_input_is_config_error(runner, tmp_path, argv):
+    r = runner.invoke(main, argv + ["--out-prefix", str(tmp_path / "bad")])
+    assert r.exit_code == 2
+    assert any(line.startswith("error:") for line in r.stderr.splitlines())
+
+
 def test_budget_exhaustion_exits_3_but_writes_artifacts(runner, tmp_path):
     prefix = tmp_path / "noc"
     r = runner.invoke(main, [

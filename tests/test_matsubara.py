@@ -29,6 +29,8 @@ def test_state_validation():
         ThermalState(beta=0.0)
     with pytest.raises(ValueError):
         ThermalState(beta=-3.0)
+    with pytest.raises(ValueError):
+        ThermalState.finite(math.inf)
     assert ThermalState.zero().zero_temperature
     assert ThermalState.finite(4.0).beta == 4.0
 

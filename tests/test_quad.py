@@ -30,19 +30,17 @@ def test_spec_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         QuadSpec(max_evaluations=0)
     with pytest.raises(ValueError):
-        QuadSpec(refinement="aggressive")
+        QuadSpec(abs_tol=math.nan, rel_tol=math.nan)
+    with pytest.raises(ValueError):
+        QuadSpec(abs_tol=math.inf)
 
 
 def test_spec_guided_needs_q0_and_epsilon():
     with pytest.raises(ValueError):
-        QuadSpec(refinement="singularity_guided")
+        QuadSpec(epsilon_fn=lambda P: P[:, 0])
     with pytest.raises(ValueError):
-        QuadSpec(refinement="singularity_guided", q0=0.1)
-    with pytest.raises(ValueError):
-        QuadSpec(refinement="singularity_guided", q0=-0.1,
-                 epsilon_fn=lambda P: P[:, 0])
-    QuadSpec(refinement="singularity_guided", q0=0.1,
-             epsilon_fn=lambda P: P[:, 0])
+        QuadSpec(q0=-0.1, epsilon_fn=lambda P: P[:, 0])
+    QuadSpec(q0=0.1, epsilon_fn=lambda P: P[:, 0])
 
 
 def test_bad_boxes_rejected():
@@ -220,8 +218,7 @@ def test_adaptive_matches_mc_on_ridge_integrand():
         return (eps ** 2 - q0 ** 2) / (eps ** 2 + q0 ** 2) ** 2
 
     spec = QuadSpec(abs_tol=1e-7, rel_tol=1e-7, max_evaluations=4_000_000,
-                    refinement="singularity_guided", q0=q0,
-                    epsilon_fn=lambda P: P[:, 0] + P[:, 1])
+                    q0=q0, epsilon_fn=lambda P: P[:, 0] + P[:, 1])
     ra = integrate(f, UNIT * 2, spec)
     rmc = integrate_mc(f, UNIT * 2, samples=1_000_000, rng_seed=11)
     assert ra.converged
@@ -238,7 +235,7 @@ def test_guided_and_uniform_agree():
 
     uni = integrate(f, UNIT * 2, QuadSpec(abs_tol=1e-9, rel_tol=1e-9))
     gui = integrate(f, UNIT * 2, QuadSpec(
-        abs_tol=1e-9, rel_tol=1e-9, refinement="singularity_guided", q0=q0,
+        abs_tol=1e-9, rel_tol=1e-9, q0=q0,
         epsilon_fn=lambda P: P[:, 0] * P[:, 1] - 0.25))
     assert abs(uni.value - gui.value) <= 3.0 * (uni.error_estimate
                                                 + gui.error_estimate
@@ -265,8 +262,7 @@ GOLDEN_CASES = {
     "gk15_1d": (lambda P: np.sqrt(P[:, 0]) * np.cos(9.0 * P[:, 0]), UNIT,
                 QuadSpec(abs_tol=1e-12, rel_tol=0.0), 15),
     "guided_ridge_2d": (_ridge, UNIT * 2, QuadSpec(
-        abs_tol=1e-4, rel_tol=0.0, refinement="singularity_guided", q0=1e-2,
-        epsilon_fn=lambda P: P[:, 0] + P[:, 1] - 1.0), 17),
+        abs_tol=1e-4, rel_tol=0.0, q0=1e-2, epsilon_fn=lambda P: P[:, 0] + P[:, 1] - 1.0), 17),
     "complex_3d": (lambda P: np.exp(2j * P.sum(axis=1))
                    / (0.05 + P[:, 0] * P[:, 1] + P[:, 2] ** 2),
                    UNIT * 3, QuadSpec(abs_tol=1e-7, rel_tol=0.0), 33),
