@@ -19,7 +19,6 @@ Subpackages by role:
 __version__ = "0.1.0"
 
 from .errors import (
-    BosePole,
     DegenerateHessian,
     FactorizationFailed,
     FlatBranch,
@@ -41,7 +40,6 @@ __all__ = [
     "TraceStalled",
     "InsufficientResolution",
     "HypothesisViolated",
-    "BosePole",
     "ZeroFrequency",
     "NonFiniteSample",
     "SingularDesign",

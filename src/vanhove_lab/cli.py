@@ -26,6 +26,8 @@ numerical failure mid-run).  Nothing is read from the environment.
 from __future__ import annotations
 
 import csv as csv_module
+import functools
+import importlib.metadata
 import json
 import math
 import platform
@@ -93,14 +95,13 @@ def _jsonable(v):
     return str(v)
 
 
+# Installed versions, read once: each lookup scans the import path.
+_dist_version = functools.lru_cache(maxsize=None)(importlib.metadata.version)
+
+
 def _write_manifest(path: Path, command: str, config: dict, columns: dict,
                     results: dict, seeds: dict, wall_time: float,
                     deterministic: bool) -> None:
-    import importlib.metadata
-
-    import mpmath
-    import scipy
-
     manifest = {
         "schema": "vanhove-lab/1",
         "command": command,
@@ -109,9 +110,9 @@ def _write_manifest(path: Path, command: str, config: dict, columns: dict,
             "vanhove_lab": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "mpmath": mpmath.__version__,
-            "click": importlib.metadata.version("click"),
+            "scipy": _dist_version("scipy"),
+            "mpmath": _dist_version("mpmath"),
+            "click": _dist_version("click"),
         },
         "seeds": _jsonable(seeds),
         "columns": columns,
@@ -622,8 +623,8 @@ def cmd_d2_xieta(ctx, **params):
 @_common_options
 @_grid_options("q0", "frequency", 1e-5, 1e-2, 9)
 @click.option("--with-imaginary", is_flag=True, default=False,
-              help="Also integrate the imaginary-part pieces "
-                   "(adds columns, slower).")
+              help="Also assemble the imaginary-part pieces "
+                   "(adds columns).")
 @_quad_options(1e-8, 1e-8, 4_000_000)
 @_svg_option
 @click.pass_context
@@ -641,7 +642,7 @@ def cmd_d2_xixi(ctx, **params):
             "q0": "external frequency",
             "value": "assembled bounded-growth profile (real)",
             "b0_term": "closed-form boundary piece",
-            "i20_term": "real interior piece",
+            "i20_term": "real interior piece, -b0_term/2 in closed form",
             **_QUAD_COLUMNS,
         }
         if with_im:

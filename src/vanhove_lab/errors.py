@@ -36,10 +36,6 @@ class HypothesisViolated(VanHoveLabError):
     """A lemma precondition fails on the supplied data; no claim is made."""
 
 
-class BosePole(VanHoveLabError):
-    """Bose factor evaluated too close to its pole at zero energy."""
-
-
 class ZeroFrequency(VanHoveLabError):
     """External frequency q0 = 0 removes the regularization; refuse."""
 

@@ -1,10 +1,11 @@
-"""Thermal statistics: Fermi/Bose factors, the thermal delta, and the
+"""Thermal statistics: the Fermi factor, the thermal delta, and the
 frequency-summed two-loop kernel.
 
 All functions accept scalars or numpy arrays for the energy arguments and
 mirror the input shape.  Exponentials are routed through stable forms
-(``expit``, ``expm1``, and an explicit e^{-|x|} rewriting of sech^2) so
-that beta up to 1e4 is safe.
+(``expit`` and an explicit e^{-|x|} rewriting of sech^2) so that beta up
+to 1e4 is safe.  The Bose factor enters only through the kernel's
+occupation numerator, in a product identity that removes its pole.
 
 Zero temperature is a flag, not beta = inf: the step convention at E = 0
 is Theta_{1/2}(0) = 1/2, which keeps grid quadrature reproducible when a
@@ -19,14 +20,11 @@ from typing import Union
 import numpy as np
 from scipy.special import expit
 
-from .errors import BosePole, ZeroFrequency
+from .errors import ZeroFrequency
 
-__all__ = ["ThermalState", "fermi", "bose", "approx_delta", "sigma2_kernel"]
+__all__ = ["ThermalState", "fermi", "approx_delta", "sigma2_kernel"]
 
 Energy = Union[float, np.ndarray]
-
-# expm1(x) overflows past ~709; treat the tails as saturated.
-_EXP_CUT = 700.0
 
 
 @dataclass(frozen=True)
@@ -61,29 +59,6 @@ def fermi(state: ThermalState, E: Energy) -> Energy:
         out = np.where(x < 0, 1.0, np.where(x > 0, 0.0, 0.5))
     else:
         out = expit(-state.beta * x)
-    return _match(E, out)
-
-
-def bose(state: ThermalState, E: Energy) -> Energy:
-    """(e^{beta E} - 1)^{-1}; -Theta(-E) at zero temperature.
-
-    The pole at E = 0 is real: callers that need the E2 -> E3 limit must
-    use :func:`sigma2_kernel`, which removes it via the product identity.
-    """
-    x = np.asarray(E, dtype=float)
-    if state.zero_temperature:
-        out = np.where(x < 0, -1.0, np.where(x > 0, 0.0, -0.5))
-        return _match(E, out)
-    bx = state.beta * x
-    if np.any(np.abs(bx) < 1e-12):
-        raise BosePole("bose factor evaluated within 1e-12 of its pole")
-    out = np.empty_like(bx)
-    hi = bx > _EXP_CUT
-    lo = bx < -_EXP_CUT
-    mid = ~(hi | lo)
-    out[hi] = 0.0
-    out[lo] = -1.0
-    out[mid] = 1.0 / np.expm1(bx[mid])
     return _match(E, out)
 
 

@@ -33,10 +33,10 @@ adaptive quadrature runs:
   d2_sigma2_xi_xi    pure second derivative, zero temperature.  The
                      derivative is purely imaginary (a reflection
                      conjugates the kernel); the imaginary part
-                     assembles three limit terms, each reduced to a 2D
-                     or 3D quadrature, and the reported real part is the
-                     reduction's bounded log-growth profile (boundary
-                     piece b0 plus a 1D arctan integral).
+                     assembles three limit terms, one 2D quadrature and
+                     two closed forms, and the reported real part is the
+                     reduction's bounded log-growth profile b0 + Re I20
+                     = b0/2, also in closed form.
   zeta2/zeta3, x2/x3 finite-temperature remainder terms of the two second
                      derivatives.  The thermal weights concentrate on
                      E1 = (x-x')(y-y') = 0, so the shear v = x - x' plus
@@ -610,7 +610,7 @@ def x3(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
 
     x3 = < 2 delta_beta(E1) (y-y')^2 (f2-f3) / (iq0+eps)^2 >; purely
     imaginary at every beta by the same reflection as x2, converging to
-    the :func:`x3_limit` quadrature as beta grows.
+    the closed form :func:`x3_limit` as beta grows.
     """
     return _finite_beta_term(q0, beta, spec, "x3")
 
@@ -618,6 +618,12 @@ def x3(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
 # ---------------------------------------------------------------------------
 # Pure second derivative at zero temperature
 # ---------------------------------------------------------------------------
+
+
+def _exact(value: complex) -> QuadResult:
+    """A closed-form value as a result: error 0, no evaluations."""
+    return QuadResult(value=value, error_estimate=0.0, evaluations=0,
+                      converged=True)
 
 
 def b0_closed(q0: float) -> float:
@@ -652,7 +658,7 @@ def b0_direct(q0: float, spec: QuadSpec) -> QuadResult:
 
 
 def _re_i20(q0: float, spec: QuadSpec) -> QuadResult:
-    """Real part of the surviving integral term, reduced to 1D.
+    """Re I20 reduced to 1D, the oracle for :func:`i20_limit`'s -b0/2.
 
     Re I20 = -4 int_0^1 y dy int_{1-y}^{1+y} dv / (q0^2 + v^2)
            = -(4/q0) int_0^1 y [atan((1+y)/q0) - atan((1-y)/q0)] dy.
@@ -667,7 +673,7 @@ def _re_i20(q0: float, spec: QuadSpec) -> QuadResult:
 
 
 def _i20_3d(q0: float, spec: QuadSpec) -> QuadResult:
-    """Full complex I20 from its 3D limit form.
+    """Full complex I20 from its 3D limit form (oracle, :func:`i20_limit`).
 
     I20 = 2 int_{-1}^1 dy int_{-1}^y dy' int_{-1}^1 dx Theta(-xy)
               [ y'/(iq0 + x(y-y'))^2 - (y'-2y)/(iq0 - x(y-y'))^2 ],
@@ -689,7 +695,7 @@ def _i20_3d(q0: float, spec: QuadSpec) -> QuadResult:
 
 
 def _im_x30(q0: float, spec: QuadSpec) -> QuadResult:
-    """Imaginary part of the x3 limit (the term is purely imaginary).
+    """Im x3_limit by 3D quadrature (oracle, :func:`x3_limit`).
 
     Im x3_limit = 8 int dy int_{-1}^y dy' (y-y') int dx Theta(-xy)
                       Im (iq0 + x(y-y'))^{-2}.
@@ -782,18 +788,43 @@ def x1_zt_direct(q0: float, spec: QuadSpec) -> QuadResult:
     return _x1_4d(q0, ThermalState.zero(), spec)
 
 
-def i20_limit(q0: float, spec: QuadSpec) -> QuadResult:
-    """Complex I20 (the x2 limit's integral term), public for the
-    finite-temperature convergence checks."""
-    _require_q0(q0)
-    return _i20_3d(abs(q0), spec)
+def i20_limit(q0: float) -> QuadResult:
+    """Complex I20 (the x2 limit's integral term), exact:
+    I20 = -b0/2 - (i/2) Im x3_limit.
+
+    Im (iq0+u)^{-2} is odd in u and Re (iq0+u)^{-2} even, so the bracket
+    of :func:`_i20_3d` is -2(y-y') Im + 2y Re of (iq0 + x(y-y'))^{-2}.
+    Against x3_limit's 8 (y-y') Im, the prefactor 2 gives Im I20 =
+    -Im x3_limit / 2; the x-integration of :func:`x3_limit` turns the real
+    part into the 1D form of :func:`_re_i20`.  With s = 1 +- y there,
+    integrating by parts against s(s-2)/2, zero at both ends, gives
+    Re I20 = -(4/q0) int_0^2 (s-1) atan(s/q0) ds
+           = -2 int_0^2 s(2-s)/(s^2+q0^2) ds,
+    and by parts against s, with log(1+4/q0^2) = int_0^2 2s/(s^2+q0^2) ds,
+    b0/2 = int_0^2 log(1+s^2/q0^2) ds = 2 int_0^2 s(2-s)/(s^2+q0^2) ds.
+    """
+    return _exact(complex(-0.5 * b0_closed(q0),
+                          -0.5 * x3_limit(q0).value.imag))
 
 
-def x3_limit(q0: float, spec: QuadSpec) -> QuadResult:
-    """Large-beta limit of x3: purely imaginary, returned as complex."""
+def x3_limit(q0: float) -> QuadResult:
+    """Large-beta limit of x3, exact and purely imaginary (as complex).
+
+    Theta(-xy) keeps x in [-1, 0] for y > 0 and [0, 1] for y < 0.  There
+    the x-integral of Im (iq0 + x d)^{-2}, d = y-y' >= 0, is
+    Im (1/d)[(iq0-d)^{-1} - (iq0)^{-1}] = d/(q0 (d^2+q0^2)) for y > 0
+    and its negative for y < 0.  With G(s) = int_0^s d^2/(d^2+q0^2) dd
+    = s - q0 atan(s/q0), the 3D form of :func:`_im_x30` is then
+    (8/q0) [int_1^2 G ds - int_0^1 G ds]:
+
+        Im x3_limit = 8/q0 - 16 [atan(2/q0) - atan(1/q0)]
+                      + 4 q0 log(q0^2 (4+q0^2) / (1+q0^2)^2).
+    """
     _require_q0(q0)
-    r = _im_x30(abs(q0), spec)
-    return replace(r, value=1j * np.real(r.value))
+    a = abs(q0)
+    atans = math.atan(2.0 / a) - math.atan(1.0 / a)
+    return _exact(1j * (8.0 / a - 16.0 * atans + 4.0 * a * math.log(
+        a * a * (4.0 + a * a) / (1.0 + a * a) ** 2)))
 
 
 def d2_sigma2_xi_xi(q0: float, spec: QuadSpec,
@@ -805,30 +836,28 @@ def d2_sigma2_xi_xi(q0: float, spec: QuadSpec,
     resolvent, and leaves the (y-y')^2 prefactor alone, so the exact
     real part vanishes at every temperature (sigma2 finite differences
     confirm this to quadrature accuracy).  The imaginary part, off by
-    default, assembles the three limit terms (triple-denominator piece,
-    Im I20, and the x3 limit), each from its reduced 2D or 3D form.
+    default, assembles the three limit terms: the triple-denominator
+    piece (2D quadrature), Im I20 and the x3 limit (closed forms).
 
     The returned real part is the reduction's bounded-growth profile
-    b0 (closed form) + Re I20 (1D arctan integral): the boundary and
-    bulk real pieces generated by integrating the thermal delta by
-    parts, before their exact cancellation.  It grows like 4 log(1/q0),
-    which is the advertised bound on the derivative's size; fitting it
-    over a q0 window must show a negligible (log)^2 coefficient.  The
-    eta-eta derivative is identical by the x <-> y symmetry.
+    b0 + Re I20: the boundary and bulk real pieces generated by
+    integrating the thermal delta by parts, before their exact
+    cancellation, both closed forms.  Re I20 = -b0/2 to the bit, so the
+    profile is b0/2 exactly.  It grows like 4 log(1/q0), which is the
+    advertised bound on the derivative's size; fitting it over a q0
+    window must show a negligible (log)^2 coefficient.  The eta-eta
+    derivative is identical by the x <-> y symmetry.
 
-    The result is the sum of its ``pieces``: "b0" (exact: no error, no
-    evaluations) and "re_i20", then with the imaginary part "im_x1",
-    "im_i20" and "im_x3", each i times its imaginary value.
+    The result is the sum of its ``pieces``, all exact (no error, no
+    evaluations) but "im_x1": "b0" and "re_i20", then with the imaginary
+    part "im_x1", "im_i20" and "im_x3", each i times its imaginary value.
     """
     _require_q0(q0)
-    a = abs(q0)
-    pieces: Dict[str, QuadResult] = {
-        "b0": QuadResult(value=b0_closed(a), error_estimate=0.0,
-                         evaluations=0, converged=True),
-        "re_i20": _re_i20(a, spec)}
+    i20 = i20_limit(q0).value
+    pieces: Dict[str, QuadResult] = {"b0": _exact(b0_closed(q0)),
+                                     "re_i20": _exact(i20.real)}
     if include_imaginary:
-        r_i20 = _i20_3d(a, spec)
-        pieces["im_x1"] = _im_x10(a, spec).scaled(1j)
-        pieces["im_i20"] = replace(r_i20, value=1j * r_i20.value.imag)
-        pieces["im_x3"] = _im_x30(a, spec).scaled(1j)
+        pieces["im_x1"] = _im_x10(abs(q0), spec).scaled(1j)
+        pieces["im_i20"] = _exact(1j * i20.imag)
+        pieces["im_x3"] = x3_limit(q0)
     return replace(combine(*pieces.values()), pieces=pieces)

@@ -198,6 +198,24 @@ def test_d2_xixi_with_imaginary_columns(runner, tmp_path):
     assert abs(float(row[10]) + 2.0 * float(row[9])) < 1e-5
 
 
+def test_d2_xixi_with_imaginary_converges_at_defaults(runner, tmp_path):
+    # the default grid reaches q0 = 1e-5; only im_x1 is a quadrature
+    prefix = tmp_path / "xxdef"
+    r = runner.invoke(main, ["d2-xixi", "--with-imaginary", "--out-prefix",
+                             str(prefix), "--deterministic"])
+    assert r.exit_code == 0, r.output
+    header, rows = read_csv(prefix.with_suffix(".csv"))
+    assert len(rows) == 9
+    assert all(row[header.index("converged")] == "true" for row in rows)
+    results = read_json(prefix.with_suffix(".json"))["results"]
+    assert results["non_converged_rows"] == 0
+    assert results["non_converged_pieces"] == []
+    for row in results["pieces"]:
+        for name in ("b0", "re_i20", "im_i20", "im_x3"):
+            assert (row[name]["evaluations"], row[name]["error_estimate"]) \
+                == (0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # geometry commands
 # ---------------------------------------------------------------------------
@@ -350,18 +368,18 @@ def test_manifest_names_non_converged_pieces(runner, tmp_path):
     prefix = tmp_path / "starved"
     r = runner.invoke(main, [
         "d2-xixi", "--with-imaginary", "--q0-min", "1e-2", "--q0-max",
-        "1e-2", "--q0-points", "1", "--max-evals", "200000",
+        "1e-2", "--q0-points", "1", "--max-evals", "2000",
         "--out-prefix", str(prefix), "--deterministic"])
     assert r.exit_code == 3
-    assert "im_i20, im_x3" in r.stderr
+    assert "failing pieces: im_x1" in r.stderr
     results = read_json(prefix.with_suffix(".json"))["results"]
-    assert results["non_converged_pieces"] == ["im_i20", "im_x3"]
+    assert results["non_converged_pieces"] == ["im_x1"]
     (row,) = results["pieces"]
     assert sorted(row) == ["b0", "im_i20", "im_x1", "im_x3", "re_i20"]
     for name, acct in row.items():
         assert sorted(acct) == ["converged", "error_estimate", "evaluations",
                                 "frozen", "leaves", "rounds"]
-        assert acct["converged"] is (name not in ("im_i20", "im_x3"))
+        assert acct["converged"] is (name != "im_x1")
     _, rows = read_csv(prefix.with_suffix(".csv"))
     assert int(rows[0][5]) == sum(a["evaluations"] for a in row.values())
 

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vanhove_lab.errors import BosePole, ZeroFrequency
+from vanhove_lab.errors import ZeroFrequency
 from vanhove_lab.matsubara import (
     ThermalState,
     approx_delta,
-    bose,
     fermi,
     sigma2_kernel,
 )
@@ -20,7 +19,6 @@ from vanhove_lab.quad import QuadSpec, integrate
 
 # mpmath dps=40 references
 FERMI_10_02 = 0.1192029220221175559402709  # 1/(1+e^2)
-BOSE_2_1 = 0.1565176427496656518180806  # 1/(e^2-1)
 DELTA_10_05 = 0.06648056670790154913998535  # 10/(4 cosh^2(2.5))
 
 
@@ -61,29 +59,6 @@ def test_fermi_vectorized():
 def test_fermi_complement(beta, E):
     s = ThermalState.finite(beta)
     assert fermi(s, E) + fermi(s, -E) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_bose_values():
-    zt = ThermalState.zero()
-    assert bose(zt, 0.4) == 0.0
-    assert bose(zt, -0.4) == -1.0
-    assert bose(ThermalState.finite(2.0), 1.0) == pytest.approx(BOSE_2_1, rel=1e-14)
-    # saturation far past the exponent range
-    assert bose(ThermalState.finite(1000.0), 5.0) == 0.0
-    assert bose(ThermalState.finite(1000.0), -5.0) == -1.0
-
-
-def test_bose_pole_raises():
-    with pytest.raises(BosePole):
-        bose(ThermalState.finite(1.0), 5e-13)
-
-
-@given(beta=st.floats(1e-2, 100.0), E=st.floats(1e-6, 50.0))
-def test_bose_reflection(beta, E):
-    s = ThermalState.finite(beta)
-    b = bose(s, E)
-    # roundoff in each term scales with |b| near the pole
-    assert b + bose(s, -E) == pytest.approx(-1.0, abs=1e-12 * (1.0 + abs(b)))
 
 
 def test_approx_delta_values():

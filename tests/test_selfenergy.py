@@ -382,8 +382,8 @@ def test_zeta_terms_essentially_real(finite_beta_terms):
 
 
 def test_x2_x3_converge_to_reduced_limits(finite_beta_terms):
-    lim_x2 = 1j * se.i20_limit(0.3, TIGHT).value.imag
-    lim_x3 = se.x3_limit(0.3, TIGHT).value
+    lim_x2 = 1j * se.i20_limit(0.3).value.imag
+    lim_x3 = se.x3_limit(0.3).value
     t = finite_beta_terms
     assert abs(t[32.0]["x2"] - lim_x2) < abs(t[8.0]["x2"] - lim_x2)
     assert abs(t[32.0]["x3"] - lim_x3) < abs(t[8.0]["x3"] - lim_x3)
@@ -409,9 +409,25 @@ def test_b0_closed_matches_parent_quadrature(q0):
 def test_re_i20_equals_minus_half_b0():
     # exact structural identity of the two real pieces: the 1D arctan
     # integral evaluates to minus half the boundary term
-    for q0 in (0.3, 0.37, 0.7, 1.5):
+    for q0 in (0.3, 0.37, 0.7, 1.5, 0.1, 1e-3, 1e-5):
         r = se._re_i20(q0, TIGHT)
         assert abs(r.value + 0.5 * se.b0_closed(q0)) < 1e-8
+
+
+@pytest.mark.parametrize("q0", [0.5, 0.2, 0.05])
+def test_i20_and_x3_closed_forms_match_3d_oracles(q0):
+    spec = QuadSpec(abs_tol=1e-6, rel_tol=0.0, max_evaluations=4_000_000)
+    i20, x3 = se.i20_limit(q0), se.x3_limit(q0)
+    for r in (i20, x3):
+        assert (r.error_estimate, r.evaluations, r.converged) == (0.0, 0, True)
+    assert x3.value.real == 0.0
+    assert i20.value.real == -0.5 * se.b0_closed(q0)
+    assert i20.value.imag == -0.5 * x3.value.imag
+    assert se.i20_limit(-q0).value == i20.value
+    for oracle, exact in ((se._i20_3d(q0, spec), i20.value),
+                          (se._im_x30(q0, spec), x3.value.imag)):
+        assert oracle.converged
+        assert abs(oracle.value - exact) <= oracle.error_estimate
 
 
 def test_im_x1_reduced_matches_direct_4d():
