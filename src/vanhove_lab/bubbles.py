@@ -155,8 +155,8 @@ def bubble_result(kind: str, beta: float) -> BubbleResult:
     """Evaluate one bubble and its prediction -2 ln b + 2K (ph) or
     (ln b)^2 - 2K ln b + K' (pp), with the residual taken at working
     precision."""
-    if not beta > 0:
-        raise ValueError("bubble needs beta > 0")
+    if not 0.0 < beta < float("inf"):
+        raise ValueError("bubble needs finite beta > 0")
     if kind not in ("ph", "pp"):
         raise ValueError(f"unknown bubble kind {kind!r}")
 

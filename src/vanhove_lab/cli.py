@@ -12,7 +12,8 @@ Every command writes two or three files next to a common prefix:
 
 Configuration comes from an optional JSON file (``--config``) whose
 keys are the command's option names with underscores; explicit
-command-line flags win over the file, which wins over defaults.  The
+command-line flags win over the file, which wins over defaults, and a
+file value is converted and checked as the same flag would be.  The
 manifest re-embeds the merged result, so a run is reproducible from
 its own artifacts.  With ``--deterministic`` the wall-time field and
 the SVG timestamp are suppressed and identical config plus seeds give
@@ -34,7 +35,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 from xml.sax.saxutils import escape
 
 import click
@@ -240,37 +241,8 @@ def _render_svg(path: Path, spec: PlotSpec, deterministic: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config plumbing and the command runner
 # ---------------------------------------------------------------------------
-
-
-def _merge_config(ctx: click.Context, params: dict) -> dict:
-    """File value beats default, explicit flag beats file; flags win."""
-    config_path = params.pop("config", None)
-    file_cfg = {}
-    if config_path is not None:
-        try:
-            file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
-            raise ValueError(f"cannot read config file {config_path}: {e}")
-        if not isinstance(file_cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(params))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    merged = {}
-    from click.core import ParameterSource
-
-    for name, value in params.items():
-        source = ctx.get_parameter_source(name)
-        if name in file_cfg and source in (ParameterSource.DEFAULT,
-                                           ParameterSource.DEFAULT_MAP):
-            v = file_cfg[name]
-            merged[name] = tuple(v) if isinstance(value, tuple) \
-                and isinstance(v, list) else v
-        else:
-            merged[name] = value
-    return merged
 
 
 def _grid(lo: float, hi: float, points: int, geometric: bool) -> np.ndarray:
@@ -288,47 +260,79 @@ def _grid(lo: float, hi: float, points: int, geometric: bool) -> np.ndarray:
 
 def _quad_spec(cfg: dict) -> QuadSpec:
     return QuadSpec(abs_tol=cfg["abs_tol"], rel_tol=cfg["rel_tol"],
-                    max_evaluations=int(cfg["max_evals"]))
+                    max_evaluations=cfg["max_evals"])
 
 
-def _finish(cfg: dict, command: str, columns: dict, rows: list,
-            results: dict, seeds: dict, t0: float,
-            plot: Optional[PlotSpec] = None) -> int:
+class Output(NamedTuple):
+    """What a command computes: its CSV columns (name -> doc) and rows,
+    the manifest results and seeds, and the plot for ``--svg``."""
+    columns: dict
+    rows: list
+    results: dict
+    seeds: dict = {}
+    plot: Optional[PlotSpec] = None
+
+
+def _run(ctx: click.Context, cfg: dict,
+         compute: Callable[[dict], Output]) -> None:
+    """Run ``compute(cfg)``, write its artifacts and exit with its code.
+
+    A configuration or validation error exits 2 and a numerical failure
+    3, both before any artifact is written; a run with non-converged
+    rows writes its artifacts and exits 3.
+    """
+    t0 = time.perf_counter()
+    try:
+        out = compute(cfg)
+    except (ValueError, ZeroFrequency, SingularDesign,
+            InsufficientResolution) as e:
+        click.echo(f"error: {type(e).__name__}: {e}", err=True)
+        ctx.exit(2)
+    except VanHoveLabError as e:
+        click.echo(f"error: {type(e).__name__}: {e}", err=True)
+        ctx.exit(3)
+    results = {"non_converged_rows": 0, **out.results}
     prefix = Path(cfg["out_prefix"])
     if prefix.parent != Path(""):
         prefix.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(prefix.with_suffix(".csv"), list(columns), rows)
-    _write_manifest(prefix.with_suffix(".json"), command, cfg, columns,
-                    results, seeds, time.perf_counter() - t0,
-                    cfg.get("deterministic", False))
-    if plot is not None and cfg.get("svg", False):
-        _render_svg(prefix.with_suffix(".svg"), plot,
-                    cfg.get("deterministic", False))
-    bad = results.get("non_converged_rows", 0)
+    _write_csv(prefix.with_suffix(".csv"), list(out.columns), out.rows)
+    _write_manifest(prefix.with_suffix(".json"), ctx.command.name, cfg,
+                    out.columns, results, out.seeds,
+                    time.perf_counter() - t0, cfg["deterministic"])
+    if out.plot is not None and cfg.get("svg", False):
+        _render_svg(prefix.with_suffix(".svg"), out.plot, cfg["deterministic"])
+    bad = results["non_converged_rows"]
     if bad:
         pieces = ", ".join(results.get("non_converged_pieces", []))
         click.echo(f"non-convergence: {bad} row(s) with converged=false"
                    + (f"; failing pieces: {pieces}" if pieces else ""),
                    err=True)
-        return 3
-    return 0
+    ctx.exit(3 if bad else 0)
 
 
-def _run_guarded(ctx: click.Context, body: Callable[[], int]) -> None:
+def _load_config(ctx: click.Context, param: click.Parameter,
+                 path: Optional[str]) -> None:
+    """Make a JSON config file the defaults of the command's options, so
+    that click applies flag > file > default and checks each file value
+    as it would the same flag."""
+    if path is None:
+        return
     try:
-        code = body()
-    except (ValueError, ZeroFrequency, SingularDesign,
-            InsufficientResolution) as e:
-        click.echo(f"error: {type(e).__name__}: {e}", err=True)
-        code = 2
-    except VanHoveLabError as e:
-        click.echo(f"error: {type(e).__name__}: {e}", err=True)
-        code = 3
-    ctx.exit(code)
+        values = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as e:
+        raise click.BadParameter(f"cannot read config file {path}: {e}")
+    if not isinstance(values, dict):
+        raise click.BadParameter("config file must hold a JSON object")
+    unknown = sorted(set(values) - {p.name for p in ctx.command.params
+                                    if p.expose_value})
+    if unknown:
+        raise click.BadParameter(f"unknown config keys: {', '.join(unknown)}")
+    ctx.default_map = values
 
 
 def _common_options(f):
-    f = click.option("--config", type=click.Path(), default=None,
+    f = click.option("--config", type=click.Path(), is_eager=True,
+                     expose_value=False, callback=_load_config,
                      help="JSON file of option values; flags override it.")(f)
     f = click.option("--out-prefix", default="run",
                      help="Artifact prefix; writes PREFIX.csv/.json/.svg.")(f)
@@ -410,11 +414,10 @@ def _quad_summary(points: list) -> dict:
     return results
 
 
-def _sweep(ctx: click.Context, params: dict, command: str, var: str,
-           setup: Callable, title: str, ylabel: str,
+def _sweep(cfg: dict, var: str, setup: Callable, title: str, ylabel: str,
            series: Sequence[tuple] = (("sweep", 1, False),),
-           fit: bool = False, summary: Callable = _quad_summary) -> None:
-    """Run a sweep command over the grid of ``var`` and write its artifacts.
+           fit: bool = False, summary: Callable = _quad_summary) -> Output:
+    """A sweep over the grid of ``var``.
 
     ``setup(cfg)`` returns ``(point, row, columns)``: the function of one
     grid value, the CSV row of a grid value and its result, and the column
@@ -424,28 +427,23 @@ def _sweep(ctx: click.Context, params: dict, command: str, var: str,
     that are positive and pairwise distinct, column 1 gets an
     a (ln x)^2 + b ln x + c fit, in the manifest and the plot.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        grid = _grid(cfg[f"{var}_min"], cfg[f"{var}_max"],
-                     cfg[f"{var}_points"], cfg["geometric"])
-        point, row, columns = setup(cfg)
-        points = [point(x) for x in grid]
-        rows = [row(x, p) for x, p in zip(grid, points)]
-        results = summary(points)
-        plot = PlotSpec(title=title, xlabel=var, ylabel=ylabel, series=[
-            Series(label, grid, np.array([r[i] for r in rows]), dashed)
-            for label, i, dashed in series])
-        if (fit and len(rows) >= 5 and grid.min() > 0
-                and len(np.unique(grid)) == len(grid)):
-            report = fitlab.fit_log_square([(r[0], r[1]) for r in rows])
-            results["fit"] = report.to_dict()
-            dense = np.geomspace(grid[0], grid[-1], 200)
-            plot.series.append(Series("fit", dense, report.predict(dense),
-                                      dashed=True))
-        return _finish(cfg, command, columns, rows, results, {}, t0, plot)
-
-    _run_guarded(ctx, body)
+    grid = _grid(cfg[f"{var}_min"], cfg[f"{var}_max"],
+                 cfg[f"{var}_points"], cfg["geometric"])
+    point, row, columns = setup(cfg)
+    points = [point(x) for x in grid]
+    rows = [row(x, p) for x, p in zip(grid, points)]
+    results = summary(points)
+    plot = PlotSpec(title=title, xlabel=var, ylabel=ylabel, series=[
+        Series(label, grid, np.array([r[i] for r in rows]), dashed)
+        for label, i, dashed in series])
+    if (fit and len(rows) >= 5 and grid.min() > 0
+            and len(np.unique(grid)) == len(grid)):
+        report = fitlab.fit_log_square([(r[0], r[1]) for r in rows])
+        results["fit"] = report.to_dict()
+        dense = np.geomspace(grid[0], grid[-1], 200)
+        plot.series.append(Series("fit", dense, report.predict(dense),
+                                  dashed=True))
+    return Output(columns, rows, results, plot=plot)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +476,7 @@ def main() -> None:
 @_quad_options(2e-3, 2e-3, 2_000_000)
 @_svg_option
 @click.pass_context
-def cmd_sigma2(ctx, **params):
+def cmd_sigma2(ctx, **cfg):
     """Second-order self-energy by direct 4D quadrature, swept over q0.
 
     Columns: q0, re_value, im_value, error_estimate, evaluations,
@@ -487,10 +485,7 @@ def cmd_sigma2(ctx, **params):
     def setup(cfg: dict):
         state = ThermalState.finite(cfg["beta"])
         spec = _quad_spec(cfg)
-        q = np.asarray(cfg["q"], dtype=float)
-        if q.shape != (2,):
-            raise ValueError("q must be a 2-vector")
-        return (lambda q0: selfenergy.sigma2(q0, q, state, spec),
+        return (lambda q0: selfenergy.sigma2(q0, cfg["q"], state, spec),
                 lambda q0, p: (q0, p.value.real, p.value.imag)
                 + _quad_cells(p),
                 {"q0": "external frequency",
@@ -498,9 +493,9 @@ def cmd_sigma2(ctx, **params):
                  "im_value": "imaginary part of the self-energy",
                  **_QUAD_COLUMNS})
 
-    _sweep(ctx, params, "sigma2", "q0", setup,
-           "second-order self-energy at fixed momentum", "value",
-           series=(("re", 1, False), ("im", 2, False)))
+    _run(ctx, cfg, lambda cfg: _sweep(
+        cfg, "q0", setup, "second-order self-energy at fixed momentum",
+        "value", series=(("re", 1, False), ("im", 2, False))))
 
 
 @main.command("dsigma-domega")
@@ -512,7 +507,7 @@ def cmd_sigma2(ctx, **params):
 @_quad_options(1e-8, 1e-8, 4_000_000)
 @_svg_option
 @click.pass_context
-def cmd_dsigma_domega(ctx, **params):
+def cmd_dsigma_domega(ctx, **cfg):
     """Imaginary part of the frequency derivative of the self-energy at
     the saddle, swept over q0, with an a (ln q0)^2 + b ln q0 + c fit.
 
@@ -527,8 +522,45 @@ def cmd_dsigma_domega(ctx, **params):
                  "value": "imaginary part of the frequency derivative",
                  **_QUAD_COLUMNS})
 
-    _sweep(ctx, params, "dsigma-domega", "q0", setup,
-           "frequency derivative at the saddle", "Im d/dq0", fit=True)
+    _run(ctx, cfg, lambda cfg: _sweep(
+        cfg, "q0", setup, "frequency derivative at the saddle", "Im d/dq0",
+        fit=True))
+
+
+def _grad_check(cfg: dict) -> Output:
+    if not cfg["betas"]:
+        raise ValueError("need at least one --beta")
+    spec = _quad_spec(cfg)
+    out = [(beta, selfenergy.grad_sigma2_at_vh(
+                cfg["q0"], ThermalState.finite(beta), spec))
+           for beta in cfg["betas"]]
+    both = [combine(gx, gy) for _, (gx, gy) in out]
+    rows = [(beta, cfg["q0"], gx.value.real, gx.value.imag,
+             gy.value.real, gy.value.imag, gx.error_estimate,
+             gy.error_estimate, g.evaluations, g.converged)
+            for (beta, (gx, gy)), g in zip(out, both)]
+    columns = {
+        "beta": "inverse temperature",
+        "q0": "external frequency",
+        "re_g1": "real part, first momentum component",
+        "im_g1": "imaginary part, first momentum component",
+        "re_g2": "real part, second momentum component",
+        "im_g2": "imaginary part, second momentum component",
+        "error_1": "error estimate, first component",
+        "error_2": "error estimate, second component",
+        "evaluations": "integrand evaluations used",
+        "converged": "quadrature met its tolerance",
+    }
+    comps = [g for _, pair in out for g in pair]
+    max_abs = max(abs(g.value) for g in comps)
+    max_err = max(g.error_estimate for g in comps)
+    results = {
+        "max_abs_component": max_abs,
+        "max_error_estimate": max_err,
+        "zero_within_10_sigma": bool(max_abs <= 10.0 * max(max_err, 1e-300)),
+        "non_converged_rows": sum(not g.converged for g in both),
+    }
+    return Output(columns, rows, results)
 
 
 @main.command("grad-check")
@@ -540,51 +572,14 @@ def cmd_dsigma_domega(ctx, **params):
               help="Inverse temperatures (repeatable).")
 @_quad_options(5e-5, 5e-5, 4_000_000)
 @click.pass_context
-def cmd_grad_check(ctx, **params):
+def cmd_grad_check(ctx, **cfg):
     """Momentum gradient of the self-energy at the saddle; it must
     vanish by reflection symmetry at every temperature.
 
     Columns: beta, q0, re_g1, im_g1, re_g2, im_g2, error_1, error_2,
     evaluations, converged.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        if not cfg["betas"]:
-            raise ValueError("need at least one --beta")
-        spec = _quad_spec(cfg)
-        out = [(beta, selfenergy.grad_sigma2_at_vh(
-                    cfg["q0"], ThermalState.finite(beta), spec))
-               for beta in cfg["betas"]]
-        both = [combine(gx, gy) for _, (gx, gy) in out]
-        rows = [(beta, cfg["q0"], gx.value.real, gx.value.imag,
-                 gy.value.real, gy.value.imag, gx.error_estimate,
-                 gy.error_estimate, g.evaluations, g.converged)
-                for (beta, (gx, gy)), g in zip(out, both)]
-        columns = {
-            "beta": "inverse temperature",
-            "q0": "external frequency",
-            "re_g1": "real part, first momentum component",
-            "im_g1": "imaginary part, first momentum component",
-            "re_g2": "real part, second momentum component",
-            "im_g2": "imaginary part, second momentum component",
-            "error_1": "error estimate, first component",
-            "error_2": "error estimate, second component",
-            "evaluations": "integrand evaluations used",
-            "converged": "quadrature met its tolerance",
-        }
-        comps = [g for _, pair in out for g in pair]
-        max_abs = max(abs(g.value) for g in comps)
-        max_err = max(g.error_estimate for g in comps)
-        results = {
-            "max_abs_component": max_abs,
-            "max_error_estimate": max_err,
-            "zero_within_10_sigma": bool(max_abs <= 10.0 * max(max_err, 1e-300)),
-            "non_converged_rows": sum(not g.converged for g in both),
-        }
-        return _finish(cfg, "grad-check", columns, rows, results, {}, t0)
-
-    _run_guarded(ctx, body)
+    _run(ctx, cfg, _grad_check)
 
 
 @main.command("d2-xieta")
@@ -596,7 +591,7 @@ def cmd_grad_check(ctx, **params):
 @_quad_options(1e-8, 1e-8, 4_000_000)
 @_svg_option
 @click.pass_context
-def cmd_d2_xieta(ctx, **params):
+def cmd_d2_xieta(ctx, **cfg):
     """Mixed second momentum derivative at the saddle, zero
     temperature, swept over q0, with log-polynomial fit.
 
@@ -615,8 +610,9 @@ def cmd_d2_xieta(ctx, **params):
                  "zeta12": "boundary piece",
                  **_QUAD_COLUMNS})
 
-    _sweep(ctx, params, "d2-xieta", "q0", setup,
-           "mixed second derivative at the saddle", "value", fit=True)
+    _run(ctx, cfg, lambda cfg: _sweep(
+        cfg, "q0", setup, "mixed second derivative at the saddle", "value",
+        fit=True))
 
 
 @main.command("d2-xixi")
@@ -628,7 +624,7 @@ def cmd_d2_xieta(ctx, **params):
 @_quad_options(1e-8, 1e-8, 4_000_000)
 @_svg_option
 @click.pass_context
-def cmd_d2_xixi(ctx, **params):
+def cmd_d2_xixi(ctx, **cfg):
     """Pure second momentum derivative profile at the saddle, zero
     temperature, swept over q0, with log-polynomial fit.
 
@@ -665,11 +661,12 @@ def cmd_d2_xixi(ctx, **params):
         return (lambda q0: selfenergy.d2_sigma2_xi_xi(
                     q0, spec, include_imaginary=with_im), row, columns)
 
-    _sweep(ctx, params, "d2-xixi", "q0", setup,
-           "pure second derivative profile at the saddle", "value", fit=True)
+    _run(ctx, cfg, lambda cfg: _sweep(
+        cfg, "q0", setup, "pure second derivative profile at the saddle",
+        "value", fit=True))
 
 
-def _bubble_sweep(ctx, params, kind: str) -> None:
+def _bubble_sweep(ctx: click.Context, cfg: dict, kind: str) -> None:
     def setup(cfg: dict):
         return (lambda beta: bubbles.bubble_result(kind, beta),
                 lambda beta, r: (r.kind, beta, r.value,
@@ -683,13 +680,12 @@ def _bubble_sweep(ctx, params, kind: str) -> None:
     def summary(points: list) -> dict:
         return {"K": bubbles.k_constant(),
                 "K_prime": bubbles.k_prime_constant(),
-                "max_abs_residual": max(abs(r.residual) for r in points),
-                "non_converged_rows": 0}
+                "max_abs_residual": max(abs(r.residual) for r in points)}
 
-    _sweep(ctx, params, f"bubble-{kind}", "beta", setup,
-           f"{kind} bubble against asymptotic prediction", "value",
-           series=(("value", 2, False), ("prediction", 3, True)),
-           summary=summary)
+    _run(ctx, cfg, lambda cfg: _sweep(
+        cfg, "beta", setup, f"{kind} bubble against asymptotic prediction",
+        "value", series=(("value", 2, False), ("prediction", 3, True)),
+        summary=summary))
 
 
 @main.command("bubble-ph")
@@ -697,13 +693,13 @@ def _bubble_sweep(ctx, params, kind: str) -> None:
 @_grid_options("beta", "inverse temperature", 10.0, 80.0, 4)
 @_svg_option
 @click.pass_context
-def cmd_bubble_ph(ctx, **params):
+def cmd_bubble_ph(ctx, **cfg):
     """Density-channel bubble over a beta grid, next to its
     -2 ln(beta) + 2K prediction.
 
     Columns: kind, beta, value, prediction, residual.
     """
-    _bubble_sweep(ctx, params, "ph")
+    _bubble_sweep(ctx, cfg, "ph")
 
 
 @main.command("bubble-pp")
@@ -711,19 +707,49 @@ def cmd_bubble_ph(ctx, **params):
 @_grid_options("beta", "inverse temperature", 10.0, 80.0, 4)
 @_svg_option
 @click.pass_context
-def cmd_bubble_pp(ctx, **params):
+def cmd_bubble_pp(ctx, **cfg):
     """Pairing-channel bubble over a beta grid, next to its
     (ln beta)^2 - 2K ln(beta) + K' prediction.
 
     Columns: kind, beta, value, prediction, residual.
     """
-    _bubble_sweep(ctx, params, "pp")
+    _bubble_sweep(ctx, cfg, "pp")
 
 
 def _model_from(cfg: dict) -> dispersion.DispersionModel:
     if cfg["model"] == "hubbard":
         return dispersion.DispersionModel.hubbard(cfg["theta"], cfg["mu"])
     return dispersion.DispersionModel.xy()
+
+
+def _overlap(cfg: dict) -> Output:
+    if cfg["j_min"] >= 0:
+        raise ValueError("--j-min must be negative")
+    model = _model_from(cfg)
+    j_range = list(range(-1, cfg["j_min"] - 1, -1))
+    report = geometry.overlap_scaling_experiment(
+        model, M=cfg["m_scale"], j_range=j_range, num_p=cfg["num_p"],
+        delta=cfg["delta"], rng_seed=cfg["seed"])
+    sign = +1 if cfg["sign"] == "+1" else -1
+    rows = list(report.rows(sign=sign))
+    columns = {
+        "p_x": "translation momentum, first component",
+        "p_y": "translation momentum, second component",
+        "j": "threshold exponent; threshold is M^j",
+        "length": "measured overlap arc length",
+        "bound": "scaling bound (M^j/delta)^(1/n0)",
+        "violated": "length exceeds the bound",
+    }
+    viol = report.violation_fraction if sign == +1 \
+        else report.violation_fraction_minus
+    results = {
+        "total_curve_length": report.total_curve_length,
+        "n0": report.n0,
+        "fitted_exponent": report.fitted_exponent,
+        "fitted_exponent_minus": report.fitted_exponent_minus,
+        "violation_fraction_per_j": viol,
+    }
+    return Output(columns, rows, results, {"rng_seed": cfg["seed"]})
 
 
 @main.command("overlap")
@@ -747,47 +773,44 @@ def _model_from(cfg: dict) -> dispersion.DispersionModel:
 @click.option("--sign", type=click.Choice(["+1", "-1"]), default="+1",
               show_default=True, help="Sign of the translated curve.")
 @click.pass_context
-def cmd_overlap(ctx, **params):
+def cmd_overlap(ctx, **cfg):
     """Length-of-overlap scaling experiment: arc length of the Fermi
     curve where the translated dispersion stays within M^j, against
     the (M^j / delta)^(1/n0) bound.
 
     Columns: p_x, p_y, j, length, bound, violated.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        if cfg["j_min"] >= 0:
-            raise ValueError("--j-min must be negative")
-        model = _model_from(cfg)
-        j_range = list(range(-1, cfg["j_min"] - 1, -1))
-        report = geometry.overlap_scaling_experiment(
-            model, M=cfg["m_scale"], j_range=j_range, num_p=cfg["num_p"],
-            delta=cfg["delta"], rng_seed=cfg["seed"])
-        sign = +1 if cfg["sign"] == "+1" else -1
-        rows = list(report.rows(sign=sign))
-        columns = {
-            "p_x": "translation momentum, first component",
-            "p_y": "translation momentum, second component",
-            "j": "threshold exponent; threshold is M^j",
-            "length": "measured overlap arc length",
-            "bound": "scaling bound (M^j/delta)^(1/n0)",
-            "violated": "length exceeds the bound",
-        }
-        viol = report.violation_fraction if sign == +1 \
-            else report.violation_fraction_minus
-        results = {
-            "total_curve_length": report.total_curve_length,
-            "n0": report.n0,
-            "fitted_exponent": report.fitted_exponent,
-            "fitted_exponent_minus": report.fitted_exponent_minus,
-            "violation_fraction_per_j": viol,
-            "non_converged_rows": 0,
-        }
-        return _finish(cfg, "overlap", columns, rows, results,
-                       {"rng_seed": cfg["seed"]}, t0)
+    _run(ctx, cfg, _overlap)
 
-    _run_guarded(ctx, body)
+
+def _normal_form(cfg: dict) -> Output:
+    model = _model_from(cfg)
+    saddles = dispersion.find_singular_points(model)
+    if not saddles:
+        raise ValueError("no saddle points found for this model")
+    rows = []
+    worst = 0.0
+    for p in saddles:
+        nf = dispersion.morse_normal_form(model, p, radius=cfg["radius"],
+                                          grid=cfg["grid"])
+        worst = max(worst, nf.max_residual)
+        rows.append((p.location[0], p.location[1],
+                     p.hessian_eigenvalues[0], p.hessian_eigenvalues[1],
+                     -1 if nf.nu1 is None else nf.nu1,
+                     -1 if nf.nu2 is None else nf.nu2,
+                     nf.radius, nf.max_residual))
+    columns = {
+        "k1": "saddle location, first component",
+        "k2": "saddle location, second component",
+        "lambda1": "Hessian eigenvalue",
+        "lambda2": "Hessian eigenvalue",
+        "nu1": "branch tangency order, first factor (-1: linear)",
+        "nu2": "branch tangency order, second factor (-1: linear)",
+        "radius": "patch half-width used",
+        "max_residual": "largest factorization residual on the patch",
+    }
+    return Output(columns, rows, {"num_saddles": len(rows),
+                                  "max_residual": worst})
 
 
 @main.command("normal-form")
@@ -801,45 +824,13 @@ def cmd_overlap(ctx, **params):
 @click.option("--grid", type=int, default=41, show_default=True,
               help="Nodes per side of the factorization grid.")
 @click.pass_context
-def cmd_normal_form(ctx, **params):
+def cmd_normal_form(ctx, **cfg):
     """Saddle points of the dispersion and their product normal forms
     e = a(k) (k1 - k2^nu1 b)(k2 - k1^nu2 c) on a patch.
 
     Columns: k1, k2, lambda1, lambda2, nu1, nu2, radius, max_residual.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        model = _model_from(cfg)
-        saddles = dispersion.find_singular_points(model)
-        if not saddles:
-            raise ValueError("no saddle points found for this model")
-        rows = []
-        worst = 0.0
-        for p in saddles:
-            nf = dispersion.morse_normal_form(model, p, radius=cfg["radius"],
-                                              grid=cfg["grid"])
-            worst = max(worst, nf.max_residual)
-            rows.append((p.location[0], p.location[1],
-                         p.hessian_eigenvalues[0], p.hessian_eigenvalues[1],
-                         -1 if nf.nu1 is None else nf.nu1,
-                         -1 if nf.nu2 is None else nf.nu2,
-                         nf.radius, nf.max_residual))
-        columns = {
-            "k1": "saddle location, first component",
-            "k2": "saddle location, second component",
-            "lambda1": "Hessian eigenvalue",
-            "lambda2": "Hessian eigenvalue",
-            "nu1": "branch tangency order, first factor (-1: linear)",
-            "nu2": "branch tangency order, second factor (-1: linear)",
-            "radius": "patch half-width used",
-            "max_residual": "largest factorization residual on the patch",
-        }
-        results = {"num_saddles": len(rows), "max_residual": worst,
-                   "non_converged_rows": 0}
-        return _finish(cfg, "normal-form", columns, rows, results, {}, t0)
-
-    _run_guarded(ctx, body)
+    _run(ctx, cfg, _normal_form)
 
 
 def _interval_corpus(seed: int, per_k: int):
@@ -869,6 +860,26 @@ def _interval_corpus(seed: int, per_k: int):
     return corpus
 
 
+def _interval_check(cfg: dict) -> Output:
+    if cfg["per_k"] < 1:
+        raise ValueError("--per-k must be positive")
+    rows = []
+    for ident, k, eta, eps, f in _interval_corpus(cfg["seed"], cfg["per_k"]):
+        r = geometry.interval_lemma_check(f, k, eta, eps, grid=cfg["grid"])
+        rows.append((ident, k, eta, eps, r.measured_volume, r.bound, r.holds))
+    columns = {
+        "poly_id": "corpus index",
+        "k": "derivative order with the lower bound",
+        "eta": "derivative lower bound",
+        "eps": "sublevel threshold",
+        "measured_volume": "measured |{x : |f(x)| <= eps}|",
+        "bound": "2^(k+1) (eps/eta)^(1/k)",
+        "holds": "measured volume within the bound",
+    }
+    results = {"rows": len(rows), "all_hold": bool(all(r[6] for r in rows))}
+    return Output(columns, rows, results, {"rng_seed": cfg["seed"]})
+
+
 @main.command("interval-check")
 @_common_options
 @click.option("--per-k", type=int, default=25, show_default=True,
@@ -878,44 +889,49 @@ def _interval_corpus(seed: int, per_k: int):
 @click.option("--grid", type=int, default=200_000, show_default=True,
               help="Sample points for the sublevel-measure estimate.")
 @click.pass_context
-def cmd_interval_check(ctx, **params):
+def cmd_interval_check(ctx, **cfg):
     """Sublevel-set measure against the derivative-bound estimate
     2^(k+1) (eps/eta)^(1/k) on a bundled polynomial corpus.
 
     Columns: poly_id, k, eta, eps, measured_volume, bound, holds.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        if cfg["per_k"] < 1:
-            raise ValueError("--per-k must be positive")
-        corpus = _interval_corpus(cfg["seed"], cfg["per_k"])
+    _run(ctx, cfg, _interval_check)
 
-        def one(entry):
-            ident, k, eta, eps, f = entry
-            r = geometry.interval_lemma_check(f, k, eta, eps,
-                                              grid=cfg["grid"])
-            return (ident, k, eta, eps, r.measured_volume, r.bound, r.holds)
 
-        rows = [one(entry) for entry in corpus]
-        columns = {
-            "poly_id": "corpus index",
-            "k": "derivative order with the lower bound",
-            "eta": "derivative lower bound",
-            "eps": "sublevel threshold",
-            "measured_volume": "measured |{x : |f(x)| <= eps}|",
-            "bound": "2^(k+1) (eps/eta)^(1/k)",
-            "holds": "measured volume within the bound",
-        }
-        results = {
-            "rows": len(rows),
-            "all_hold": bool(all(r[6] for r in rows)),
-            "non_converged_rows": 0,
-        }
-        return _finish(cfg, "interval-check", columns, rows, results,
-                       {"rng_seed": cfg["seed"]}, t0)
+def _fit(cfg: dict) -> Output:
+    path = Path(cfg["input_path"])
+    if not path.exists():
+        raise ValueError(f"input file {path} does not exist")
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv_module.DictReader(fh)
+        fields = reader.fieldnames or []
+        for name in (cfg["x_column"], cfg["y_column"]):
+            if name not in fields:
+                raise ValueError(
+                    f"column {name!r} not in input header {fields}")
+        try:
+            samples = [(float(rec[cfg["x_column"]]),
+                        float(rec[cfg["y_column"]])) for rec in reader]
+        except (TypeError, KeyError):
+            raise ValueError("input rows are ragged")
 
-    _run_guarded(ctx, body)
+    fit = fitlab.fit_log_square(samples)
+    samples.sort()
+    rows = [(x, y, float(fit.predict(x)), y - float(fit.predict(x)))
+            for x, y in samples]
+    columns = {
+        "x": "swept variable",
+        "y": "input values",
+        "fitted": "fit evaluated at x",
+        "residual": "y minus fitted",
+    }
+    x = np.array([r[0] for r in rows])
+    dense = np.geomspace(x.min(), x.max(), 200)
+    plot = PlotSpec(title="log-polynomial fit", xlabel=cfg["x_column"],
+                    ylabel=cfg["y_column"], series=[
+                        Series("data", x, np.array([r[1] for r in rows])),
+                        Series("fit", dense, fit.predict(dense), dashed=True)])
+    return Output(columns, rows, {"fit": fit.to_dict()}, plot=plot)
 
 
 @main.command("fit")
@@ -928,52 +944,12 @@ def cmd_interval_check(ctx, **params):
               help="Header name of the fitted quantity.")
 @_svg_option
 @click.pass_context
-def cmd_fit(ctx, **params):
+def cmd_fit(ctx, **cfg):
     """Fit a (ln x)^2 + b ln x + c to two columns of an existing CSV.
 
     Columns: x, y, fitted, residual.
     """
-    def body() -> int:
-        t0 = time.perf_counter()
-        cfg = _merge_config(ctx, params)
-        path = Path(cfg["input_path"])
-        if not path.exists():
-            raise ValueError(f"input file {path} does not exist")
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv_module.DictReader(fh)
-            fields = reader.fieldnames or []
-            for name in (cfg["x_column"], cfg["y_column"]):
-                if name not in fields:
-                    raise ValueError(
-                        f"column {name!r} not in input header {fields}")
-            try:
-                samples = [(float(rec[cfg["x_column"]]),
-                            float(rec[cfg["y_column"]])) for rec in reader]
-            except (TypeError, KeyError):
-                raise ValueError("input rows are ragged")
-
-        fit = fitlab.fit_log_square(samples)
-        samples.sort()
-        rows = [(x, y, float(fit.predict(x)), y - float(fit.predict(x)))
-                for x, y in samples]
-        columns = {
-            "x": "swept variable",
-            "y": "input values",
-            "fitted": "fit evaluated at x",
-            "residual": "y minus fitted",
-        }
-        results = {"fit": fit.to_dict(), "non_converged_rows": 0}
-        x = np.array([r[0] for r in rows])
-        plot = PlotSpec(title="log-polynomial fit", xlabel=cfg["x_column"],
-                        ylabel=cfg["y_column"],
-                        series=[Series("data", x,
-                                       np.array([r[1] for r in rows]))])
-        dense = np.geomspace(x.min(), x.max(), 200)
-        plot.series.append(Series("fit", dense, fit.predict(dense),
-                                  dashed=True))
-        return _finish(cfg, "fit", columns, rows, results, {}, t0, plot)
-
-    _run_guarded(ctx, body)
+    _run(ctx, cfg, _fit)
 
 
 if __name__ == "__main__":

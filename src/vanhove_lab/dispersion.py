@@ -53,7 +53,6 @@ class DispersionModel:
     )
     periodic: bool = True
     fn: Optional[Callable] = None
-    grad_fn: Optional[Callable] = None
     hess_fn: Optional[Callable] = None
     seeds: Optional[Tuple[Tuple[float, float], ...]] = None
 
@@ -61,6 +60,8 @@ class DispersionModel:
         if self.kind == "hubbard":
             if not 0.0 < self.theta < 1.0:
                 raise ValueError("hubbard model needs 0 < theta < 1")
+            if not math.isfinite(self.mu):
+                raise ValueError("hubbard model needs a finite mu")
         elif self.kind == "xy":
             pass
         elif self.kind == "custom":
@@ -85,7 +86,6 @@ class DispersionModel:
     def custom(
         cls,
         fn: Callable,
-        grad_fn: Optional[Callable] = None,
         hess_fn: Optional[Callable] = None,
         domain=((-math.pi, math.pi), (-math.pi, math.pi)),
         periodic: bool = True,
@@ -94,7 +94,6 @@ class DispersionModel:
         return cls(
             kind="custom",
             fn=fn,
-            grad_fn=grad_fn,
             hess_fn=hess_fn,
             domain=tuple(tuple(map(float, ab)) for ab in domain),
             periodic=periodic,
@@ -125,8 +124,6 @@ def gradient(model: DispersionModel, k) -> np.ndarray:
         return np.stack([g1, g2], axis=-1)
     if model.kind == "xy":
         return np.stack([k2, k1], axis=-1)
-    if model.grad_fn is not None:
-        return model.grad_fn(np.asarray(k, dtype=float))
     return _fd_gradient(model, np.asarray(k, dtype=float))
 
 
@@ -155,8 +152,8 @@ def scalar_functions(
     grad(k1, k2) -> (g1, g2), with the same arithmetic as :func:`evaluate`
     and :func:`gradient` on a single point.
 
-    The built-in models use ``math``; a custom model wraps its callables
-    (or the finite-difference gradient) on a 2-vector.
+    The built-in models use ``math``; a custom model wraps its evaluation
+    callable and the finite-difference gradient on a 2-vector.
     """
     if model.kind == "hubbard":
         theta, mu = model.theta, model.mu

@@ -716,8 +716,8 @@ def overlap_scaling_experiment(
     p_override replaces the uniform sample with explicit momenta (used
     to probe specific directions, e.g. nesting of a flat branch).
     """
-    if M <= 1.0:
-        raise ValueError("M must exceed 1")
+    if not 1.0 < M < math.inf:
+        raise ValueError("M must be finite and exceed 1")
     if p_override is not None:
         p_override = np.asarray(p_override, dtype=float).reshape(-1, 2)
         num_p = len(p_override)

@@ -123,6 +123,13 @@ class QuadSpec:
     be finite.  Guidance is on exactly when ``epsilon_fn`` is given (same
     vectorized signature as the integrand, returning the denominator
     proxy eps at each point); it then needs ``q0 > 0``.
+
+    Guidance barely moves most runs, but one depends on it.  On the
+    orthant parent of ``im_d0_sigma2`` at q0 = 0.05 with abs_tol 5e-5
+    and a 12M budget, unguided refinement reports convergence after
+    44,745 evaluations, 0.102 from the reduced value -16.4218985 against
+    an error estimate of 4.0e-4 (257 times); guided, it takes 95,817
+    evaluations and lands 2.6e-5 away.
     """
 
     abs_tol: float = 0.0

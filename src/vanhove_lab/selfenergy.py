@@ -138,6 +138,8 @@ def sigma2(q0: float, q: Tuple[float, float], state: ThermalState,
     from .matsubara import sigma2_kernel
 
     xi, eta = float(q[0]), float(q[1])
+    if not (math.isfinite(xi) and math.isfinite(eta)):
+        raise ValueError(f"momentum must be finite, got {q}")
     bound = 2.0 / abs(q0) * (1.0 + 1e-12)
 
     def f(P: np.ndarray) -> np.ndarray:
@@ -163,8 +165,9 @@ def frequency_sum_sigma2(q0: float, q: Tuple[float, float], beta: float,
     within it.  Slow by design: this is the definition, not the method.
     """
     _require_q0(q0)
-    if beta <= 0:
-        raise ValueError("frequency sum needs finite beta > 0")
+    beta = ThermalState.finite(beta).beta
+    if grid < 2:
+        raise ValueError("frequency sum needs grid >= 2")
     v = _freq_sum(q0, q, beta, cutoff, grid)
     v_cut = _freq_sum(q0, q, beta, cutoff / 2.0, grid)
     v_grid = _freq_sum(q0, q, beta, cutoff, grid // 2)
@@ -847,6 +850,11 @@ def d2_sigma2_xi_xi(q0: float, spec: QuadSpec,
     advertised bound on the derivative's size; fitting it over a q0
     window must show a negligible (log)^2 coefficient.  The eta-eta
     derivative is identical by the x <-> y symmetry.
+
+    The assembled imaginary part does not grow like a logarithm: it grows
+    like 1/q0, and why is not explained.  q0 Im reads 0.87533 at q0 = 1e-5
+    and 1e-4 and 0.87674 at 1e-2; the pieces times q0 are im_x1 -3.1247,
+    im_i20 -4 and im_x3 +8, so their 1/q0 terms do not cancel.
 
     The result is the sum of its ``pieces``, all exact (no error, no
     evaluations) but "im_x1": "b0" and "re_i20", then with the imaginary

@@ -103,6 +103,7 @@ def test_command_help_documents_columns(runner, tmp_path, case):
     man = read_json(prefix.with_suffix(".json"))
     assert sorted(man["columns"]) == sorted(expected)
     assert "threads" not in man
+    assert "non_converged_rows" in man["results"]
 
 
 def test_version(runner):
@@ -343,12 +344,20 @@ def test_zero_frequency_is_config_error(runner, tmp_path):
     ["d2-xixi", "--q0-min", "inf", "--q0-points", "1"],
     ["sigma2", "--beta", "inf"],
     ["dsigma-domega", "--abs-tol", "nan", "--rel-tol", "nan"],
+    ["bubble-ph", "--beta-min", "inf", "--beta-points", "1"],
+    ["normal-form", "--mu", "nan"],
+    ["overlap", "--scale", "nan"],
+    ["sigma2", "--q", "nan", "0"],
 ], ids=["grad-check-q0-nan", "dsigma-q0-min-nan", "d2-xixi-q0-min-inf",
-        "sigma2-beta-inf", "dsigma-tols-nan"])
+        "sigma2-beta-inf", "dsigma-tols-nan", "bubble-beta-inf",
+        "normal-form-mu-nan", "overlap-scale-nan", "sigma2-q-nan"])
 def test_non_finite_input_is_config_error(runner, tmp_path, argv):
+    # rejected at the library boundary, before any numerical work
     r = runner.invoke(main, argv + ["--out-prefix", str(tmp_path / "bad")])
     assert r.exit_code == 2
-    assert any(line.startswith("error:") for line in r.stderr.splitlines())
+    assert any(line.startswith("error: ValueError:")
+               for line in r.stderr.splitlines())
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_budget_exhaustion_exits_3_but_writes_artifacts(runner, tmp_path):
@@ -422,6 +431,45 @@ def test_config_file_merge_and_flag_precedence(runner, tmp_path):
     assert man["config"]["q0_points"] == 6     # flag beats file
     _, rows = read_csv(prefix.with_suffix(".csv"))
     assert len(rows) == 6
+
+
+@pytest.mark.parametrize("cmd, values, flag", [
+    ("dsigma-domega", {"q0_points": "five"}, "--q0-points"),
+    ("dsigma-domega", {"geometric": "maybe"}, "--geometric"),
+    ("sigma2", {"q": [1, 2, 3]}, "--q"),
+], ids=["points-not-int", "spacing-not-bool", "q-three-values"])
+def test_bad_config_value_is_checked_like_its_flag(runner, tmp_path, cmd,
+                                                   values, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    r = runner.invoke(main, [cmd, "--config", str(cfg),
+                             "--out-prefix", str(tmp_path / "x")])
+    assert r.exit_code == 2
+    assert isinstance(r.exception, SystemExit)
+    assert f"Invalid value for '{flag}'" in r.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_values_are_converted_like_flags(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q0_points": "5"}))
+    prefix = tmp_path / "five"
+    r = runner.invoke(main, ["dsigma-domega", "--config", str(cfg),
+                             "--out-prefix", str(prefix), "--deterministic"])
+    assert r.exit_code == 0, r.output
+    _, rows = read_csv(prefix.with_suffix(".csv"))
+    assert len(rows) == 5
+    assert read_json(prefix.with_suffix(".json"))["config"]["q0_points"] == 5
+
+    cfg.write_text(json.dumps({"geometric": "no", "q0_min": 1e-3,
+                               "q0_max": 1e-2, "q0_points": 3}))
+    prefix = tmp_path / "linear"
+    r = runner.invoke(main, ["dsigma-domega", "--config", str(cfg),
+                             "--out-prefix", str(prefix), "--deterministic"])
+    assert r.exit_code == 0, r.output
+    _, rows = read_csv(prefix.with_suffix(".csv"))
+    assert [float(row[0]) for row in rows] == \
+        np.linspace(1e-3, 1e-2, 3).tolist()
 
 
 def test_unknown_config_key_is_config_error(runner, tmp_path):

@@ -1,13 +1,18 @@
 """Every name a package module imports is used in that module, every
 name in its ``__all__`` exists in it, and every private module-level name
-is referenced somewhere besides its definition.
+is referenced somewhere besides its definition, and every defaulted
+parameter or record field is passed by some call.
 
 No linter ships with the project, so this is the unused-import check.
 A name counts as used when the module reads it anywhere, annotations
 included, or lists it in ``__all__``.  A name read only inside a quoted
 annotation is not seen; no module has one.  A private name counts as
 referenced when some file of the package or of the tests reads it, as a
-name or an attribute, or imports it.
+name or an attribute, or imports it.  A default counts as passed when
+some call in the package, the tests or the bench names the function or
+record (by name or attribute; ``cls`` inside its class) and passes that
+parameter by keyword, by position, or through ``*``/``**`` unpacking;
+``replace``/``_replace`` calls pass their keywords to every record.
 """
 
 import ast
@@ -18,6 +23,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vanhove_lab"
 TESTS = Path(__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def unused_imports(source):
@@ -105,3 +111,86 @@ def test_every_private_name_is_referenced():
                     for n in sorted(private_definitions(trees[p]))
                     if n not in refs]
     assert unreferenced == []
+
+
+def _callee(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def is_record(cls):
+    """A dataclass or a NamedTuple."""
+    return any(_callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list) \
+        or any(_callee(b) == "NamedTuple" for b in cls.bases)
+
+
+def defaulted_parameters(tree):
+    """``(callee, name, position, field)`` of every defaulted parameter of
+    a public function or method and every defaulted field of a record;
+    position is None for keyword-only parameters."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            a = node.args
+            pos = a.posonlyargs + a.args
+            bound = 1 if pos and pos[0].arg in ("self", "cls") else 0
+            first = len(pos) - len(a.defaults)
+            out += [(node.name, arg.arg, i - bound, False)
+                    for i, arg in enumerate(pos) if i >= first]
+            out += [(node.name, arg.arg, None, False)
+                    for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+        elif isinstance(node, ast.ClassDef) and is_record(node):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                v = f.value
+                if v is not None and not (
+                        isinstance(v, ast.Call) and _callee(v.func) == "field"
+                        and not any(k.arg in ("default", "default_factory")
+                                    for k in v.keywords)):
+                    out.append((node.name, f.target.id, i, True))
+    return out
+
+
+def calls_by_callee(tree):
+    """Every call of a module, keyed by the name it calls."""
+    calls = {}
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            name = _callee(node.func)
+            calls.setdefault(cls if name == "cls" else name, []).append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return calls
+
+
+def test_every_default_is_passed_somewhere():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) \
+        + sorted(BENCH.glob("*.py"))
+    calls = {}
+    for p in files:
+        for name, nodes in calls_by_callee(
+                ast.parse(p.read_text(encoding="utf-8"))).items():
+            calls.setdefault(name, []).extend(nodes)
+    replaced = {k.arg for name in ("replace", "_replace")
+                for c in calls.get(name, []) for k in c.keywords}
+
+    def passed(callee, name, position):
+        return any(
+            any(k.arg in (name, None) for k in c.keywords)
+            or any(isinstance(a, ast.Starred) for a in c.args)
+            or (position is not None and len(c.args) > position)
+            for c in calls.get(callee, []))
+
+    unused = [(p.name, callee, name)
+              for p in sorted(PACKAGE.glob("*.py"))
+              for callee, name, position, field in defaulted_parameters(
+                  ast.parse(p.read_text(encoding="utf-8")))
+              if not passed(callee, name, position)
+              and not (field and name in replaced)]
+    assert unused == []

@@ -57,8 +57,11 @@ def test_finite_beta_terms_validate_beta():
         se.zeta2(0.3, 0.0, MEDIUM)
     with pytest.raises(ValueError):
         se.x1(0.3, -2.0, MEDIUM)
+    for beta in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            se.frequency_sum_sigma2(0.3, (0.0, 0.0), beta)
     with pytest.raises(ValueError):
-        se.frequency_sum_sigma2(0.3, (0.0, 0.0), 0.0)
+        se.frequency_sum_sigma2(0.3, (0.0, 0.0), 4.0, grid=1)
 
 
 def test_im_d0_unknown_method_raises():
