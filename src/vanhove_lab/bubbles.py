@@ -28,8 +28,27 @@ with the constants
        = int_0^infty ln(u) / (2 cosh^2(u/2)) du     (u = 2v),
     K' = int_0^infty (ln 2v)^2 / cosh^2 v dv.
 
-The semi-infinite constants are truncated at u = 200; the discarded
-tail is below 4 e^{-400} (ln 400 + 1)^2, far under working precision.
+Both are derivatives at s = 1 of the Mellin transform
+G(s) = int_0^infty (2v)^{s-1} sech^2 v dv.  Integrating
+sech^2 v = 4 sum_{n>=1} (-1)^{n+1} n e^{-2nv} term by term gives
+
+    G(s) = 2 Gamma(s) sum_{n>=1} (-1)^{n+1} n^{1-s} = 2 Gamma(s) eta(s-1),
+
+with eta the Dirichlet eta function, and G'(1), G''(1) follow from
+eta(0) = 1/2, eta'(0) = ln(pi/2)/2 and eta(s) = (1 - 2^{1-s}) zeta(s):
+
+    K  = ln(pi/2) - gamma                          (the BCS constant),
+    K' = K^2 + pi^2/6 - 2 ln^2 2 - ln^2(2 pi) - 2 zeta''(0).
+
+These closed forms are what the predictions use.  They are evaluated
+with ten guard digits and rounded to the 50-digit working precision,
+which makes them equal, as mpf values, to the 50-digit quadratures of
+the defining integrals; without the guard digits the cancellation in
+K' leaves it two units in the last place (5e-51) off, which moves the
+bits of some pp residuals past beta of about 250.  The quadratures stay as the
+oracles; they truncate the semi-infinite integrals at u = 200, and the
+discarded tail is below 4 e^{-400} (ln 400 + 1)^2, far under working
+precision.
 
 All quadratures run in mpmath at 50 digits and results return as
 floats.  Residuals value - prediction are formed at the 50-digit
@@ -43,7 +62,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import mpmath as mp
 
@@ -64,51 +82,59 @@ _DPS = 50
 _U_CUT = 200  # truncation of the semi-infinite constant integrals
 
 
-def _at_working_precision(f: Callable[[], mp.mpf]) -> mp.mpf:
-    old = mp.mp.dps
-    mp.mp.dps = _DPS
-    try:
-        return f()
-    finally:
-        mp.mp.dps = old
+@functools.lru_cache(maxsize=None)
+def _closed_forms() -> tuple[mp.mpf, mp.mpf]:
+    """K and K' from their closed forms, rounded to working precision."""
+    with mp.workdps(_DPS + 10):
+        K = mp.log(mp.pi / 2) - mp.euler
+        K_prime = (K ** 2 + mp.pi ** 2 / 6 - 2 * mp.log(2) ** 2
+                   - mp.log(2 * mp.pi) ** 2 - 2 * mp.zeta(0, derivative=2))
+    with mp.workdps(_DPS):
+        return +K, +K_prime
 
 
 @functools.lru_cache(maxsize=None)
-def _k_mpf(definition: str) -> mp.mpf:
-    if definition == "pairing":
-        return _at_working_precision(lambda: mp.quad(
-            lambda v: mp.log(2 * v) / mp.cosh(v) ** 2,
-            [0, 1, 10, _U_CUT]))
-    if definition == "density":
-        return _at_working_precision(lambda: mp.quad(
-            lambda u: mp.log(u) / (2 * mp.cosh(u / 2) ** 2),
-            [0, 2, 20, 2 * _U_CUT]))
+def _k_quadrature(definition: str) -> mp.mpf:
+    with mp.workdps(_DPS):
+        if definition == "pairing":
+            return mp.quad(lambda v: mp.log(2 * v) / mp.cosh(v) ** 2,
+                           [0, 1, 10, _U_CUT])
+        if definition == "density":
+            return mp.quad(lambda u: mp.log(u) / (2 * mp.cosh(u / 2) ** 2),
+                           [0, 2, 20, 2 * _U_CUT])
     raise ValueError(f"unknown K definition {definition!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def _k_prime_mpf() -> mp.mpf:
-    return _at_working_precision(lambda: mp.quad(
-        lambda v: mp.log(2 * v) ** 2 / mp.cosh(v) ** 2,
-        [0, 1, 10, _U_CUT]))
+def _k_prime_quadrature() -> mp.mpf:
+    """Oracle for K': int_0^200 (ln 2v)^2 / cosh^2 v dv at working precision."""
+    with mp.workdps(_DPS):
+        return mp.quad(lambda v: mp.log(2 * v) ** 2 / mp.cosh(v) ** 2,
+                       [0, 1, 10, _U_CUT])
 
 
-def k_constant(definition: str = "pairing") -> float:
-    """The constant K, by 1D quadrature of either defining integral.
+def k_constant(definition: str = "closed") -> float:
+    """The constant K, from its closed form or by 1D quadrature.
 
+    "closed":   ln(pi/2) - gamma, evaluated with guard digits (module
+                docstring); this is the K of every prediction
     "pairing":  int_0^200 ln(2v) / cosh^2 v dv
     "density":  int_0^400 ln(u) / (2 cosh^2(u/2)) du
 
-    The two are the same integral under u = 2v and must agree to
-    10^-10; keeping both forms makes that an executable check rather
-    than a change-of-variables exercise on paper.
+    The two quadratures are the same integral under u = 2v and must
+    agree to 10^-10; keeping both forms makes that an executable check
+    rather than a change-of-variables exercise on paper.  At 50 digits
+    both equal the closed form.
     """
-    return float(_k_mpf(definition))
+    if definition == "closed":
+        return float(_closed_forms()[0])
+    return float(_k_quadrature(definition))
 
 
 def k_prime_constant() -> float:
-    """K' = int_0^200 (ln 2v)^2 / cosh^2 v dv by quadrature."""
-    return float(_k_prime_mpf())
+    """K' = K^2 + pi^2/6 - 2 ln^2 2 - ln^2(2 pi) - 2 zeta''(0), the value
+    of int_0^infty (ln 2v)^2 / cosh^2 v dv, evaluated with ten guard
+    digits because its terms cancel (module docstring)."""
+    return float(_closed_forms()[1])
 
 
 def _bubble_ph_mpf(b: mp.mpf) -> mp.mpf:
@@ -160,20 +186,18 @@ def bubble_result(kind: str, beta: float) -> BubbleResult:
     if kind not in ("ph", "pp"):
         raise ValueError(f"unknown bubble kind {kind!r}")
 
-    def compute() -> tuple:
+    K, K_prime = _closed_forms()
+    with mp.workdps(_DPS):
         b = mp.mpf(beta)
-        K = _k_mpf("pairing")
         if kind == "ph":
             value = _bubble_ph_mpf(b)
             pred = -2 * mp.log(b) + 2 * K
         else:
             value = _bubble_pp_mpf(b)
-            pred = mp.log(b) ** 2 - 2 * K * mp.log(b) + _k_prime_mpf()
-        return float(value), float(pred), float(value - pred)
-
-    value, pred, residual = _at_working_precision(compute)
-    return BubbleResult(kind=kind, beta=beta, value=value,
-                        asymptotic_prediction=pred, residual=residual)
+            pred = mp.log(b) ** 2 - 2 * K * mp.log(b) + K_prime
+        diff = value - pred
+    return BubbleResult(kind=kind, beta=beta, value=float(value),
+                        asymptotic_prediction=float(pred), residual=float(diff))
 
 
 # ---------------------------------------------------------------------------

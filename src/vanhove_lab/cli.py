@@ -28,20 +28,19 @@ from __future__ import annotations
 
 import csv as csv_module
 import functools
-import importlib.metadata
 import json
 import math
 import platform
 import time
 from dataclasses import dataclass, field
+from html import escape
 from pathlib import Path
 from typing import Callable, List, NamedTuple, Optional, Sequence
-from xml.sax.saxutils import escape
 
 import click
 import numpy as np
 
-from . import __version__, bubbles, dispersion, fitlab, geometry, selfenergy
+from . import __version__, dispersion, fitlab, geometry, selfenergy
 from .errors import (
     InsufficientResolution,
     SingularDesign,
@@ -96,8 +95,12 @@ def _jsonable(v):
     return str(v)
 
 
-# Installed versions, read once: each lookup scans the import path.
-_dist_version = functools.lru_cache(maxsize=None)(importlib.metadata.version)
+@functools.lru_cache(maxsize=None)
+def _dist_version(name: str) -> str:
+    """Installed version, read once: each lookup scans the import path."""
+    import importlib.metadata
+
+    return importlib.metadata.version(name)
 
 
 def _write_manifest(path: Path, command: str, config: dict, columns: dict,
@@ -185,7 +188,8 @@ def _render_svg(path: Path, spec: PlotSpec, deterministic: bool) -> None:
         out.append(f"<!-- rendered {time.strftime('%Y-%m-%dT%H:%M:%S')} -->")
     out.append(f'<rect width="{W}" height="{H}" fill="white"/>')
     out.append(f'<text x="{W/2:.1f}" y="24" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="15">{escape(spec.title)}</text>')
+               f'font-family="sans-serif" font-size="15">'
+               f'{escape(spec.title, quote=False)}</text>')
     axis = 'stroke="black" stroke-width="1"'
     out.append(f'<line x1="{ml}" y1="{H-mb}" x2="{W-mr}" y2="{H-mb}" {axis}/>')
     out.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H-mb}" {axis}/>')
@@ -213,11 +217,12 @@ def _render_svg(path: Path, spec: PlotSpec, deterministic: bool) -> None:
                    f'font-family="sans-serif" font-size="12">{t:.4g}</text>')
 
     out.append(f'<text x="{(ml+W-mr)/2:.1f}" y="{H-12}" text-anchor="middle" '
-               f'font-family="sans-serif" font-size="13">{escape(spec.xlabel)}</text>')
+               f'font-family="sans-serif" font-size="13">'
+               f'{escape(spec.xlabel, quote=False)}</text>')
     out.append(f'<text x="20" y="{(mt+H-mb)/2:.1f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="13" '
                f'transform="rotate(-90 20 {(mt+H-mb)/2:.1f})">'
-               f'{escape(spec.ylabel)}</text>')
+               f'{escape(spec.ylabel, quote=False)}</text>')
 
     for i, s in enumerate(spec.series):
         color = _COLORS[i % len(_COLORS)]
@@ -235,7 +240,7 @@ def _render_svg(path: Path, spec: PlotSpec, deterministic: bool) -> None:
         out.append(f'<line x1="{W-mr-150}" y1="{ly}" x2="{W-mr-120}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="1.5"{dash}/>')
         out.append(f'<text x="{W-mr-114}" y="{ly+4}" font-family="sans-serif" '
-                   f'font-size="12">{escape(s.label)}</text>')
+                   f'font-size="12">{escape(s.label, quote=False)}</text>')
     out.append("</svg>")
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
@@ -667,6 +672,8 @@ def cmd_d2_xixi(ctx, **cfg):
 
 
 def _bubble_sweep(ctx: click.Context, cfg: dict, kind: str) -> None:
+    from . import bubbles  # mpmath loads with it; no other command needs it
+
     def setup(cfg: dict):
         return (lambda beta: bubbles.bubble_result(kind, beta),
                 lambda beta, r: (r.kind, beta, r.value,

@@ -437,8 +437,9 @@ def _scan_seeds(model, fns) -> List[Point]:
     xs, ys = xs.tolist(), ys.tolist()
     e = fns[0]
     seeds = []
-    sign_flip_x = E[:-1, :] * E[1:, :] < 0.0
-    sign_flip_y = E[:, :-1] * E[:, 1:] < 0.0
+    S = np.sign(E)  # signs, not values: a product of values can overflow
+    sign_flip_x = S[:-1, :] * S[1:, :] < 0.0
+    sign_flip_y = S[:, :-1] * S[:, 1:] < 0.0
     for (i, j) in np.argwhere(sign_flip_x):
         seeds.append(_bisect_edge(e, (xs[i], ys[j]), (xs[i + 1], ys[j])))
     for (i, j) in np.argwhere(sign_flip_y):

@@ -4,7 +4,9 @@ frequency-summed two-loop kernel.
 All functions accept scalars or numpy arrays for the energy arguments and
 mirror the input shape.  Exponentials are routed through stable forms
 (``expit`` and an explicit e^{-|x|} rewriting of sech^2) so that beta up
-to 1e4 is safe.  The Bose factor enters only through the kernel's
+to 1e4 is safe.  ``expit`` is resolved from ``scipy.special`` on the
+first finite-beta :func:`fermi` call, so zero-temperature work never
+pays that import.  The Bose factor enters only through the kernel's
 occupation numerator, in a product identity that removes its pole.
 
 Zero temperature is a flag, not beta = inf: the step convention at E = 0
@@ -14,11 +16,11 @@ node lands exactly on the Fermi surface.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ZeroFrequency
 
@@ -51,6 +53,13 @@ def _match(E: Energy, out: np.ndarray) -> Energy:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _expit():
+    from scipy.special import expit
+
+    return expit
+
+
 def fermi(state: ThermalState, E: Energy) -> Energy:
     """Occupation (1 + e^{beta E})^{-1}; step function with midpoint 1/2
     at zero temperature."""
@@ -58,7 +67,7 @@ def fermi(state: ThermalState, E: Energy) -> Energy:
     if state.zero_temperature:
         out = np.where(x < 0, 1.0, np.where(x > 0, 0.0, 0.5))
     else:
-        out = expit(-state.beta * x)
+        out = _expit()(-state.beta * x)
     return _match(E, out)
 
 

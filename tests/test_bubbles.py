@@ -61,6 +61,17 @@ def test_k_definitions_coincide():
                - bubbles.k_constant("density")) < 1e-10
 
 
+def test_closed_forms_equal_the_quadratures_at_working_precision():
+    # compared as 50-digit mpf values: the closed forms feed the
+    # residuals at that precision, so agreement in floats is not enough
+    K, K_prime = bubbles._closed_forms()
+    assert K == bubbles._k_quadrature("pairing")
+    assert K == bubbles._k_quadrature("density")
+    assert K_prime == bubbles._k_prime_quadrature()
+    assert bubbles.k_constant() == bubbles.k_constant("pairing") == float(K)
+    assert bubbles.k_prime_constant() == float(K_prime)
+
+
 def test_k_prime_positive():
     # (ln 2v)^2 / cosh^2 v is nonnegative, not identically zero.
     assert bubbles.k_prime_constant() > 0.0

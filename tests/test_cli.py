@@ -360,6 +360,18 @@ def test_non_finite_input_is_config_error(runner, tmp_path, argv):
     assert not (tmp_path / "bad.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_no_fermi_curve_exits_2_without_warnings(runner, tmp_path):
+    # |e| near 1e300 on the seed grid: the sign-change scan must not
+    # multiply neighbouring values, whose product overflows
+    r = runner.invoke(main, ["overlap", "--mu", "1e300",
+                             "--out-prefix", str(tmp_path / "ov")])
+    assert r.exit_code == 2
+    assert "no Fermi curve found" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert not (tmp_path / "ov.csv").exists()
+
+
 def test_budget_exhaustion_exits_3_but_writes_artifacts(runner, tmp_path):
     prefix = tmp_path / "noc"
     r = runner.invoke(main, [

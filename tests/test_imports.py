@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 name in its ``__all__`` exists in it, and every private module-level name
 is referenced somewhere besides its definition, and every defaulted
-parameter or record field is passed by some call.
+parameter or record field is passed by some call; and the command line
+loads scipy and mpmath only for the commands that use them.
 
 No linter ships with the project, so this is the unused-import check.
 A name counts as used when the module reads it anywhere, annotations
@@ -17,6 +18,9 @@ parameter by keyword, by position, or through ``*``/``**`` unpacking;
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -194,3 +198,38 @@ def test_every_default_is_passed_somewhere():
               if not passed(callee, name, position)
               and not (field and name in replaced)]
     assert unused == []
+
+
+def modules_loaded_after(code, names, tmp_path):
+    """Which of ``names`` are in ``sys.modules`` after ``code`` runs in a
+    fresh interpreter whose working directory is ``tmp_path``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = f"{code}\nimport sys\nprint([n for n in {names!r} if n in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+HEAVY = ["scipy", "scipy.special", "mpmath", "importlib.metadata", "xml.sax"]
+
+
+def test_cli_import_loads_no_heavy_module(tmp_path):
+    assert modules_loaded_after("import vanhove_lab.cli", HEAVY, tmp_path) == []
+
+
+def run_command(argv):
+    return ("from vanhove_lab import cli\n"
+            f"code = cli.main.main({argv!r} + ['--deterministic'], "
+            "standalone_mode=False)\n"
+            "assert code == 0, code")
+
+
+def test_zero_temperature_command_never_loads_scipy(tmp_path):
+    loaded = modules_loaded_after(run_command(["d2-xixi"]), HEAVY, tmp_path)
+    assert "scipy.special" not in loaded and "mpmath" not in loaded
+
+
+def test_bubble_command_loads_mpmath(tmp_path):
+    loaded = modules_loaded_after(run_command(["bubble-ph"]), HEAVY, tmp_path)
+    assert "mpmath" in loaded and "scipy.special" not in loaded

@@ -52,6 +52,21 @@ def test_fermi_vectorized():
     assert out == pytest.approx([fermi(s, float(e)) for e in E], rel=1e-15)
 
 
+@pytest.mark.parametrize("beta", [1e-2, 1.0, 10.0, 1e4])
+def test_fermi_is_scipy_expit_bit_for_bit(beta):
+    # fermi resolves expit lazily; the bits must be scipy's, not a
+    # numpy rewriting of 1/(1 + e^x), which differs in the last place
+    from scipy.special import expit
+
+    s = ThermalState.finite(beta)
+    E = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e4 / beta, -1e4 / beta],
+                        np.linspace(-1.0, 1.0, 2001)])
+    out = fermi(s, E)
+    assert np.array_equal(out, expit(-beta * E))
+    for e in E[:6]:
+        assert fermi(s, float(e)) == float(expit(-beta * e))
+
+
 @given(
     beta=st.floats(1e-2, 1e4),
     E=st.floats(-50.0, 50.0),
