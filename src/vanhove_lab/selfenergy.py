@@ -42,6 +42,8 @@ adaptive quadrature runs:
                      E1 = (x-x')(y-y') = 0, so the shear v = x - x' plus
                      an inner panel rule sized to the weight's support in
                      u = beta E1 replaces a hopeless direct quadrature.
+                     Two reflections fold the outer box onto its quarter
+                     x >= 0, y >= 0; x1 (4D) is folded the same way.
 
 Every operation validates q0 != 0 and returns a ``QuadResult``: the
 value with its quadrature error estimate, evaluation count, convergence
@@ -496,13 +498,16 @@ _PANELS = {m: ((np.arange(0.5, m)[:, None] / m + 0.5 / m * _GL_NODES).ravel(),
                np.tile(0.5 / m * _GL_WEIGHTS, m))
            for m in (_PANEL_MIN, 8, 16, _PANEL_MAX)}
 # Each kind's kernel is delta1(u) (f2 - f3) k / (iq0 + eps)^p: the factor k
-# of (u, t = e^{-|u|}, 1/(1+t), y - y', beta), and the power p.  x2 keeps
-# np.tanh, as (1-t)/(1+t) loses its relative accuracy when u -> 0.
+# of (u, t = e^{-|u|}, 1/(1+t), y - y', beta), the power p, and the parity:
+# the sign s in panel_sums(x, -y, -y') = s conj panel_sums(x, y, y'), so the
+# term is real (s = +1) or imaginary (s = -1).  x2 keeps np.tanh, as
+# (1-t)/(1+t) loses its relative accuracy when u -> 0.
 _KERNELS = {
-    "zeta2": (lambda u, t, r, ds, beta: beta * (np.abs(u) * (1.0 - t) * r - 1.0), 1),
-    "zeta3": (lambda u, t, r, ds, beta: -2.0 * u, 2),
-    "x2": (lambda u, t, r, ds, beta: -(beta * ds) ** 2 * np.tanh(u / 2.0), 1),
-    "x3": (lambda u, t, r, ds, beta: 2.0 * beta * ds * ds, 2),
+    "zeta2": (lambda u, t, r, ds, beta: beta * (np.abs(u) * (1.0 - t) * r - 1.0),
+              1, 1),
+    "zeta3": (lambda u, t, r, ds, beta: -2.0 * u, 2, 1),
+    "x2": (lambda u, t, r, ds, beta: -(beta * ds) ** 2 * np.tanh(u / 2.0), 1, -1),
+    "x3": (lambda u, t, r, ds, beta: 2.0 * beta * ds * ds, 2, -1),
 }
 
 
@@ -520,7 +525,7 @@ def _panel_sums(P: np.ndarray, a: float, beta: float, kind: str) -> np.ndarray:
     a block (a BLAS ``gemv`` product's do), so values cannot depend on how
     the adaptive outer quadrature batches its cells.
     """
-    factor, power = _KERNELS[kind]
+    factor, power, _ = _KERNELS[kind]
     state = ThermalState.finite(beta)
     x, y, yp = P[:, 0], P[:, 1], P[:, 2]
     delta, e2 = y - yp, x * y
@@ -558,14 +563,43 @@ def _panel_sums(P: np.ndarray, a: float, beta: float, kind: str) -> np.ndarray:
     return out
 
 
+def _folded(f: quad.Integrand, d: int, spec: QuadSpec,
+            parity: int) -> QuadResult:
+    """Integral of ``f`` over [-1,1]^d, computed on the quarter x >= 0,
+    y >= 0 of its first two coordinates (x, y) and unfolded exactly.
+
+    ``f`` must be even under P -> -P and turn into ``parity`` times its
+    conjugate when (y, y') -> -(y, y'), y' the last coordinate.  These two
+    reflections and their product carry the quarter onto the other three
+    sign quadrants of (x, y), so the whole integral is 2 (I_q + parity
+    conj I_q): 4 Re I_q or 4i Im I_q.  The quarter runs at abs_tol / 4 and
+    its error is scaled by 4.  Its part discarded by the unfolding still
+    enters the quarter's relative tolerance, so ``converged`` is judged
+    again on the unfolded value and error; the evaluations and refinement
+    telemetry are the quarter run's own.
+    """
+    box = [(0.0, 1.0)] * 2 + [(-1.0, 1.0)] * (d - 2)
+    r = quad.integrate(f, box, replace(spec, abs_tol=spec.abs_tol / 4.0))
+    v = complex(r.value)
+    value = 4.0 * (complex(v.real) if parity > 0 else 1j * v.imag)
+    err = 4.0 * r.error_estimate
+    return replace(r, value=value, error_estimate=err, converged=bool(
+        err <= max(spec.abs_tol, spec.rel_tol * abs(value))))
+
+
 def _finite_beta_term(q0: float, beta: float, spec: QuadSpec,
                       kind: str) -> QuadResult:
+    """The ``kind`` term: the panel sums over the outer box (x, y, y') in
+    [-1,1]^3, evaluated on its quarter x >= 0, y >= 0 (see :func:`_folded`).
+    Negating (x, v, y, y') leaves E1, E2 and E3 unchanged; negating (y, y')
+    negates all three, so f -> 1 - f and the resolvent conjugates, which
+    gives the kind's parity."""
     _require_q0(q0)
     if not beta > 0:
         raise ValueError("finite-temperature term needs beta > 0")
     a = abs(q0)
-    return quad.integrate(lambda P: _panel_sums(P, a, beta, kind),
-                          [(-1.0, 1.0)] * 3, spec)
+    return _folded(lambda P: _panel_sums(P, a, beta, kind), 3, spec,
+                   _KERNELS[kind][2])
 
 
 def zeta2(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
@@ -579,7 +613,9 @@ def zeta2(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
     decays as beta -> infinity.  The decay is asymptotic only: while the
     thermal width is comparable to the band scale or to q0, |zeta2|
     first rises with beta.  It peaks near beta = 8 for q0 in [0.3, 0.5]
-    and later for smaller q0 (near beta = 11 at q0 = 0.1).
+    and later for smaller q0 (near beta = 11 at q0 = 0.1).  Evaluated as
+    4 Re I_q on the quarter x >= 0, y >= 0 of the outer box (see
+    :func:`_finite_beta_term`), so it is real by construction.
     """
     return _finite_beta_term(q0, beta, spec, "zeta2")
 
@@ -591,7 +627,8 @@ def zeta3(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
     by the same shear + panel machinery; the odd factor u delta1(u)
     supplies the cancellation here.  Like zeta2 it vanishes only as
     beta -> infinity: |zeta3| first rises, peaking near beta = 6-8 for
-    q0 in [0.2, 0.5] and near beta = 11 at q0 = 0.1.
+    q0 in [0.2, 0.5] and near beta = 11 at q0 = 0.1.  Evaluated, like
+    zeta2, as 4 Re I_q on the quarter x >= 0, y >= 0 of the outer box.
     """
     return _finite_beta_term(q0, beta, spec, "zeta3")
 
@@ -603,7 +640,9 @@ def x2(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
     imaginary at every beta (the reflection (y,y') -> (-y,-y') negates
     every energy and conjugates the kernel, flipping the sign of the
     real part); its large beta limit is i Im I20, the bulk term of the
-    pure derivative's limit (see :func:`i20_limit`).
+    pure derivative's limit (see :func:`i20_limit`).  That reflection
+    folds the outer box onto its quarter x >= 0, y >= 0, where it is
+    evaluated as 4i Im I_q (see :func:`_finite_beta_term`).
     """
     return _finite_beta_term(q0, beta, spec, "x2")
 
@@ -613,7 +652,8 @@ def x3(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
 
     x3 = < 2 delta_beta(E1) (y-y')^2 (f2-f3) / (iq0+eps)^2 >; purely
     imaginary at every beta by the same reflection as x2, converging to
-    the closed form :func:`x3_limit` as beta grows.
+    the closed form :func:`x3_limit` as beta grows.  Evaluated, like x2,
+    as 4i Im I_q on the quarter x >= 0, y >= 0 of the outer box.
     """
     return _finite_beta_term(q0, beta, spec, "x3")
 
@@ -754,9 +794,9 @@ def _im_x10(q0: float, spec: QuadSpec) -> QuadResult:
     return combine(r1, r2).scaled(8.0)
 
 
-def _x1_4d(q0: float, state: ThermalState, spec: QuadSpec) -> QuadResult:
-    """x1 = -2 < (y-y')^2 (f1+b23)(f2-f3) / (iq0+eps)^3 > by direct 4D
-    quadrature at ``state``."""
+def _x1_kernel(q0: float, state: ThermalState) -> quad.Integrand:
+    """-2 (y-y')^2 (f1+b23)(f2-f3) / (iq0+eps)^3 at the 4D points
+    (x, y, x', y'), the integrand of x1 at ``state``."""
 
     def f(P: np.ndarray) -> np.ndarray:
         E1, E2, E3 = _energies(P)
@@ -764,7 +804,7 @@ def _x1_4d(q0: float, state: ThermalState, spec: QuadSpec) -> QuadResult:
         return (-2.0 * (P[:, 1] - P[:, 3]) ** 2 * num
                 / (1j * q0 + E2 - E3 - E1) ** 3)
 
-    return quad.integrate(f, [(-1.0, 1.0)] * 4, spec)
+    return f
 
 
 def x1(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
@@ -775,9 +815,14 @@ def x1(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
     is the same bounded combination as in sigma2).  Together with x2 and
     x3 it reconstructs d2 Sigma2/dxi^2 exactly:  the decomposition was
     cross-checked against central finite differences of sigma2.
+
+    Evaluated on the quarter x >= 0, y >= 0 of [-1,1]^4 (see
+    :func:`_folded`): negating all four momenta leaves every energy alone,
+    and negating (y, y') negates them, which keeps the numerator and turns
+    the cubed resolvent into minus its conjugate, so x1 = 4i Im I_q.
     """
     _require_q0(q0)
-    return _x1_4d(q0, ThermalState.finite(beta), spec)
+    return _folded(_x1_kernel(q0, ThermalState.finite(beta)), 4, spec, -1)
 
 
 def x1_zt_direct(q0: float, spec: QuadSpec) -> QuadResult:
@@ -786,9 +831,12 @@ def x1_zt_direct(q0: float, spec: QuadSpec) -> QuadResult:
     x1 at zero temperature, the thermal-weight-free piece of the pure
     second derivative (so that x1 + x2 + x3 is the derivative itself);
     purely imaginary, kept as the oracle for the reduced _im_x10 forms.
+    It integrates the whole of [-1,1]^4, so its real part is computed,
+    not assumed.
     """
     _require_q0(q0)
-    return _x1_4d(q0, ThermalState.zero(), spec)
+    return quad.integrate(_x1_kernel(q0, ThermalState.zero()),
+                          [(-1.0, 1.0)] * 4, spec)
 
 
 def i20_limit(q0: float) -> QuadResult:

@@ -339,6 +339,92 @@ def test_panel_kernel_rows_do_not_depend_on_batching():
         assert (batch == alone).all(), kind
 
 
+@pytest.mark.parametrize("kind", ["zeta2", "zeta3", "x2", "x3"])
+@pytest.mark.parametrize("q0", [0.1, 0.3])
+@pytest.mark.parametrize("beta", [4.0, 16.0, 64.0])
+def test_panel_kernel_reflections(kind, q0, beta):
+    # The fold of _finite_beta_term onto x >= 0, y >= 0 rests on two
+    # reflections of the rows: negating (x, y, y') leaves each row alone,
+    # and negating (y, y') turns it into the kind's parity times its
+    # conjugate.
+    P = _kernel_rows()
+    rows = se._panel_sums(P, q0, beta, kind)
+    atol = 1e-13 * np.max(np.abs(rows))
+    np.testing.assert_allclose(se._panel_sums(-P, q0, beta, kind), rows,
+                               rtol=0.0, atol=atol)
+    flipped = se._panel_sums(P * [1.0, -1.0, -1.0], q0, beta, kind)
+    parity = se._KERNELS[kind][2]
+    np.testing.assert_allclose(flipped, parity * np.conj(rows),
+                               rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("kind", ["zeta2", "zeta3", "x2", "x3"])
+def test_folded_term_matches_full_box_panel_integral(kind):
+    # Two routes to the same term: the outer cubature of the panel sums
+    # over the whole box [-1,1]^3, and the folded quarter.
+    q0, beta = 0.3, 4.0
+    spec = QuadSpec(abs_tol=1e-5, rel_tol=0.0, max_evaluations=6_000_000)
+    full = quad.integrate(lambda P: se._panel_sums(P, q0, beta, kind),
+                          [(-1.0, 1.0)] * 3, spec)
+    folded = getattr(se, kind)(q0, beta, spec)
+    assert full.converged and folded.converged
+    assert abs(folded.value - full.value) <= bars(folded, full)
+
+
+def test_folded_x1_matches_full_box():
+    q0, beta = 0.5, 8.0
+    spec = QuadSpec(abs_tol=1e-3, rel_tol=0.0, max_evaluations=6_000_000)
+    full = quad.integrate(se._x1_kernel(q0, ThermalState.finite(beta)),
+                          [(-1.0, 1.0)] * 4, spec)
+    folded = se.x1(q0, beta, spec)
+    assert full.converged and folded.converged
+    assert folded.value.real == 0.0
+    assert abs(folded.value - full.value) <= bars(folded, full)
+
+
+def test_finite_beta_points_that_used_up_the_budget_converge():
+    # On the whole box both runs stopped at 4M evaluations unconverged,
+    # at -5.0199828 +- 2.12e-4 and 2.5352237 +- 2.17e-4.
+    spec = QuadSpec(abs_tol=1e-4, rel_tol=0.0, max_evaluations=4_000_000)
+    for fn, beta, full_box, full_err in ((se.zeta3, 6.0, -5.0199828, 2.12e-4),
+                                         (se.zeta2, 64.0, 2.5352237, 2.17e-4)):
+        r = fn(0.1, beta, spec)
+        assert r.converged and r.error_estimate <= 1e-4, beta
+        assert r.evaluations <= 4_000_000
+        assert abs(r.value - full_box) <= 3.0 * (r.error_estimate + full_err)
+
+
+def test_folded_convergence_is_judged_on_the_unfolded_value():
+    # A large real part the unfolding discards still sets the quarter
+    # run's relative tolerance, so the quarter stops at once; the folded
+    # result must not call that converged.
+    def f(P):
+        return 1e6 + 1j * np.sqrt(np.abs(P[:, 0] - 0.3))
+
+    spec = QuadSpec(abs_tol=0.0, rel_tol=1e-4, max_evaluations=1_000_000)
+    box = [(0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)]
+    quarter = quad.integrate(f, box, spec)
+    r = se._folded(f, 3, spec, -1)
+    assert quarter.converged
+    assert r.evaluations == quarter.evaluations
+    assert r.value == 4j * quarter.value.imag
+    assert r.error_estimate == 4.0 * quarter.error_estimate
+    assert not r.converged
+    assert r.error_estimate > 1e-4 * abs(r.value)
+
+
+@pytest.mark.parametrize("kind", ["zeta2", "x2"])
+def test_folded_term_under_relative_tolerance_only(kind):
+    # The flag states the tolerance test on the returned value and error,
+    # whichever way it comes out, and the value stays inside its bar.
+    spec = QuadSpec(abs_tol=0.0, rel_tol=1e-5, max_evaluations=6_000_000)
+    r = getattr(se, kind)(0.3, 4.0, spec)
+    assert r.converged == (r.error_estimate <= 1e-5 * abs(r.value))
+    ref = getattr(se, kind)(0.3, 4.0, QuadSpec(abs_tol=1e-6, rel_tol=0.0,
+                                               max_evaluations=6_000_000))
+    assert abs(r.value - ref.value) <= bars(r, ref)
+
+
 @pytest.mark.parametrize("kind,fn", [
     ("zeta2", se.zeta2), ("zeta3", se.zeta3), ("x2", se.x2), ("x3", se.x3)])
 def test_sheared_reduction_matches_direct_4d(kind, fn):
