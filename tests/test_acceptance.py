@@ -423,7 +423,7 @@ def test_criterion_11_zeta_decay_monotonicity():
     # with beta, and |zeta2|, |zeta3| peak near beta = 8 at q0 = 0.3
     # (near beta = 11 at q0 = 0.1).  Monotone decay is therefore checked
     # on a doubling grid that starts at the peak.  At q0 = 0.1 the grid
-    # would run to beta = 64, where zeta2 needs 1.5M of the 4M budget.
+    # would run to beta = 64, where zeta2 needs 1.1M of the 4M budget.
     spec = QuadSpec(abs_tol=1e-4, rel_tol=0.0, max_evaluations=4_000_000)
     q0 = 0.3
     betas = (8.0, 16.0, 32.0)

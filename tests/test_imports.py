@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module, every
-name in its ``__all__`` exists in it, and every private module-level name
-is referenced somewhere besides its definition, and every defaulted
-parameter or record field is passed by some call; and the command line
-loads scipy and mpmath only for the commands that use them.
+"""Every name a package, test or bench module imports is used in that
+module, every name in a package module's ``__all__`` exists in it, and
+every private module-level name is referenced somewhere besides its
+definition, and every defaulted parameter or record field is passed by
+some call; and the command line loads scipy and mpmath only for the
+commands that use them.
 
 No linter ships with the project, so this is the unused-import check.
 A name counts as used when the module reads it anywhere, annotations
@@ -62,8 +63,10 @@ def test_checker_flags_only_unused_names():
     assert unused_imports(source) == [(2, "sys"), (3, "Tuple")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    + sorted(BENCH.glob("*.py")),
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vanhove_lab.orthant import RESTRICTED_CASES, fold_to_positive, table
-from vanhove_lab.quad import QuadSpec, integrate, integrate_mc
+from vanhove_lab.quad import QuadSpec, integrate
 
 RNG = np.random.default_rng(20240814)
 NPTS = 10_000
