@@ -114,7 +114,6 @@ def _write_manifest(path: Path, command: str, config: dict, columns: dict,
             "vanhove_lab": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": _dist_version("scipy"),
             "mpmath": _dist_version("mpmath"),
             "click": _dist_version("click"),
         },

@@ -2,12 +2,12 @@
 frequency-summed two-loop kernel.
 
 All functions accept scalars or numpy arrays for the energy arguments and
-mirror the input shape.  Exponentials are routed through stable forms
-(``expit`` and an explicit e^{-|x|} rewriting of sech^2) so that beta up
-to 1e4 is safe.  ``expit`` is resolved from ``scipy.special`` on the
-first finite-beta :func:`fermi` call, so zero-temperature work never
-pays that import.  The Bose factor enters only through the kernel's
-occupation numerator, in a product identity that removes its pole.
+mirror the input shape.  Exponentials are taken in forms that stay
+finite or overflow only to an exact limit, so that beta up to 1e4 is
+safe: the Fermi factor is 1/(1 + e^{beta E}) in numpy, where e^{beta E}
+= inf gives the occupation 0, and sech^2 is rewritten through e^{-|x|}.
+The Bose factor enters only through the kernel's occupation numerator,
+in a product identity that removes its pole.
 
 Zero temperature is a flag, not beta = inf: the step convention at E = 0
 is Theta_{1/2}(0) = 1/2, which keeps grid quadrature reproducible when a
@@ -16,7 +16,6 @@ node lands exactly on the Fermi surface.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -53,21 +52,20 @@ def _match(E: Energy, out: np.ndarray) -> Energy:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _expit():
-    from scipy.special import expit
-
-    return expit
-
-
 def fermi(state: ThermalState, E: Energy) -> Energy:
     """Occupation (1 + e^{beta E})^{-1}; step function with midpoint 1/2
-    at zero temperature."""
+    at zero temperature.
+
+    At finite beta e^{beta E} may overflow to inf, which gives the exact
+    limit 0, so the overflow is not reported.  At zero temperature the
+    step is 1/2 - sign(E)/2.  A NaN energy gives NaN on both branches.
+    """
     x = np.asarray(E, dtype=float)
     if state.zero_temperature:
-        out = np.where(x < 0, 1.0, np.where(x > 0, 0.0, 0.5))
+        out = 0.5 - 0.5 * np.sign(x)
     else:
-        out = _expit()(-state.beta * x)
+        with np.errstate(over="ignore"):
+            out = 1.0 / (1.0 + np.exp(state.beta * x))
     return _match(E, out)
 
 

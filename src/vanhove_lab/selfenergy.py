@@ -475,7 +475,7 @@ def d2_sigma2_xi_eta(q0: float, spec: QuadSpec,
 # integrates to zero over the line, which is what makes the remainder
 # terms die as beta grows.  These direct forms are the 4D oracle's; the
 # panel kernel computes the same products in cache-sized blocks of rows,
-# in real arithmetic and from one exp per node (see _panel_sums).
+# in real arithmetic and from two exps per node (see _panel_sums).
 def _delta1(u: np.ndarray) -> np.ndarray:
     w = np.exp(-np.abs(u))
     return w / (1.0 + w) ** 2
@@ -527,8 +527,11 @@ def _panel_sums(P: np.ndarray, a: float, beta: float, kind: str) -> np.ndarray:
     1/(ia+eps) = (eps - ia)/D, 1/(ia+eps)^2 = (eps^2 - a^2 - 2ia eps)/D^2,
     D = eps^2 + a^2.  So the real part sums k eps / D or
     k (eps^2 - a^2) / D^2, and the imaginary part is -p a times the sum of
-    k / D or k eps / D^2: one product and one sum per block.  The panel
-    count is a pure per-row function and each row sum is an ``einsum``,
+    k / D or k eps / D^2: two exps per node (t and the Fermi factor f3),
+    and one product and one sum per block.  A call allocates six block
+    buffers once, and every step writes into them in place; only ``fermi``
+    and the kind's factor return new arrays.  The panel count is a pure
+    per-row function and each row sum is an ``einsum``,
     whose bits do not depend on the other rows of a block (a BLAS ``gemv``
     product's do), so values cannot depend on how the adaptive outer
     quadrature batches its cells.
@@ -549,25 +552,44 @@ def _panel_sums(P: np.ndarray, a: float, beta: float, kind: str) -> np.ndarray:
     need = np.maximum(np.where(ok, scale * length, 0.0) / _PANEL_UNITS, 1.0)
     m_row = np.clip(np.exp2(np.ceil(np.log2(need))), _PANEL_MIN, _PANEL_MAX)
     out = np.zeros(len(P))
+    scratch = np.empty((6, _BLOCK))
     for m, (U, W) in _PANELS.items():
         rows = np.flatnonzero(ok & (m_row == m))
-        for s in range(0, len(rows), _BLOCK // len(U)):
-            idx = rows[s:s + _BLOCK // len(U)]
-            L, ds, ys = length[idx, None], delta[idx, None], yp[idx, None]
-            v = lo[idx, None] + L * U
-            e3 = (x[idx, None] - v) * ys
-            E1 = v * ds
-            eps = e2[idx, None] - e3 - E1
-            u = beta * E1
-            t = np.exp(-np.abs(u))
-            r = 1.0 / (1.0 + t)
-            k = t * r * r * (f2[idx, None] - fermi(state, e3))
+        per = _BLOCK // len(U)
+        blocks = scratch[:, :per * len(U)].reshape(6, per, len(U))
+        for s in range(0, len(rows), per):
+            idx = rows[s:s + per]
+            v, e3, eps, t, r, w = blocks[:, :len(idx)]
+            L, ds = length[idx, None], delta[idx, None]
+            np.multiply(L, U, out=v)
+            v += lo[idx, None]
+            np.subtract(x[idx, None], v, out=e3)
+            e3 *= yp[idx, None]
+            np.subtract(e2[idx, None], e3, out=eps)
+            k = fermi(state, e3)
+            np.subtract(f2[idx, None], k, out=k)
+            # E1 takes v's buffer, and u takes e3's once fermi has read it
+            E1 = np.multiply(v, ds, out=v)
+            eps -= E1
+            u = np.multiply(E1, beta, out=e3)
+            np.abs(u, out=t)
+            np.negative(t, out=t)
+            np.exp(t, out=t)
+            np.add(t, 1.0, out=r)
+            np.divide(1.0, r, out=r)
+            np.multiply(t, r, out=w)
+            w *= r
+            k *= w
             k *= factor(u, t, r, ds, beta)
-            D = eps * eps + a * a
-            k /= D if power == 1 else D * D
-            if parity > 0:
-                k *= eps if power == 1 else eps * eps - a * a
-            elif power == 2:
+            D = np.multiply(eps, eps, out=w)
+            D += a * a
+            if power == 2:
+                D *= D
+            k /= D
+            if parity > 0 and power == 2:
+                eps *= eps
+                eps -= a * a
+            if parity > 0 or power == 2:
                 k *= eps
             out[idx] = L[:, 0] * (c * np.einsum("ij,j->i", k, W))
     return out
@@ -833,6 +855,22 @@ def _x1_kernel(q0: float, state: ThermalState) -> quad.Integrand:
     return f
 
 
+def _im_x1_kernel(q0: float, state: ThermalState) -> quad.Integrand:
+    """Im of :func:`_x1_kernel` in real arithmetic: 1/(iq0+eps)^3 =
+    (eps - iq0)^3 / D^3 with D = eps^2 + q0^2, whose imaginary part is
+    q0 (q0^2 - 3 eps^2) / D^3."""
+
+    def f(P: np.ndarray) -> np.ndarray:
+        E1, E2, E3 = _energies(P)
+        num = _numerator(state, E1, E2, E3)
+        eps2 = (E2 - E3 - E1) ** 2
+        D = eps2 + q0 * q0
+        return (-2.0 * (P[:, 1] - P[:, 3]) ** 2 * num
+                * q0 * (q0 * q0 - 3.0 * eps2) / (D * D * D))
+
+    return f
+
+
 def x1(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
     """Thermal-weight-free piece of the pure second derivative.
 
@@ -846,11 +884,10 @@ def x1(q0: float, beta: float, spec: QuadSpec) -> QuadResult:
     :func:`_folded`): negating all four momenta leaves every energy alone,
     and negating (y, y') negates them, which keeps the numerator and turns
     the cubed resolvent into minus its conjugate, so x1 = 4i Im I_q, and
-    only the kernel's imaginary part is integrated.
+    only the kernel's imaginary part is integrated, as a real formula.
     """
     _require_q0(q0)
-    kernel = _x1_kernel(q0, ThermalState.finite(beta))
-    return _folded(lambda P: np.imag(kernel(P)), 4, spec, -1)
+    return _folded(_im_x1_kernel(q0, ThermalState.finite(beta)), 4, spec, -1)
 
 
 def x1_zt_direct(q0: float, spec: QuadSpec) -> QuadResult:

@@ -2,8 +2,10 @@
 module, every name in a package module's ``__all__`` exists in it, and
 every private module-level name is referenced somewhere besides its
 definition, and every defaulted parameter or record field is passed by
-some call; and the command line loads scipy and mpmath only for the
-commands that use them.
+some call; every third-party module the package imports is a declared
+runtime dependency and every runtime dependency is imported; and the
+command line loads mpmath only for the commands that use it and scipy
+for none.
 
 No linter ships with the project, so this is the unused-import check.
 A name counts as used when the module reads it anywhere, annotations
@@ -20,6 +22,7 @@ parameter by keyword, by position, or through ``*``/``**`` unpacking;
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -236,3 +239,34 @@ def test_zero_temperature_command_never_loads_scipy(tmp_path):
 def test_bubble_command_loads_mpmath(tmp_path):
     loaded = modules_loaded_after(run_command(["bubble-ph"]), HEAVY, tmp_path)
     assert "mpmath" in loaded and "scipy.special" not in loaded
+
+
+def test_finite_temperature_command_never_loads_scipy(tmp_path):
+    loaded = modules_loaded_after(run_command(["sigma2", "--beta", "8"]),
+                                  HEAVY, tmp_path)
+    assert "scipy" not in loaded and "scipy.special" not in loaded
+
+
+def third_party_imports(tree):
+    """Top-level names of the absolute imports of a module that are
+    neither standard library nor the package itself."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"vanhove_lab"}
+
+
+def test_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    runtime = {re.split(r"[<>=!~ \[;]", dep, maxsplit=1)[0].lower()
+               for dep in project["project"]["dependencies"]}
+    imported = set().union(*(
+        third_party_imports(ast.parse(p.read_text(encoding="utf-8")))
+        for p in PACKAGE.glob("*.py")))
+    assert imported - runtime == set(), "imported but not declared"
+    assert runtime - imported == set(), "declared but never imported"

@@ -2,7 +2,9 @@
 and the pole-free kernel numerator."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,18 +55,63 @@ def test_fermi_vectorized():
 
 
 @pytest.mark.parametrize("beta", [1e-2, 1.0, 10.0, 1e4])
-def test_fermi_is_scipy_expit_bit_for_bit(beta):
-    # fermi resolves expit lazily; the bits must be scipy's, not a
-    # numpy rewriting of 1/(1 + e^x), which differs in the last place
-    from scipy.special import expit
-
-    s = ThermalState.finite(beta)
+def test_fermi_matches_mpmath_within_ulp_bound(beta):
+    # Against 1/(1 + e^{beta E}) at 30 digits, wherever that value is a
+    # normal float.  From the value at the rounded argument fl(beta E),
+    # the one fermi exponentiates, the exp, add and divide lose at most
+    # 2 ulp (measured: 2, 2, 2 and 1 ulp at these betas).  Rounding the
+    # argument moves it by at most |beta E| 2^-53, which moves the
+    # occupation by a relative amount below that, so under |beta E| ulp;
+    # scipy's expit shares this term.  Measured against the exact product:
+    # 2, 2, 9 and 343 ulp (beta = 1e4, where |beta E| reaches 700).
     E = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e4 / beta, -1e4 / beta],
                         np.linspace(-1.0, 1.0, 2001)])
-    out = fermi(s, E)
-    assert np.array_equal(out, expit(-beta * E))
-    for e in E[:6]:
-        assert fermi(s, float(e)) == float(expit(-beta * e))
+    got = fermi(ThermalState.finite(beta), E)
+    x = beta * E
+
+    def exact(arg):
+        return float(1 / (1 + mpmath.exp(arg)))
+
+    with mpmath.workdps(30):
+        true = np.array([exact(mpmath.mpf(beta) * mpmath.mpf(e)) for e in E])
+        at_rounded = np.array([exact(mpmath.mpf(v)) for v in x])
+    normal = true >= np.finfo(float).tiny
+    assert normal.sum() > 1000
+    err = np.abs(got - true)[normal] / np.spacing(true[normal])
+    assert np.all(err <= 2.0 + np.abs(x[normal]))
+    ok = at_rounded >= np.finfo(float).tiny
+    assert np.all(np.abs(got - at_rounded)[ok]
+                  <= 2.0 * np.spacing(at_rounded[ok]))
+    for i in range(6):
+        assert fermi(ThermalState.finite(beta), float(E[i])) == got[i]
+
+
+def test_fermi_zero_temperature_step_is_the_where_chain():
+    # 1/2 - sign(E)/2 has the bits of the three-way np.where step,
+    # signed zeros, infinities and subnormals included
+    E = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324, -5e-324,
+                  1e-300, -1e300])
+    old = np.where(E < 0, 1.0, np.where(E > 0, 0.0, 0.5))
+    got = fermi(ThermalState.zero(), E)
+    assert np.array_equal(got.view(np.int64), old.view(np.int64))
+    assert [fermi(ThermalState.zero(), float(e)) for e in E] == old.tolist()
+
+
+def test_fermi_large_beta_raises_no_warning():
+    # e^{beta E} overflows to inf, whose occupation 0 is exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = ThermalState.finite(1e4)
+        assert fermi(s, 1.0) == 0.0 and fermi(s, -1.0) == 1.0
+        assert fermi(s, np.array([1.0, -1.0, 0.0])).tolist() == [0.0, 1.0, 0.5]
+
+
+def test_fermi_nan_energy_propagates():
+    # NaN in, NaN out on both branches, never an occupation of 1/2
+    for s in (ThermalState.finite(3.0), ThermalState.zero()):
+        assert math.isnan(fermi(s, math.nan))
+        out = fermi(s, np.array([math.nan, 0.0]))
+        assert math.isnan(out[0]) and out[1] == 0.5
 
 
 @given(

@@ -580,6 +580,38 @@ def test_pure_derivative_totals_converge_to_assembled_limit():
     assert dists[32.0] < dists[8.0]
 
 
+def test_pure_derivative_totals_approach_zero_temperature_value_in_beta():
+    # At q0 = 0.3 the gap |x1 + x2 + x3 - Im d2 Sigma2/dxi^2| reads 0.4529
+    # at beta = 64 and 0.0667 at beta = 256, against summed errors near
+    # 0.003 at this spec.
+    q0 = 0.3
+    spec = QuadSpec(abs_tol=1e-3, rel_tol=0.0, max_evaluations=4_000_000)
+    zt = se.d2_sigma2_xi_xi(q0, TIGHT, include_imaginary=True)
+    assert zt.converged
+    gaps, errors = [], []
+    for beta in (64.0, 256.0):
+        pieces = [fn(q0, beta, spec) for fn in (se.x1, se.x2, se.x3)]
+        assert all(r.converged for r in pieces)
+        total = sum(r.value for r in pieces)
+        gaps.append(abs(total.imag - zt.value.imag))
+        errors.append(sum(r.error_estimate for r in pieces)
+                      + zt.error_estimate)
+    assert gaps[1] + errors[1] < gaps[0] - errors[0]
+
+
+def test_real_x1_kernel_is_imaginary_part_of_complex_kernel():
+    rng = np.random.default_rng(11)
+    P = rng.uniform(-1.0, 1.0, size=(4000, 4))
+    P[:20, 3] = P[:20, 1]
+    for q0 in (0.5, 0.1, -0.3):
+        for state in (ThermalState.finite(8.0), ThermalState.finite(64.0),
+                      ThermalState.zero()):
+            want = np.imag(se._x1_kernel(q0, state)(P))
+            got = se._im_x1_kernel(q0, state)(P)
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_xi_xi_pieces_and_flags():
     r0 = se.d2_sigma2_xi_xi(0.5, TIGHT)
     assert r0.value.imag == 0.0
