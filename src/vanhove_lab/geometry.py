@@ -34,19 +34,23 @@ overlap at thresholds M^j, and compares with the bound
 (M^j / delta)^(1/n0) outside a delta^2 fraction of exceptional p.
 
 The interval lemma check verifies |{x : |f(x)| <= eps}| against the
-bound 2^(k+1) (eps/eta)^(1/k) for functions with |f^(k)| >= eta.  It
-counts the sublevel points in blocks of 16,384, so f's temporaries stay
-in cache; the count over the grid size has the bits of the mean of the
-flags.
+bound 2^(k+1) (eps/eta)^(1/k) for polynomials with |f^(k)| >= eta.  The
+coefficients bound f's slope and rounding on [-1, 1], so a grid block of
+1,024 points whose middle value lies far enough from eps is counted
+without evaluating it, and only the few blocks near a crossing are
+evaluated (``_sublevel_count``); the count is that of one pass, bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .dispersion import (
     DispersionModel,
@@ -335,6 +339,13 @@ def _singular_locations(model) -> List[SingularPoint]:
         return []
 
 
+def _check_trace_args(step: float, exclusion_radius: float) -> None:
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be positive and finite")
+    if not (math.isfinite(exclusion_radius) and exclusion_radius >= 0.0):
+        raise ValueError("exclusion_radius must be nonnegative and finite")
+
+
 def trace_fermi_curve(
     model: DispersionModel,
     step: float = 0.01,
@@ -347,10 +358,7 @@ def trace_fermi_curve(
     grid; traces terminate at saddles, exclusion discs, the domain
     boundary, or on closing up.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    if exclusion_radius < 0.0:
-        raise ValueError("exclusion_radius must be nonnegative")
+    _check_trace_args(step, exclusion_radius)
     singular = _singular_locations(model)
     sing_locs = [tuple(p.location.tolist()) for p in singular]
     m = _Marcher(model, step, exclusion_radius, sing_locs)
@@ -472,8 +480,10 @@ def _bisect_edge(e, a: Point, b: Point, iters=40) -> Point:
 
 
 _CHUNK = 64  # segments per prefilter chunk
-_BLOCK = 16_384  # points per evaluation block, overlap rows and sublevel count
-_SLACK = 1e-12  # relative rounding allowance of the chunk test
+_BLOCK = 16_384  # points per evaluation block of the overlap rows
+_SLACK = 1e-12  # relative rounding allowance of the chunk and block tests
+_GRID_BLOCK = 1024  # grid points per block of the sublevel prefilter
+_UNIT_ROUNDOFF = 2.0 ** -53  # of float64
 
 
 class _Chunks(NamedTuple):
@@ -738,6 +748,7 @@ def overlap_scaling_experiment(
     resolution = M ** min(j_sorted)
     if step is None:
         step = min(_TRACE_STEP_CAP, resolution)
+    _check_trace_args(step, exclusion_radius)
     if step > resolution * (1.0 + 1e-12):
         raise InsufficientResolution(
             f"trace step {step} exceeds smallest threshold {resolution}"
@@ -815,8 +826,46 @@ class IntervalLemmaResult(NamedTuple):
     holds: bool
 
 
+def _sublevel_count(f, eps: float, x: np.ndarray) -> int:
+    """Number of grid points x (ascending, in [-1, 1]) with |f(x)| <= eps.
+
+    The grid is cut into blocks of ``_GRID_BLOCK`` points, and f is
+    first evaluated at each block's middle point xm.  With c = f.coef,
+    n = len(c) and r the block's largest |x - xm| (at an end, since x
+    ascends), |f(x) - f(xm)| <= L r on the block, L = sum i |c_i|, and
+    Horner's rounding moves each computed value by at most
+    delta = gamma_{2n} sum |c_i| (Higham, Accuracy and Stability of
+    Numerical Algorithms, sec. 5.1).  So a block whose |f(xm)| exceeds
+    eps by more than L r + 2 delta holds no flag, and one below eps by
+    more than that is flagged whole; the relative slack covers the
+    rounding of the bound itself.  Every other block is evaluated.
+    Horner works element by element, so the count is that of one pass
+    over the whole grid, bit for bit.
+    """
+    c = np.abs(f.coef.astype(float))
+    n = len(c)
+    gamma = 2 * n * _UNIT_ROUNDOFF / (1.0 - 2 * n * _UNIT_ROUNDOFF)
+    delta = gamma * float(np.sum(c))
+    L = float(np.dot(np.arange(n), c))
+    start = np.arange(0, len(x), _GRID_BLOCK)
+    end = np.minimum(start + _GRID_BLOCK, len(x)) - 1
+    mid = (start + end) // 2
+    r = np.maximum(x[mid] - x[start], x[end] - x[mid])
+    fm = np.abs(np.asarray(f(x[mid]), dtype=float))
+    reach = L * r + 2.0 * delta
+    reach += _SLACK * (reach + eps)
+    # a NaN fails both tests, so its block is evaluated
+    full = fm < eps - reach
+    mixed = ~(fm > eps + reach) & ~full
+    count = int(np.sum(end[full] - start[full] + 1))
+    for i in np.flatnonzero(mixed):
+        fx = np.asarray(f(x[start[i]:end[i] + 1]), dtype=float)
+        count += int(np.count_nonzero(np.abs(fx) <= eps))
+    return count
+
+
 def interval_lemma_check(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Polynomial,
     k: int,
     eta: float,
     eps: float,
@@ -825,13 +874,29 @@ def interval_lemma_check(
     """Measure |{x : |f(x)| <= eps}| on [-1, 1] and compare with
     2^(k+1) (eps/eta)^(1/k).
 
-    The derivative hypothesis |f^(k)| >= eta is verified first by k-fold
-    finite differencing on a coarse stencil grid.
+    f is a ``numpy.polynomial.Polynomial`` with real coefficients and
+    the default domain and window, so that f(x) is Horner's rule on
+    f.coef (``_sublevel_count`` bounds it from them); anything else
+    raises ``ValueError``.  The derivative hypothesis |f^(k)| >= eta is
+    verified first by k-fold finite differencing on a coarse stencil
+    grid.  The measure is the flagged share of ``grid`` equispaced
+    points, times 2.
     """
-    if k < 1:
+    if not (
+        isinstance(f, Polynomial)
+        and f.coef.dtype.kind == "f"
+        and np.array_equal(f.domain, Polynomial.domain)
+        and np.array_equal(f.window, Polynomial.window)
+    ):
+        raise ValueError(
+            "f must be a numpy Polynomial with real coefficients and the "
+            "default domain and window"
+        )
+    if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("k must be a positive integer")
-    if eta <= 0.0 or eps <= 0.0:
-        raise ValueError("eta and eps must be positive")
+    for name, v in (("eta", eta), ("eps", eps)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be positive and finite")
     a, b = _INTERVAL
     grid = int(grid)
     if grid < 2:
@@ -846,13 +911,8 @@ def interval_lemma_check(
             f"|f^({k})| falls below eta={eta} on the check grid"
         )
 
-    # count block by block, so that f's temporaries stay in cache; the
-    # float64 count over grid has the bits of np.mean of the flags
-    x = np.linspace(a, b, grid)
-    count = 0
-    for lo in range(0, grid, _BLOCK):
-        fx = np.asarray(f(x[lo:lo + _BLOCK]), dtype=float)
-        count += int(np.count_nonzero(np.abs(fx) <= eps))
+    # the float64 count over grid has the bits of np.mean of the flags
+    count = _sublevel_count(f, eps, np.linspace(a, b, grid))
     measured = float(np.float64(count) / grid * (b - a))
     bound = 2.0 ** (k + 1) * (eps / eta) ** (1.0 / k)
     return IntervalLemmaResult(measured, bound, measured <= bound)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from fractions import Fraction
 
@@ -618,6 +619,29 @@ def test_chunks_cover_each_segment_once_within_their_radius():
     assert np.array_equal(chunks.pts[1:, 0][same], chunks.pts[:-1, -1][same])
 
 
+_BAD_TRACE_ARGS = [
+    ({"step": math.nan}, "step"),
+    ({"step": math.inf}, "step"),
+    ({"step": 0.0}, "step"),
+    ({"exclusion_radius": math.nan}, "exclusion_radius"),
+    ({"exclusion_radius": math.inf}, "exclusion_radius"),
+    ({"exclusion_radius": -0.1}, "exclusion_radius"),
+]
+
+
+@pytest.mark.parametrize("kwargs,name", _BAD_TRACE_ARGS)
+def test_trace_rejects_bad_step_and_exclusion_radius(kwargs, name):
+    # a NaN radius used to trace 2 branches through the saddles, where
+    # the curve is 4 arcs that end there
+    m = DispersionModel.hubbard(0.3, 0.0)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        trace_fermi_curve(m, **kwargs)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        overlap_scaling_experiment(
+            m, M=2.0, j_range=[-5], num_p=5, delta=0.1, rng_seed=0, **kwargs
+        )
+
+
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1e-3])
 def test_overlap_length_rejects_bad_threshold(threshold):
     m = DispersionModel.hubbard(0.3, -1.0)
@@ -799,14 +823,14 @@ def test_scaling_experiment_flags_nested_direction():
 
 
 def test_interval_lemma_linear_exact():
-    res = interval_lemma_check(lambda x: x, k=1, eta=1.0, eps=0.1)
+    res = interval_lemma_check(Polynomial([0.0, 1.0]), k=1, eta=1.0, eps=0.1)
     assert res.measured_volume == pytest.approx(0.2, abs=1e-5)
     assert res.bound == pytest.approx(0.4)
     assert res.holds
 
 
 def test_interval_lemma_quadratic_exact():
-    res = interval_lemma_check(lambda x: x ** 2, k=2, eta=2.0, eps=0.01)
+    res = interval_lemma_check(Polynomial([0.0, 0.0, 1.0]), k=2, eta=2.0, eps=0.01)
     assert res.measured_volume == pytest.approx(0.2, abs=1e-5)
     assert res.bound == pytest.approx(8.0 * math.sqrt(0.005))
     assert res.holds
@@ -820,7 +844,7 @@ def test_interval_lemma_random_cubics():
         eta = 6.0 * abs(a3) * 0.999
         eps = rng.uniform(1e-4, 0.05)
         res = interval_lemma_check(
-            lambda x: ((a3 * x + a2) * x + a1) * x + a0,
+            Polynomial([a0, a1, a2, a3]),
             k=3,
             eta=eta,
             eps=eps,
@@ -831,17 +855,142 @@ def test_interval_lemma_random_cubics():
 
 def test_interval_lemma_hypothesis_violated():
     with pytest.raises(HypothesisViolated):
-        interval_lemma_check(lambda x: x ** 3, k=2, eta=0.1, eps=0.01)
+        interval_lemma_check(Polynomial([0.0, 0.0, 0.0, 1.0]), k=2, eta=0.1, eps=0.01)
 
 
 def test_interval_lemma_validation():
+    line = Polynomial([0.0, 1.0])
     with pytest.raises(ValueError):
-        interval_lemma_check(lambda x: x, k=0, eta=1.0, eps=0.1)
+        interval_lemma_check(line, k=0, eta=1.0, eps=0.1)
     with pytest.raises(ValueError):
-        interval_lemma_check(lambda x: x, k=1, eta=-1.0, eps=0.1)
+        interval_lemma_check(line, k=1, eta=-1.0, eps=0.1)
     for grid in (-1, 0, 1):
         with pytest.raises(ValueError):
-            interval_lemma_check(lambda x: x, k=1, eta=1.0, eps=0.1, grid=grid)
+            interval_lemma_check(line, k=1, eta=1.0, eps=0.1, grid=grid)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            interval_lemma_check(line, k=1, eta=bad, eps=0.1)
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            interval_lemma_check(line, k=1, eta=1.0, eps=bad)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        interval_lemma_check(line, k=1.5, eta=1.0, eps=0.1)
+    # the prefilter reads the coefficients: only a plain real polynomial
+    not_polys = [
+        lambda x: x,
+        Polynomial([0.0, 1.0], domain=[0.0, 1.0]),
+        Polynomial([0.0, 1.0], window=[0.0, 1.0]),
+        Polynomial([0.0, 1.0j]),
+        np.polynomial.Chebyshev([0.0, 1.0]),
+    ]
+    for f in not_polys:
+        with pytest.raises(ValueError, match="numpy Polynomial"):
+            interval_lemma_check(f, k=1, eta=0.5, eps=0.1)
+
+
+def _assert_blocked_count_is_one_pass(f, eps, grid):
+    """The prefiltered count equals one pass over the grid, and so does
+    the checked volume where f meets the lemma's hypothesis."""
+    x = np.linspace(-1.0, 1.0, grid)
+    one_pass = np.abs(f(x)) <= eps
+    assert geo._sublevel_count(f, eps, x) == np.count_nonzero(one_pass)
+    k = f.degree()
+    if 1 <= k <= 3 and math.isfinite(f.coef[-1]):
+        eta = 0.5 * math.factorial(k) * abs(f.coef[-1])
+        res = interval_lemma_check(f, k, eta, eps, grid=grid)
+        assert res.measured_volume == float(np.mean(one_pass) * 2.0)
+
+
+@pytest.mark.parametrize("grid", [100_000, 5_000, 300])
+@pytest.mark.parametrize("where", ["grid point", "block middle"])
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_sublevel_prefilter_tangent_to_eps(grid, where, sign):
+    # |f| = eps + (x - x0)^2 touches eps at x0: a block's middle point,
+    # or the grid point after it
+    x = np.linspace(-1.0, 1.0, grid)
+    start = geo._GRID_BLOCK * (len(range(0, grid, geo._GRID_BLOCK)) // 2)
+    end = min(start + geo._GRID_BLOCK, grid) - 1
+    i0 = (start + end) // 2 + (where == "grid point")
+    x0 = float(x[i0])
+    for eps in (1e-3, 0.25, 3.0e-9):
+        f = sign * Polynomial([eps + x0 * x0, -2.0 * x0, 1.0])
+        _assert_blocked_count_is_one_pass(f, eps, grid)
+
+
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_sublevel_prefilter_constant_at_eps(sign):
+    eps = 0.1
+    for c in (eps, np.nextafter(eps, 1.0), np.nextafter(eps, 0.0)):
+        f = Polynomial([sign * c])
+        for grid in (2, 1000, 4096, 5000):
+            _assert_blocked_count_is_one_pass(f, eps, grid)
+            x = np.linspace(-1.0, 1.0, grid)
+            assert geo._sublevel_count(f, eps, x) == (grid if c <= eps else 0)
+
+
+def test_sublevel_prefilter_rounding_alone_crosses_eps():
+    # f = 1 + c1 x with c1 x = 2^-53 (1 + 1e-9) at a block middle xm:
+    # f(xm) rounds up to 1 + 2^-52, while f at the grid point below xm
+    # rounds down to 1 = eps.  The slope bound c1 r is far below one ulp,
+    # so only the rounding allowance keeps this block for evaluation.
+    grid = 100_000
+    x = np.linspace(-1.0, 1.0, grid)
+    start = geo._GRID_BLOCK * (3 * grid // (4 * geo._GRID_BLOCK))
+    xm = float(x[start + (geo._GRID_BLOCK - 1) // 2])
+    f = Polynomial([1.0, 2.0 ** -53 * (1.0 + 1e-9) / xm])
+    assert f(xm) > 1.0
+    one_pass = np.count_nonzero(np.abs(f(x)) <= 1.0)
+    assert 0 < one_pass < grid
+    assert geo._sublevel_count(f, 1.0, x) == one_pass
+
+
+@pytest.mark.parametrize(
+    "grid", [2, 7, geo._GRID_BLOCK - 1, geo._GRID_BLOCK, 3 * geo._GRID_BLOCK + 5,
+             123_457]
+)
+def test_sublevel_prefilter_partial_blocks(grid):
+    f = Polynomial([0.01, -0.3, 0.0, 1.0])
+    for eps in (1e-4, 0.02, 10.0):
+        _assert_blocked_count_is_one_pass(f, eps, grid)
+
+
+def test_sublevel_prefilter_nan_coefficient_keeps_every_block():
+    for coef in ([math.nan, 1.0], [0.0, math.nan], [0.1, 1.0, math.nan],
+                 [0.0, math.inf, 1.0]):
+        with np.errstate(invalid="ignore"):
+            _assert_blocked_count_is_one_pass(Polynomial(coef), 0.05, 10_000)
+
+
+@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_sublevel_prefilter_degrees(degree, sign):
+    rng = np.random.default_rng(degree)
+    for _ in range(20):
+        coef = rng.uniform(-1.0, 1.0, size=degree + 1)
+        coef[-1] = sign * rng.uniform(0.2, 2.0)
+        eps = 10.0 ** rng.uniform(-4.0, 0.0)
+        _assert_blocked_count_is_one_pass(Polynomial(coef), eps, 50_000)
+
+
+class _CountedPolynomial(Polynomial):
+    points = 0  # grid points this class was called on
+
+    def __call__(self, arg):
+        type(self).points += np.size(arg)
+        return super().__call__(arg)
+
+
+def test_interval_lemma_evaluates_few_grid_points():
+    # a return to evaluating the whole grid fails here
+    from vanhove_lab.cli import _interval_corpus
+
+    grid = 200_000
+    corpus = _interval_corpus(seed=0, per_k=100)
+    _CountedPolynomial.points = 0
+    for _, k, eta, eps, f in corpus:
+        g = _CountedPolynomial(f.coef)
+        assert interval_lemma_check(g, k, eta, eps, grid=grid) \
+            == interval_lemma_check(f, k, eta, eps, grid=grid)
+    assert _CountedPolynomial.points < 0.05 * grid * len(corpus)
 
 
 @pytest.mark.parametrize("grid", [1000, 16_384, 16_385, 123_457, 200_000])
