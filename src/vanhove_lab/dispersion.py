@@ -1,6 +1,6 @@
 """Band dispersions, saddle-point detection, and Morse normal forms.
 
-Two built-in models:
+The lab studies two bands, each on its own domain:
 
 * Hubbard-type band e(k) = -cos k1 - cos k2 + theta (1 + cos k1 cos k2) - mu
   on the torus [-pi, pi)^2, with 0 < theta < 1 so the only critical points
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,17 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DispersionModel:
-    kind: str  # "hubbard" | "xy" | "custom"
+    """One of the two bands above; ``domain`` and ``periodic`` follow
+    from ``kind``."""
+
+    kind: str  # "hubbard" | "xy"
     theta: float = 0.0
     mu: float = 0.0
-    domain: Tuple[Tuple[float, float], Tuple[float, float]] = (
-        (-math.pi, math.pi),
-        (-math.pi, math.pi),
-    )
-    periodic: bool = True
-    fn: Optional[Callable] = None
-    hess_fn: Optional[Callable] = None
-    seeds: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self) -> None:
         if self.kind == "hubbard":
@@ -63,12 +58,20 @@ class DispersionModel:
             if not math.isfinite(self.mu):
                 raise ValueError("hubbard model needs a finite mu")
         elif self.kind == "xy":
-            pass
-        elif self.kind == "custom":
-            if self.fn is None:
-                raise ValueError("custom model needs an evaluation callable")
+            if self.theta != 0.0 or self.mu != 0.0:
+                raise ValueError("xy model takes no theta or mu")
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
+
+    @property
+    def domain(self) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+        if self.kind == "hubbard":
+            return (-math.pi, math.pi), (-math.pi, math.pi)
+        return (-1.0, 1.0), (-1.0, 1.0)
+
+    @property
+    def periodic(self) -> bool:
+        return self.kind == "hubbard"
 
     @classmethod
     def hubbard(cls, theta: float, mu: float = 0.0) -> "DispersionModel":
@@ -76,29 +79,7 @@ class DispersionModel:
 
     @classmethod
     def xy(cls) -> "DispersionModel":
-        return cls(
-            kind="xy",
-            domain=((-1.0, 1.0), (-1.0, 1.0)),
-            periodic=False,
-        )
-
-    @classmethod
-    def custom(
-        cls,
-        fn: Callable,
-        hess_fn: Optional[Callable] = None,
-        domain=((-math.pi, math.pi), (-math.pi, math.pi)),
-        periodic: bool = True,
-        seeds: Optional[Sequence[Tuple[float, float]]] = None,
-    ) -> "DispersionModel":
-        return cls(
-            kind="custom",
-            fn=fn,
-            hess_fn=hess_fn,
-            domain=tuple(tuple(map(float, ab)) for ab in domain),
-            periodic=periodic,
-            seeds=tuple(tuple(map(float, s)) for s in seeds) if seeds else None,
-        )
+        return cls(kind="xy")
 
 
 def _split(k: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,9 +92,7 @@ def evaluate(model: DispersionModel, k) -> np.ndarray:
     if model.kind == "hubbard":
         c1, c2 = np.cos(k1), np.cos(k2)
         return -c1 - c2 + model.theta * (1.0 + c1 * c2) - model.mu
-    if model.kind == "xy":
-        return k1 * k2
-    return model.fn(np.asarray(k, dtype=float))
+    return k1 * k2
 
 
 def gradient(model: DispersionModel, k) -> np.ndarray:
@@ -122,9 +101,7 @@ def gradient(model: DispersionModel, k) -> np.ndarray:
         g1 = np.sin(k1) * (1.0 - model.theta * np.cos(k2))
         g2 = np.sin(k2) * (1.0 - model.theta * np.cos(k1))
         return np.stack([g1, g2], axis=-1)
-    if model.kind == "xy":
-        return np.stack([k2, k1], axis=-1)
-    return _fd_gradient(model, np.asarray(k, dtype=float))
+    return np.stack([k2, k1], axis=-1)
 
 
 def hessian(model: DispersionModel, k) -> np.ndarray:
@@ -136,12 +113,8 @@ def hessian(model: DispersionModel, k) -> np.ndarray:
         row1 = np.stack([h11, h12], axis=-1)
         row2 = np.stack([h12, h22], axis=-1)
         return np.stack([row1, row2], axis=-2)
-    if model.kind == "xy":
-        base = np.array([[0.0, 1.0], [1.0, 0.0]])
-        return np.broadcast_to(base, np.shape(k1) + (2, 2)).copy()
-    if model.hess_fn is not None:
-        return model.hess_fn(np.asarray(k, dtype=float))
-    return _fd_hessian(model, np.asarray(k, dtype=float))
+    base = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return np.broadcast_to(base, np.shape(k1) + (2, 2)).copy()
 
 
 def scalar_functions(
@@ -150,10 +123,7 @@ def scalar_functions(
            Callable[[float, float], Tuple[float, float]]]:
     """``(e, grad)`` on Python floats: e(k1, k2) -> float and
     grad(k1, k2) -> (g1, g2), with the same arithmetic as :func:`evaluate`
-    and :func:`gradient` on a single point.
-
-    The built-in models use ``math``; a custom model wraps its evaluation
-    callable and the finite-difference gradient on a 2-vector.
+    and :func:`gradient` on a single point, in ``math``.
     """
     if model.kind == "hubbard":
         theta, mu = model.theta, model.mu
@@ -168,39 +138,7 @@ def scalar_functions(
                     sin(k2) * (1.0 - theta * cos(k1)))
 
         return e, grad
-    if model.kind == "xy":
-        return (lambda k1, k2: k1 * k2), (lambda k1, k2: (k2, k1))
-
-    def e(k1, k2):
-        return float(evaluate(model, np.array([k1, k2])))
-
-    def grad(k1, k2):
-        g = gradient(model, np.array([k1, k2]))
-        return float(g[0]), float(g[1])
-
-    return e, grad
-
-
-def _fd_gradient(model, k, h=1e-6):
-    out = np.empty(k.shape)
-    for i in range(2):
-        dp = k.copy()
-        dm = k.copy()
-        dp[..., i] += h
-        dm[..., i] -= h
-        out[..., i] = (evaluate(model, dp) - evaluate(model, dm)) / (2 * h)
-    return out
-
-
-def _fd_hessian(model, k, h=1e-5):
-    out = np.empty(k.shape + (2,))
-    for i in range(2):
-        dp = k.copy()
-        dm = k.copy()
-        dp[..., i] += h
-        dm[..., i] -= h
-        out[..., :, i] = (gradient(model, dp) - gradient(model, dm)) / (2 * h)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return (lambda k1, k2: k1 * k2), (lambda k1, k2: (k2, k1))
 
 
 @dataclass(frozen=True)
@@ -220,11 +158,7 @@ def _wrap(model: DispersionModel, k: np.ndarray) -> np.ndarray:
 def _default_seeds(model: DispersionModel) -> List[Tuple[float, float]]:
     if model.kind == "hubbard":
         return [(0.0, 0.0), (math.pi, math.pi), (math.pi, 0.0), (0.0, math.pi)]
-    if model.kind == "xy":
-        return [(0.0, 0.0)]
-    if model.seeds is None:
-        raise ValueError("custom model needs an explicit seed list")
-    return list(model.seeds)
+    return [(0.0, 0.0)]
 
 
 _GRADIENT_TOL = 1e-10  # |grad e| of a critical point, and |e| on the surface

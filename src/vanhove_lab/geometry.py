@@ -7,15 +7,13 @@ saddle the level set is an X, so traces terminate there and the four
 arcs meeting at the saddle are seeded separately from the isotropic
 (null) directions of the Hessian.
 
-One scalar marcher serves every model.  It works on Python floats, with
-points as (x1, x2) tuples and e, grad e from
-:func:`~vanhove_lab.dispersion.scalar_functions` (``math`` for the
-built-in bands, the model's own callables on a 2-vector for a custom
-one).  A branch becomes an (n, 2) array only when its
-:class:`CurveSample` is built.  Dot products and the lengths that enter
-a point are rounded as numpy rounds them on a 2-vector (``_dot``,
-``np.hypot``), so the points are those of the earlier array marcher,
-bit for bit.
+One scalar marcher serves both bands.  It works on Python floats, with
+points as (x1, x2) tuples and e, grad e in ``math`` from
+:func:`~vanhove_lab.dispersion.scalar_functions`.  A branch becomes an
+(n, 2) array only when its :class:`CurveSample` is built.  Dot products
+and the lengths that enter a point are rounded as numpy rounds them on a
+2-vector (``_dot``, ``np.hypot``), so the points are those of the
+earlier array marcher, bit for bit.
 
 The overlap length of a traced curve with its translate measures
 arclen{k on curve : |e(p +/- k)| <= threshold} by flagging polyline
@@ -24,11 +22,11 @@ segments whose lower end value lies below the largest threshold can be
 flagged, a few percent of the curve.  So each branch is cut once into
 chunks of 64 segments with a center and a radius, and for a momentum p a
 chunk is evaluated only when |e| at its center is within max T plus a
-gradient bound times its radius (``_overlap_lengths``; a custom model
-has no bound and keeps every chunk).  One kernel, ``_flagged_lengths``,
-flags all thresholds of one (p, sign, branch) at once on the candidate
-segments of the kept chunks, in curve order: the set an evaluation of
-the whole curve would flag, so the lengths are the same bit for bit.
+gradient bound times its radius (``_overlap_lengths``).  One kernel,
+``_flagged_lengths``, flags all thresholds of one (p, sign, branch) at
+once on the candidate segments of the kept chunks, in curve order: the
+set an evaluation of the whole curve would flag, so the lengths are the
+same bit for bit.
 The scaling experiment samples translation momenta p, measures the
 overlap at thresholds M^j, and compares with the bound
 (M^j / delta)^(1/n0) outside a delta^2 fraction of exceptional p.
@@ -54,7 +52,6 @@ from numpy.polynomial import Polynomial
 
 from .dispersion import (
     DispersionModel,
-    SingularPoint,
     evaluate,
     find_singular_points,
     morse_normal_form,
@@ -82,7 +79,6 @@ __all__ = [
 class CurveSample:
     points: np.ndarray  # (n, 2), unwrapped coordinates along the trace
     cumulative_arclength: np.ndarray  # (n,), starts at 0, strictly increasing
-    branch_id: int
     closed: bool = False
 
     @property
@@ -332,13 +328,6 @@ class _Marcher:
             return hit
 
 
-def _singular_locations(model) -> List[SingularPoint]:
-    try:
-        return find_singular_points(model)
-    except ValueError:  # custom model without seeds: trace blind
-        return []
-
-
 def _check_trace_args(step: float, exclusion_radius: float) -> None:
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError("step must be positive and finite")
@@ -359,7 +348,7 @@ def trace_fermi_curve(
     boundary, or on closing up.
     """
     _check_trace_args(step, exclusion_radius)
-    singular = _singular_locations(model)
+    singular = find_singular_points(model)
     sing_locs = [tuple(p.location.tolist()) for p in singular]
     m = _Marcher(model, step, exclusion_radius, sing_locs)
     fns = m.fns
@@ -421,12 +410,7 @@ def trace_fermi_curve(
         seg = np.hypot(*(np.diff(pts, axis=0).T))
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         branches.append(
-            CurveSample(
-                points=pts,
-                cumulative_arclength=cum,
-                branch_id=len(branches),
-                closed=closed,
-            )
+            CurveSample(points=pts, cumulative_arclength=cum, closed=closed)
         )
         traced.append((pts, pts[:, 0] % period if model.periodic else pts[:, 0]))
     return branches
@@ -541,10 +525,8 @@ def _grad_bound(model: DispersionModel, k: np.ndarray, radius: np.ndarray):
     if model.kind == "hubbard":
         # |d e / d k_i| = |sin k_i (1 - theta cos k_j)| <= 1 + theta
         return math.sqrt(2.0) * (1.0 + model.theta)
-    if model.kind == "xy":
-        # grad e = (k2, k1), so |grad e| = |k| <= |center| + radius
-        return np.hypot(k[..., 0], k[..., 1]) + radius
-    return math.inf  # custom: every chunk is kept
+    # xy: grad e = (k2, k1), so |grad e| = |k| <= |center| + radius
+    return np.hypot(k[..., 0], k[..., 1]) + radius
 
 
 def _flagged_lengths(
@@ -657,8 +639,6 @@ class OverlapScalingReport:
     violation_fraction_minus: Optional[np.ndarray]
     nested_p_indices: Tuple[int, ...]
     total_curve_length: float
-    M: float
-    delta: float
     step: float
 
     def rows(self, sign: int = +1):
@@ -676,12 +656,8 @@ class OverlapScalingReport:
 
 def _derive_n0(model: DispersionModel) -> Optional[int]:
     """Largest branch nonflatness order plus one, over all saddles."""
-    try:
-        saddles = find_singular_points(model)
-    except ValueError:
-        return None
     orders = []
-    for p in saddles:
+    for p in find_singular_points(model):
         nf = morse_normal_form(model, p)
         for nu in (nf.nu1, nf.nu2):
             if nu is None:
@@ -742,7 +718,9 @@ def overlap_scaling_experiment(
             f"dropping ceil(delta^2 num_p) = {num_drop} of {num_p} momenta "
             "leaves none for the envelope fit"
         )
-    if not j_range or any(j >= 0 for j in j_range):
+    if not j_range or any(
+        not isinstance(j, numbers.Integral) or j >= 0 for j in j_range
+    ):
         raise ValueError("j_range must be nonempty negative integers")
     j_sorted = tuple(sorted(set(int(j) for j in j_range), reverse=True))
     resolution = M ** min(j_sorted)
@@ -809,8 +787,6 @@ def overlap_scaling_experiment(
         violation_fraction_minus=viol[-1],
         nested_p_indices=nested,
         total_curve_length=total_len,
-        M=float(M),
-        delta=float(delta),
         step=float(step),
     )
 
@@ -874,23 +850,24 @@ def interval_lemma_check(
     """Measure |{x : |f(x)| <= eps}| on [-1, 1] and compare with
     2^(k+1) (eps/eta)^(1/k).
 
-    f is a ``numpy.polynomial.Polynomial`` with real coefficients and
-    the default domain and window, so that f(x) is Horner's rule on
-    f.coef (``_sublevel_count`` bounds it from them); anything else
-    raises ``ValueError``.  The derivative hypothesis |f^(k)| >= eta is
-    verified first by k-fold finite differencing on a coarse stencil
-    grid.  The measure is the flagged share of ``grid`` equispaced
-    points, times 2.
+    f is a ``numpy.polynomial.Polynomial`` with finite real
+    coefficients and the default domain and window, so that f(x) is
+    Horner's rule on f.coef (``_sublevel_count`` bounds it from them);
+    anything else raises ``ValueError``.  The derivative hypothesis
+    |f^(k)| >= eta is verified first by k-fold finite differencing on a
+    coarse stencil grid.  The measure is the flagged share of ``grid``
+    equispaced points, times 2.
     """
     if not (
         isinstance(f, Polynomial)
         and f.coef.dtype.kind == "f"
+        and np.all(np.isfinite(f.coef))
         and np.array_equal(f.domain, Polynomial.domain)
         and np.array_equal(f.window, Polynomial.window)
     ):
         raise ValueError(
-            "f must be a numpy Polynomial with real coefficients and the "
-            "default domain and window"
+            "f must be a numpy Polynomial with finite real coefficients and "
+            "the default domain and window"
         )
     if not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError("k must be a positive integer")
@@ -906,7 +883,8 @@ def interval_lemma_check(
     xc = np.linspace(a, b, n_check)
     h = xc[1] - xc[0]
     dk = np.diff(np.asarray(f(xc), dtype=float), k) / h ** k
-    if float(np.min(np.abs(dk))) < eta * (1.0 - 1e-9):
+    # written as a negation so that a NaN fails the hypothesis
+    if not float(np.min(np.abs(dk))) >= eta * (1.0 - 1e-9):
         raise HypothesisViolated(
             f"|f^({k})| falls below eta={eta} on the check grid"
         )

@@ -103,8 +103,6 @@ class FrequencySumResult:
     value: complex
     truncation_budget: float
     grid_budget: float
-    cutoff: float
-    grid: int
 
     @property
     def budget(self) -> float:
@@ -176,8 +174,7 @@ def frequency_sum_sigma2(q0: float, q: Tuple[float, float], beta: float,
     v_cut = _freq_sum(q0, q, beta, cutoff / 2.0, grid)
     v_grid = _freq_sum(q0, q, beta, cutoff, grid // 2)
     return FrequencySumResult(
-        value=v, truncation_budget=abs(v - v_cut), grid_budget=abs(v - v_grid),
-        cutoff=cutoff, grid=grid)
+        value=v, truncation_budget=abs(v - v_cut), grid_budget=abs(v - v_grid))
 
 
 def _freq_sum(q0: float, q: Tuple[float, float], beta: float,

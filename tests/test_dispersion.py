@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vanhove_lab.dispersion import (
     DispersionModel,
+    SingularPoint,
     evaluate,
     find_singular_points,
     gradient,
@@ -115,24 +116,6 @@ def test_off_surface_saddles_excluded():
     assert find_singular_points(m) == []
 
 
-def test_custom_model_seeds_required():
-    m = DispersionModel.custom(fn=lambda k: k[..., 0] * k[..., 1])
-    with pytest.raises(ValueError):
-        find_singular_points(m)
-
-
-def test_custom_model_with_seeds():
-    m = DispersionModel.custom(
-        fn=lambda k: np.sin(k[..., 0]) * np.sin(k[..., 1]),
-        domain=((-math.pi, math.pi), (-math.pi, math.pi)),
-        seeds=[(0.1, -0.1)],
-    )
-    pts = find_singular_points(m)
-    assert len(pts) == 1
-    assert np.allclose(pts[0].location, [0.0, 0.0], atol=1e-8)
-    assert pts[0].hessian_eigenvalues[0] * pts[0].hessian_eigenvalues[1] < 0
-
-
 def _saddle_at(model, loc):
     pts = find_singular_points(model)
     for p in pts:
@@ -196,19 +179,31 @@ def test_normal_form_quadratic_coefficient():
 
 
 def test_flat_branch_detected():
-    # surface k1 k2 - 1e-5 k2^2 reported with a simplified Hessian: the
-    # working frame then misses the branch tilt, leaving a deviation that
-    # is purely linear, with no Taylor order >= 2 to assign nu to
-    def f(k):
-        return k[..., 0] * k[..., 1] - 1e-5 * k[..., 1] ** 2
-
-    def hess(k):
-        base = np.array([[0.0, 1.0], [1.0, 0.0]])
-        return np.broadcast_to(base, np.shape(k[..., 0]) + (2, 2)).copy()
-
-    m = DispersionModel.custom(fn=f, hess_fn=hess, domain=((-1, 1), (-1, 1)),
-                               periodic=False, seeds=[(0.0, 0.0)])
-    pts = find_singular_points(m)
-    assert len(pts) == 1
+    # the xy saddle reported with its Hessian eigenvectors turned by
+    # 1e-5 rad: the working frame then misses the branch tilt, leaving a
+    # deviation that is purely linear, with no Taylor order >= 2 to
+    # assign nu to
+    m = DispersionModel.xy()
+    (p,) = find_singular_points(m)
+    c, s = math.cos(1e-5), math.sin(1e-5)
+    turned = SingularPoint(
+        location=p.location,
+        hessian_eigenvalues=p.hessian_eigenvalues,
+        hessian_rotation=np.array([[c, -s], [s, c]]) @ p.hessian_rotation,
+    )
     with pytest.raises(FlatBranch):
-        morse_normal_form(m, pts[0], radius=0.5, grid=21)
+        morse_normal_form(m, turned, radius=0.5, grid=21)
+
+
+def test_model_domain_follows_kind():
+    xy = DispersionModel(kind="xy")
+    assert xy == DispersionModel.xy()
+    assert xy.domain == ((-1.0, 1.0), (-1.0, 1.0)) and xy.periodic is False
+    hub = DispersionModel(kind="hubbard", theta=0.3)
+    assert hub == DispersionModel.hubbard(0.3)
+    assert hub.domain == ((-math.pi, math.pi), (-math.pi, math.pi))
+    assert hub.periodic is True
+    for kwargs in ({"kind": "custom"}, {"kind": "xy", "theta": 0.3},
+                   {"kind": "xy", "mu": 0.1}):
+        with pytest.raises(ValueError):
+            DispersionModel(**kwargs)

@@ -9,7 +9,13 @@ from numpy.polynomial import Polynomial
 from fractions import Fraction
 
 from vanhove_lab import geometry as geo
-from vanhove_lab.dispersion import DispersionModel, _isotropic_frame, evaluate, gradient
+from vanhove_lab.dispersion import (
+    DispersionModel,
+    _isotropic_frame,
+    evaluate,
+    find_singular_points,
+    gradient,
+)
 from vanhove_lab.errors import (
     HypothesisViolated,
     InsufficientResolution,
@@ -291,7 +297,7 @@ def _ref_scan_seeds(model, n, tol):
 def _ref_trace(model, step, exclusion_radius=0.0, tol=1e-10,
                max_steps=2_000_000, scan_grid=48):
     """(points, cumulative_arclength, closed) per branch, array marcher."""
-    singular = geo._singular_locations(model)
+    singular = find_singular_points(model)
     sing_locs = [p.location for p in singular]
     m = _RefMarcher(model, step, exclusion_radius, tol, max_steps, sing_locs)
     seeds = []
@@ -346,11 +352,6 @@ def _ref_delta(a, b, periodic):
     return _ref_torus_delta(d) if periodic else d
 
 
-def _custom_band(k):
-    k = np.asarray(k)
-    return -np.cos(k[..., 0]) - 0.8 * np.cos(k[..., 1]) + 0.4
-
-
 @pytest.mark.parametrize(
     "model,step,excl,closed",
     [
@@ -359,10 +360,9 @@ def _custom_band(k):
         (DispersionModel.hubbard(0.8, 0.0), 0.01, 0.05, False),  # ulp-sensitive
         (DispersionModel.hubbard(0.3, -1.0), 0.01, 0.0, True),  # closed curve
         (DispersionModel.xy(), 0.01, 0.05, False),  # box clip, disc crossing
-        (DispersionModel.custom(_custom_band), 0.01, 0.0, True),  # FD gradient
     ],
     ids=["hubbard-snap", "hubbard-disc", "hubbard-disc-0.8", "hubbard-closed",
-         "xy-box", "custom-fd"],
+         "xy-box"],
 )
 def test_scalar_marcher_matches_array_reference(model, step, excl, closed):
     ref = _ref_trace(model, step, excl)
@@ -542,21 +542,6 @@ def test_prefilter_matches_unfiltered_loop_on_xy_branches(monkeypatch):
     assert counter.points < 0.5 * n_points
 
 
-def test_prefilter_keeps_every_chunk_of_a_custom_model(monkeypatch):
-    m = DispersionModel.custom(_custom_band)
-    branches = trace_fermi_curve(m, step=0.01)
-    chunks = geo._chunk_branches(branches)
-    counter = _CountingEvaluate()
-    monkeypatch.setattr(geo, "evaluate", counter)
-    T = 2.0 ** np.arange(-4.0, -8.0, -1.0)
-    p = np.array([0.7, -0.4])
-    for sign in (+1, -1):
-        got = geo._overlap_lengths(m, chunks, p, (sign,), T)[0]
-        assert np.array_equal(got, _ref_overlap_lengths(m, branches, p, sign, T))
-    # the centers and all (_CHUNK + 1)-point rows, for both signs
-    assert counter.points == 2 * len(chunks.pts) * (geo._CHUNK + 2)
-
-
 def test_prefilter_rows_in_several_blocks_match_unfiltered_loop(monkeypatch):
     # a tiny p keeps the whole curve near e = 0 for sign -1, so the kept
     # rows span several evaluation blocks
@@ -591,7 +576,6 @@ def test_prefilter_matches_unfiltered_loop_on_short_and_ragged_branches(n):
         cut = geo.CurveSample(
             points=full.points[start:start + n],
             cumulative_arclength=np.concatenate([[0.0], np.cumsum(segs)]),
-            branch_id=0,
         )
         # p = 0 keeps the whole cut on the level set
         for p in (np.zeros(2), rng.uniform(-0.1, 0.1, size=2)):
@@ -701,8 +685,6 @@ def test_overlap_bound_on_momentum_ring():
     # exceptional set, which consists of the tangency cones around the
     # four curve-arm directions at the saddles (translating the curve
     # along its own asymptote keeps it close to itself)
-    from vanhove_lab.dispersion import _isotropic_frame, find_singular_points
-
     m = DispersionModel.hubbard(0.3, 0.0)
     step = 2.0 ** -10
     branches = trace_fermi_curve(m, step=step)
@@ -793,6 +775,17 @@ def test_scaling_experiment_rejects_inputs_that_leave_no_sample(
             p_override=p_override,
         )
 
+
+@pytest.mark.parametrize("j_range", [[-0.5], [-5.7, -6]])
+def test_scaling_experiment_rejects_non_integer_exponents(j_range):
+    # int() would truncate them toward zero, to j = 0 and j = -5
+    m = DispersionModel.hubbard(0.3, 0.0)
+    with pytest.raises(ValueError, match="negative integers"):
+        overlap_scaling_experiment(
+            m, M=2.0, j_range=j_range, num_p=5, delta=0.1, rng_seed=0
+        )
+
+
 def test_scaling_experiment_single_threshold_no_fit():
     m = DispersionModel.hubbard(0.3, 0.0)
     rep = overlap_scaling_experiment(
@@ -881,6 +874,10 @@ def test_interval_lemma_validation():
         Polynomial([0.0, 1.0], window=[0.0, 1.0]),
         Polynomial([0.0, 1.0j]),
         np.polynomial.Chebyshev([0.0, 1.0]),
+        # a NaN would fail every comparison and pass as a hypothesis
+        Polynomial([math.nan, 1.0]),
+        Polynomial([math.inf, 1.0]),
+        Polynomial([0.0, math.nan]),
     ]
     for f in not_polys:
         with pytest.raises(ValueError, match="numpy Polynomial"):
@@ -889,12 +886,13 @@ def test_interval_lemma_validation():
 
 def _assert_blocked_count_is_one_pass(f, eps, grid):
     """The prefiltered count equals one pass over the grid, and so does
-    the checked volume where f meets the lemma's hypothesis."""
+    the checked volume where f meets the lemma's hypothesis (which needs
+    finite coefficients)."""
     x = np.linspace(-1.0, 1.0, grid)
     one_pass = np.abs(f(x)) <= eps
     assert geo._sublevel_count(f, eps, x) == np.count_nonzero(one_pass)
     k = f.degree()
-    if 1 <= k <= 3 and math.isfinite(f.coef[-1]):
+    if 1 <= k <= 3 and np.all(np.isfinite(f.coef)):
         eta = 0.5 * math.factorial(k) * abs(f.coef[-1])
         res = interval_lemma_check(f, k, eta, eps, grid=grid)
         assert res.measured_volume == float(np.mean(one_pass) * 2.0)

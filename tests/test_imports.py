@@ -1,11 +1,11 @@
 """Every name a package, test or bench module imports is used in that
 module, every name in a package module's ``__all__`` exists in it, and
 every private module-level name is referenced somewhere besides its
-definition, and every defaulted parameter or record field is passed by
-some call; every third-party module the package imports is a declared
-runtime dependency and every runtime dependency is imported; and the
-command line loads mpmath only for the commands that use it and scipy
-for none.
+definition, every defaulted parameter or record field is passed by
+some call, and every record field is read; every third-party module the
+package imports is a declared runtime dependency and every runtime
+dependency is imported; and the command line loads mpmath only for the
+commands that use it and scipy for none.
 
 No linter ships with the project, so this is the unused-import check.
 A name counts as used when the module reads it anywhere, annotations
@@ -16,7 +16,9 @@ name or an attribute, or imports it.  A default counts as passed when
 some call in the package, the tests or the bench names the function or
 record (by name or attribute; ``cls`` inside its class) and passes that
 parameter by keyword, by position, or through ``*``/``**`` unpacking;
-``replace``/``_replace`` calls pass their keywords to every record.
+``replace``/``_replace`` calls pass their keywords to every record.  A
+record field counts as read when some file of the package, the tests or
+the bench loads an attribute of that name.
 """
 
 import ast
@@ -204,6 +206,27 @@ def test_every_default_is_passed_somewhere():
               if not passed(callee, name, position)
               and not (field and name in replaced)]
     assert unused == []
+
+
+def record_fields(tree):
+    """``(record, field)`` of every field a record declares."""
+    return [(node.name, f.target.id) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and is_record(node)
+            for f in node.body if isinstance(f, ast.AnnAssign)]
+
+
+def test_every_record_field_is_read():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) \
+        + sorted(BENCH.glob("*.py"))
+    read = {n.attr for p in files
+            for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [(p.name, record, name)
+              for p in sorted(PACKAGE.glob("*.py"))
+              for record, name in record_fields(
+                  ast.parse(p.read_text(encoding="utf-8")))
+              if name not in read]
+    assert unread == []
 
 
 def modules_loaded_after(code, names, tmp_path):
