@@ -23,7 +23,6 @@ from .errors import (
     FactorizationFailed,
     FlatBranch,
     HypothesisViolated,
-    InsufficientResolution,
     NonFiniteSample,
     SingularDesign,
     TraceStalled,
@@ -38,7 +37,6 @@ __all__ = [
     "FactorizationFailed",
     "FlatBranch",
     "TraceStalled",
-    "InsufficientResolution",
     "HypothesisViolated",
     "ZeroFrequency",
     "NonFiniteSample",

@@ -41,12 +41,7 @@ import click
 import numpy as np
 
 from . import __version__, dispersion, fitlab, geometry, selfenergy
-from .errors import (
-    InsufficientResolution,
-    SingularDesign,
-    VanHoveLabError,
-    ZeroFrequency,
-)
+from .errors import SingularDesign, VanHoveLabError, ZeroFrequency
 from .matsubara import ThermalState
 from .quad import QuadSpec, combine
 
@@ -288,8 +283,7 @@ def _run(ctx: click.Context, cfg: dict,
     t0 = time.perf_counter()
     try:
         out = compute(cfg)
-    except (ValueError, ZeroFrequency, SingularDesign,
-            InsufficientResolution) as e:
+    except (ValueError, ZeroFrequency, SingularDesign) as e:
         click.echo(f"error: {type(e).__name__}: {e}", err=True)
         ctx.exit(2)
     except VanHoveLabError as e:

@@ -28,10 +28,6 @@ class TraceStalled(VanHoveLabError):
     """Newton projection failed to converge during level-set tracing."""
 
 
-class InsufficientResolution(VanHoveLabError):
-    """Curve discretization too coarse for the requested scale."""
-
-
 class HypothesisViolated(VanHoveLabError):
     """A lemma precondition fails on the supplied data; no claim is made."""
 

@@ -58,11 +58,7 @@ from .dispersion import (
     scalar_functions,
     _isotropic_frame,
 )
-from .errors import (
-    HypothesisViolated,
-    InsufficientResolution,
-    TraceStalled,
-)
+from .errors import HypothesisViolated, TraceStalled
 
 __all__ = [
     "CurveSample",
@@ -94,7 +90,7 @@ Point = Tuple[float, float]
 _TRACE_TOL = 1e-10  # |e| at which a traced point counts as on the curve
 _MAX_STEPS = 2_000_000  # steps before one march is declared stalled
 _SCAN_GRID = 48  # nodes per side of the sign-change seed scan
-_TRACE_STEP_CAP = 0.01  # largest default trace step of the scaling experiment
+_TRACE_STEP_CAP = 0.01  # largest trace step of the scaling experiment
 _INTERVAL = (-1.0, 1.0)  # the interval lemma's interval
 
 
@@ -106,9 +102,9 @@ def _torus_delta(d):
 def _gap(a: Point, b: Point) -> float:
     """|a - b|, for the step-size and termination tests only.
 
-    ``math.hypot`` can differ from ``np.hypot`` in the last bit, so
-    lengths that enter a point (``_tangent``, ``_disc_crossing``) use
-    ``np.hypot`` instead, as the array marcher did.
+    ``math.hypot`` can differ from ``np.hypot`` in the last bit, so the
+    length that enters a point (``_tangent``) uses ``np.hypot`` instead,
+    as the array marcher did.
     """
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
@@ -220,16 +216,13 @@ def _clip_to_box(x_from, x_to, box):
 
 
 class _Marcher:
-    def __init__(self, model, step, exclusion_radius, sing_locs):
+    def __init__(self, model, step, sing_locs):
         self.fns = scalar_functions(model)
         self.box = model.domain
         self.h = step
-        self.excl = exclusion_radius
         self.sing = sing_locs  # list of (x1, x2)
         self.periodic = model.periodic
-        # fold the four arc rays into the saddle itself when no exclusion
-        self.snap = exclusion_radius < 0.25 * step
-        self.stop_r = max(exclusion_radius, 1.5 * step)
+        self.stop_r = 1.5 * step
 
     def near_singular(self, x: Point) -> Optional[Point]:
         for s in self.sing:
@@ -263,17 +256,11 @@ class _Marcher:
                     raise TraceStalled(
                         f"step spacing {spacing} incompatible with target {h}"
                     )
-            # saddle / exclusion-disc termination
+            # saddle termination: the arc ends on the saddle itself
             img = self.near_singular(cand)
             if img is not None:
-                if self.snap:
-                    if _gap(img, x) >= 0.25 * h:
-                        pts.append(img)
-                else:
-                    # trim the segment at the disc boundary
-                    hit = self._disc_crossing(x, cand, img)
-                    if hit is not None and _gap(hit, x) >= 0.25 * h:
-                        pts.append(hit)
+                if _gap(img, x) >= 0.25 * h:
+                    pts.append(img)
                 return pts, False
             # domain boundary (open domains only)
             if not self.periodic:
@@ -301,56 +288,20 @@ class _Marcher:
                     return pts, True
         raise TraceStalled(f"no termination within {_MAX_STEPS} steps")
 
-    def _disc_crossing(self, a: Point, b: Point, center: Point) -> Optional[Point]:
-        """Point where segment a->b enters the disc around center, pulled
-        back onto the level set along the local tangent of the disc."""
-        da1, da2 = a[0] - center[0], a[1] - center[1]
-        dd1, dd2 = b[0] - a[0], b[1] - a[1]
-        qa = _dot(da1, da2, da1, da2) - self.excl ** 2
-        A = _dot(dd1, dd2, dd1, dd2)
-        B = 2.0 * _dot(da1, da2, dd1, dd2)
-        disc = B * B - 4.0 * A * qa
-        if disc < 0.0 or A == 0.0:
-            return None
-        s = (-B + math.sqrt(disc)) / (2.0 * A)
-        if not 0.0 <= s <= 1.0:
-            s = (-B - math.sqrt(disc)) / (2.0 * A)
-        if not 0.0 <= s <= 1.0:
-            return None
-        hit = (a[0] + s * dd1, a[1] + s * dd2)
-        r1, r2 = hit[0] - center[0], hit[1] - center[1]
-        nrm = float(np.hypot(r1, r2))
-        if nrm == 0.0:
-            return hit
-        try:
-            return _project_along(self.fns, hit, (-r2 / nrm, r1 / nrm))
-        except TraceStalled:
-            return hit
 
-
-def _check_trace_args(step: float, exclusion_radius: float) -> None:
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be positive and finite")
-    if not (math.isfinite(exclusion_radius) and exclusion_radius >= 0.0):
-        raise ValueError("exclusion_radius must be nonnegative and finite")
-
-
-def trace_fermi_curve(
-    model: DispersionModel,
-    step: float = 0.01,
-    exclusion_radius: float = 0.0,
-) -> List[CurveSample]:
+def trace_fermi_curve(model: DispersionModel, step: float = 0.01) -> List[CurveSample]:
     """All connected branches of {e = 0}, as ordered point chains.
 
     Branch seeds come from the saddle ray directions (the isotropic
     directions of the Hessian) and from a sign-change scan on a coarse
-    grid; traces terminate at saddles, exclusion discs, the domain
-    boundary, or on closing up.
+    grid; traces terminate on a saddle (the arc's last point is the
+    saddle itself), at the domain boundary, or on closing up.
     """
-    _check_trace_args(step, exclusion_radius)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be positive and finite")
     singular = find_singular_points(model)
     sing_locs = [tuple(p.location.tolist()) for p in singular]
-    m = _Marcher(model, step, exclusion_radius, sing_locs)
+    m = _Marcher(model, step, sing_locs)
     fns = m.fns
 
     seeds: List[Point] = []
@@ -637,7 +588,6 @@ class OverlapScalingReport:
     bounds: Optional[np.ndarray]  # (num_j,), (M^j/delta)^(1/n0)
     violation_fraction: Optional[np.ndarray]  # per j, sign +
     violation_fraction_minus: Optional[np.ndarray]
-    nested_p_indices: Tuple[int, ...]
     total_curve_length: float
     step: float
 
@@ -692,22 +642,19 @@ def overlap_scaling_experiment(
     num_p: int,
     delta: float,
     rng_seed: int,
-    step: Optional[float] = None,
-    exclusion_radius: float = 0.0,
-    n0: Optional[int] = None,
-    p_override: Optional[np.ndarray] = None,
 ) -> OverlapScalingReport:
-    """Sample translation momenta, measure overlap lengths at the
-    thresholds M^j, and compare against (M^j/delta)^(1/n0).
+    """Sample num_p translation momenta uniformly on the model's domain
+    (seeded by rng_seed), measure overlap lengths at the thresholds M^j,
+    and compare against (M^j/delta)^(1/n0).
 
-    p_override replaces the uniform sample with explicit momenta (used
-    to probe specific directions, e.g. nesting of a flat branch).
+    The curve is traced with step min(0.01, M^min(j)), never coarser
+    than the smallest threshold, and n0 is the largest branch
+    nonflatness order over the model's saddles plus one (None, with no
+    bound, for an exactly flat branch).  A threshold M^j below the
+    smallest normal float raises ``ValueError``.
     """
     if not 1.0 < M < math.inf:
         raise ValueError("M must be finite and exceed 1")
-    if p_override is not None:
-        p_override = np.asarray(p_override, dtype=float).reshape(-1, 2)
-        num_p = len(p_override)
     if num_p < 1:
         raise ValueError("num_p must be at least 1")
     if not 0.0 < delta < 1.0:
@@ -723,30 +670,24 @@ def overlap_scaling_experiment(
     ):
         raise ValueError("j_range must be nonempty negative integers")
     j_sorted = tuple(sorted(set(int(j) for j in j_range), reverse=True))
-    resolution = M ** min(j_sorted)
-    if step is None:
-        step = min(_TRACE_STEP_CAP, resolution)
-    _check_trace_args(step, exclusion_radius)
-    if step > resolution * (1.0 + 1e-12):
-        raise InsufficientResolution(
-            f"trace step {step} exceeds smallest threshold {resolution}"
+    smallest = M ** j_sorted[-1]
+    if smallest < np.finfo(float).tiny:
+        raise ValueError(
+            f"threshold M^j for M = {M}, j = {j_sorted[-1]} underflows the "
+            "smallest normal float"
         )
-    branches = trace_fermi_curve(model, step=step, exclusion_radius=exclusion_radius)
+    step = min(_TRACE_STEP_CAP, smallest)
+    branches = trace_fermi_curve(model, step=step)
     if not branches:
         raise ValueError("no Fermi curve found for this model")
     total_len = sum(b.total_length for b in branches)
+    n0 = _derive_n0(model)
 
-    if n0 is None:
-        n0 = _derive_n0(model)
-
-    if p_override is not None:
-        p_samples = p_override
-    else:
-        rng = np.random.default_rng(rng_seed)
-        (x0, x1), (y0, y1) = model.domain
-        p_samples = np.column_stack(
-            [rng.uniform(x0, x1, size=num_p), rng.uniform(y0, y1, size=num_p)]
-        )
+    rng = np.random.default_rng(rng_seed)
+    (x0, x1), (y0, y1) = model.domain
+    p_samples = np.column_stack(
+        [rng.uniform(x0, x1, size=num_p), rng.uniform(y0, y1, size=num_p)]
+    )
 
     thresholds = np.array([M ** j for j in j_sorted])
     chunks = _chunk_branches(branches)
@@ -767,13 +708,6 @@ def overlap_scaling_experiment(
         for sign in (+1, -1)
     }
 
-    # a p whose overlap refuses to decay marks a nested direction
-    nested = tuple(
-        int(ip)
-        for ip in range(num_p)
-        if min(lengths[+1][ip, -1], lengths[-1][ip, -1]) > 0.2 * total_len
-    )
-
     return OverlapScalingReport(
         p_samples=p_samples,
         j_values=j_sorted,
@@ -785,7 +719,6 @@ def overlap_scaling_experiment(
         bounds=bounds,
         violation_fraction=viol[+1],
         violation_fraction_minus=viol[-1],
-        nested_p_indices=nested,
         total_curve_length=total_len,
         step=float(step),
     )

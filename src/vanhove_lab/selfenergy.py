@@ -65,7 +65,7 @@ import numpy as np
 
 from . import quad
 from .errors import ZeroFrequency
-from .matsubara import ThermalState, _numerator, approx_delta, fermi
+from .matsubara import ThermalState, _numerator, approx_delta, fermi, sigma2_kernel
 from .quad import QuadResult, QuadSpec, combine
 
 __all__ = [
@@ -137,8 +137,6 @@ def sigma2(q0: float, q: Tuple[float, float], state: ThermalState,
     holds pointwise because q0 only enters through iq0.
     """
     _require_q0(q0)
-    from .matsubara import sigma2_kernel
-
     xi, eta = float(q[0]), float(q[1])
     if not (math.isfinite(xi) and math.isfinite(eta)):
         raise ValueError(f"momentum must be finite, got {q}")

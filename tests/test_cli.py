@@ -245,6 +245,17 @@ def test_overlap_bad_sample_inputs_exit_2(runner, tmp_path, args):
     assert "ValueError" in r.output
     assert not (tmp_path / "ov.csv").exists()
 
+
+def test_overlap_underflowing_threshold_exits_2(runner, tmp_path):
+    # 1e300^-6 is 0.0; the error names the threshold, not the trace step
+    r = runner.invoke(main, ["overlap", "--scale", "1e300",
+                             "--out-prefix", str(tmp_path / "ov")])
+    assert r.exit_code == 2
+    assert "threshold" in r.stderr
+    assert "step" not in r.stderr
+    assert not (tmp_path / "ov.csv").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--grid", "1"], ["--grid", "0"], ["--radius", "0"], ["--radius", "-1"],
     ["--radius", "nan"], ["--radius", "inf"]])

@@ -1,6 +1,7 @@
 """Curve tracing, overlap measurement, and the interval lemma."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,11 +17,7 @@ from vanhove_lab.dispersion import (
     find_singular_points,
     gradient,
 )
-from vanhove_lab.errors import (
-    HypothesisViolated,
-    InsufficientResolution,
-    TraceStalled,
-)
+from vanhove_lab.errors import HypothesisViolated, TraceStalled
 from vanhove_lab.geometry import (
     interval_lemma_check,
     overlap_length,
@@ -42,16 +39,16 @@ def _check_curve_invariants(model, branches, step):
 
 def test_xy_trace_four_half_axes():
     m = DispersionModel.xy()
-    branches = trace_fermi_curve(m, step=0.01, exclusion_radius=0.05)
+    branches = trace_fermi_curve(m, step=0.01)
     assert len(branches) == 4
     total = sum(b.total_length for b in branches)
-    assert total == pytest.approx(4 * (1 - 0.05), rel=0.01)
+    assert total == pytest.approx(4.0, rel=0.01)
     _check_curve_invariants(m, branches, 0.01)
 
 
 def test_hubbard_half_filling_arcs_meet_saddles():
     m = DispersionModel.hubbard(0.3, 0.0)
-    branches = trace_fermi_curve(m, step=0.01, exclusion_radius=0.0)
+    branches = trace_fermi_curve(m, step=0.01)
     _check_curve_invariants(m, branches, 0.01)
     saddles = [np.array([math.pi, 0.0]), np.array([0.0, math.pi])]
 
@@ -159,16 +156,14 @@ def _ref_tangent(model, x):
 
 
 class _RefMarcher:
-    def __init__(self, model, step, exclusion_radius, tol, max_steps, sing_locs):
+    def __init__(self, model, step, tol, max_steps, sing_locs):
         self.model = model
         self.h = step
-        self.excl = exclusion_radius
         self.tol = tol
         self.max_steps = max_steps
         self.sing = sing_locs
         self.periodic = model.periodic
-        self.snap = exclusion_radius < 0.25 * step
-        self.stop_r = max(exclusion_radius, 1.5 * step)
+        self.stop_r = 1.5 * step
 
     def near_singular(self, x):
         for s in self.sing:
@@ -199,13 +194,8 @@ class _RefMarcher:
                     )
             img = self.near_singular(cand)
             if img is not None:
-                if self.snap:
-                    if np.hypot(*(img - x)) >= 0.25 * h:
-                        pts.append(img)
-                else:
-                    hit = self._disc_crossing(x, cand, img)
-                    if hit is not None and np.hypot(*(hit - x)) >= 0.25 * h:
-                        pts.append(hit)
+                if np.hypot(*(img - x)) >= 0.25 * h:
+                    pts.append(img)
                 return pts, False
             if not self.periodic:
                 s, wall = geo._clip_to_box(x, cand, box)
@@ -232,31 +222,6 @@ class _RefMarcher:
                     pts.append(start_img)
                     return pts, True
         raise TraceStalled(f"no termination within {self.max_steps} steps")
-
-    def _disc_crossing(self, a, b, center):
-        da = a - center
-        qa = float(da @ da) - self.excl ** 2
-        dd = b - a
-        A = float(dd @ dd)
-        B = 2.0 * float(da @ dd)
-        disc = B * B - 4.0 * A * qa
-        if disc < 0.0 or A == 0.0:
-            return None
-        s = (-B + math.sqrt(disc)) / (2.0 * A)
-        if not 0.0 <= s <= 1.0:
-            s = (-B - math.sqrt(disc)) / (2.0 * A)
-        if not 0.0 <= s <= 1.0:
-            return None
-        hit = a + s * dd
-        radial = hit - center
-        tang = np.array([-radial[1], radial[0]])
-        nrm = float(np.hypot(*tang))
-        if nrm == 0.0:
-            return hit
-        try:
-            return _ref_project_along(self.model, hit, tang / nrm, self.tol)
-        except TraceStalled:
-            return hit
 
 
 def _ref_bisect_edge(model, a, b, iters=40):
@@ -294,12 +259,11 @@ def _ref_scan_seeds(model, n, tol):
     return out
 
 
-def _ref_trace(model, step, exclusion_radius=0.0, tol=1e-10,
-               max_steps=2_000_000, scan_grid=48):
+def _ref_trace(model, step, tol=1e-10, max_steps=2_000_000, scan_grid=48):
     """(points, cumulative_arclength, closed) per branch, array marcher."""
     singular = find_singular_points(model)
     sing_locs = [p.location for p in singular]
-    m = _RefMarcher(model, step, exclusion_radius, tol, max_steps, sing_locs)
+    m = _RefMarcher(model, step, tol, max_steps, sing_locs)
     seeds = []
     r_seed = m.stop_r + step
     for p in singular:
@@ -353,20 +317,18 @@ def _ref_delta(a, b, periodic):
 
 
 @pytest.mark.parametrize(
-    "model,step,excl,closed",
+    "model,step,closed",
     [
-        (DispersionModel.hubbard(0.3, 0.0), 0.01, 0.0, False),  # snap at saddle
-        (DispersionModel.hubbard(0.3, 0.0), 0.01, 0.05, False),  # disc crossing
-        (DispersionModel.hubbard(0.8, 0.0), 0.01, 0.05, False),  # ulp-sensitive
-        (DispersionModel.hubbard(0.3, -1.0), 0.01, 0.0, True),  # closed curve
-        (DispersionModel.xy(), 0.01, 0.05, False),  # box clip, disc crossing
+        (DispersionModel.hubbard(0.3, 0.0), 0.01, False),  # snap at saddle
+        (DispersionModel.hubbard(0.8, 0.0), 0.01, False),  # ulp-sensitive
+        (DispersionModel.hubbard(0.3, -1.0), 0.01, True),  # closed curve
+        (DispersionModel.xy(), 0.01, False),  # box clip, snap at saddle
     ],
-    ids=["hubbard-snap", "hubbard-disc", "hubbard-disc-0.8", "hubbard-closed",
-         "xy-box"],
+    ids=["hubbard-snap", "hubbard-snap-0.8", "hubbard-closed", "xy-box"],
 )
-def test_scalar_marcher_matches_array_reference(model, step, excl, closed):
-    ref = _ref_trace(model, step, excl)
-    got = trace_fermi_curve(model, step=step, exclusion_radius=excl)
+def test_scalar_marcher_matches_array_reference(model, step, closed):
+    ref = _ref_trace(model, step)
+    got = trace_fermi_curve(model, step=step)
     assert len(got) == len(ref) > 0
     for b, (pts, cum, ref_closed) in zip(got, ref):
         assert np.array_equal(b.points, pts)
@@ -526,7 +488,7 @@ def test_prefilter_matches_unfiltered_loop_on_scaling_run():
 def test_prefilter_matches_unfiltered_loop_on_xy_branches(monkeypatch):
     # the per-chunk bound |grad e| <= |center| + radius
     m = DispersionModel.xy()
-    branches = trace_fermi_curve(m, step=2.0 ** -9, exclusion_radius=0.05)
+    branches = trace_fermi_curve(m, step=2.0 ** -9)
     counter = _CountingEvaluate()
     monkeypatch.setattr(geo, "evaluate", counter)
     T = 2.0 ** np.arange(-4.0, -9.0, -1.0)
@@ -590,7 +552,7 @@ def test_prefilter_matches_unfiltered_loop_on_short_and_ragged_branches(n):
 
 def test_chunks_cover_each_segment_once_within_their_radius():
     m = DispersionModel.hubbard(0.3, 0.0)
-    branches = trace_fermi_curve(m, step=0.01, exclusion_radius=0.05)
+    branches = trace_fermi_curve(m, step=0.01)
     chunks = geo._chunk_branches(branches)
     assert np.array_equal(
         chunks.segs[chunks.valid],
@@ -603,27 +565,11 @@ def test_chunks_cover_each_segment_once_within_their_radius():
     assert np.array_equal(chunks.pts[1:, 0][same], chunks.pts[:-1, -1][same])
 
 
-_BAD_TRACE_ARGS = [
-    ({"step": math.nan}, "step"),
-    ({"step": math.inf}, "step"),
-    ({"step": 0.0}, "step"),
-    ({"exclusion_radius": math.nan}, "exclusion_radius"),
-    ({"exclusion_radius": math.inf}, "exclusion_radius"),
-    ({"exclusion_radius": -0.1}, "exclusion_radius"),
-]
-
-
-@pytest.mark.parametrize("kwargs,name", _BAD_TRACE_ARGS)
-def test_trace_rejects_bad_step_and_exclusion_radius(kwargs, name):
-    # a NaN radius used to trace 2 branches through the saddles, where
-    # the curve is 4 arcs that end there
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0])
+def test_trace_rejects_bad_step(step):
     m = DispersionModel.hubbard(0.3, 0.0)
-    with pytest.raises(ValueError, match=f"^{name} must"):
-        trace_fermi_curve(m, **kwargs)
-    with pytest.raises(ValueError, match=f"^{name} must"):
-        overlap_scaling_experiment(
-            m, M=2.0, j_range=[-5], num_p=5, delta=0.1, rng_seed=0, **kwargs
-        )
+    with pytest.raises(ValueError, match="^step must"):
+        trace_fermi_curve(m, step=step)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1e-3])
@@ -650,28 +596,38 @@ def test_overlap_at_zero_momentum_is_full_length():
 
 
 def test_overlap_flat_branch_fully_flagged():
+    # on the xy model a translation along a flat branch keeps that branch
+    # on the level set at every threshold (a nested direction), while the
+    # overlap of a generic translation shrinks with the threshold
     m = DispersionModel.xy()
-    branches = trace_fermi_curve(m, step=0.01, exclusion_radius=0.05)
+    branches = trace_fermi_curve(m, step=0.01)
     plus_x = [
         b
         for b in branches
-        if np.all(np.abs(b.points[:, 1]) < 1e-9) and np.all(b.points[:, 0] > 0)
+        if np.all(np.abs(b.points[:, 1]) < 1e-9) and np.all(b.points[:, 0] >= 0)
     ]
     assert len(plus_x) == 1
     b = plus_x[0]
-    L = overlap_length(m, b, np.array([0.5, 0.0]), +1, 1e-3)
-    assert L == pytest.approx(b.total_length, rel=1e-12)
+    generic = []
+    for T in 2.0 ** np.arange(-5.0, -9.0, -1.0):
+        L = overlap_length(m, b, np.array([0.5, 0.0]), +1, T)
+        assert L == pytest.approx(b.total_length, rel=1e-12)
+        generic.append(
+            sum(overlap_length(m, c, np.array([0.3, 0.4]), +1, T) for c in branches)
+        )
+    assert generic[-1] > 0.0
+    assert np.all(np.diff(generic) < 0.0)
 
 
 def test_overlap_linear_interpolation_exact():
     # along the +x half-axis, e((x,0) + (0,0.5)) = 0.5 x is linear in
     # arclength, so the crossing interpolation is exact
     m = DispersionModel.xy()
-    branches = trace_fermi_curve(m, step=0.01, exclusion_radius=0.05)
+    branches = trace_fermi_curve(m, step=0.01)
     b = [
         c
         for c in branches
-        if np.all(np.abs(c.points[:, 1]) < 1e-9) and np.all(c.points[:, 0] > 0)
+        if np.all(np.abs(c.points[:, 1]) < 1e-9) and np.all(c.points[:, 0] >= 0)
     ][0]
     T = 0.1
     L = overlap_length(m, b, np.array([0.0, 0.5]), +1, T)
@@ -750,29 +706,30 @@ def test_scaling_experiment_deterministic():
     assert a.fitted_exponent == b.fitted_exponent
 
 
-def test_scaling_experiment_resolution_guard():
-    m = DispersionModel.hubbard(0.3, 0.0)
-    with pytest.raises(InsufficientResolution):
-        overlap_scaling_experiment(
-            m, M=2.0, j_range=[-8], num_p=5, delta=0.1, rng_seed=0, step=0.01
-        )
-
-
 @pytest.mark.parametrize(
-    "num_p,delta,p_override",
-    [(0, 0.1, None), (5, 0.0, None), (5, 1.0, None), (1, 0.99, None),
-     (1, 0.1, None), (2, 0.99, None), (None, 0.1, np.array([[0.5, 0.0]]))],
+    "num_p,delta",
+    [(0, 0.1), (5, 0.0), (5, 1.0), (1, 0.99), (1, 0.1), (2, 0.99)],
 )
-def test_scaling_experiment_rejects_inputs_that_leave_no_sample(
-    num_p, delta, p_override
-):
+def test_scaling_experiment_rejects_inputs_that_leave_no_sample(num_p, delta):
     # num_p < 1, delta outside (0, 1), or ceil(delta^2 num_p) >= num_p:
     # the envelope fit would drop every momentum
     m = DispersionModel.hubbard(0.3, 0.0)
     with pytest.raises(ValueError):
         overlap_scaling_experiment(
-            m, M=2.0, j_range=[-5, -6], num_p=num_p, delta=delta, rng_seed=0,
-            p_override=p_override,
+            m, M=2.0, j_range=[-5, -6], num_p=num_p, delta=delta, rng_seed=0
+        )
+
+
+@pytest.mark.parametrize(
+    "M,j_range", [(1e300, [-1, -2]), (2.0, [-5, -1075]), (2.0, [-1023])]
+)
+def test_scaling_experiment_rejects_underflowing_threshold(M, j_range):
+    # M^min j is 0.0 or subnormal, and so would the derived trace step be
+    m = DispersionModel.hubbard(0.3, 0.0)
+    msg = re.escape(f"threshold M^j for M = {M}, j = {min(j_range)} underflows")
+    with pytest.raises(ValueError, match=msg):
+        overlap_scaling_experiment(
+            m, M=M, j_range=j_range, num_p=5, delta=0.1, rng_seed=0
         )
 
 
@@ -793,26 +750,6 @@ def test_scaling_experiment_single_threshold_no_fit():
     )
     assert rep.fitted_exponent is None
     assert rep.measured_lengths.shape == (10, 1)
-
-
-def test_scaling_experiment_flags_nested_direction():
-    # on the xy model a translation along a flat branch never decays
-    m = DispersionModel.xy()
-    rep = overlap_scaling_experiment(
-        m,
-        M=2.0,
-        j_range=range(-8, -4),
-        num_p=2,
-        delta=0.1,
-        rng_seed=0,
-        exclusion_radius=0.05,
-        n0=4,
-        p_override=np.array([[0.5, 0.0], [0.3, 0.4]]),
-    )
-    assert 0 in rep.nested_p_indices
-    assert 1 not in rep.nested_p_indices
-    # the nested direction violates the bound at the deepest threshold
-    assert rep.measured_lengths[0, -1] > rep.bounds[-1]
 
 
 def test_interval_lemma_linear_exact():

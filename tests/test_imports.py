@@ -2,10 +2,10 @@
 module, every name in a package module's ``__all__`` exists in it, and
 every private module-level name is referenced somewhere besides its
 definition, every defaulted parameter or record field is passed by
-some call, and every record field is read; every third-party module the
-package imports is a declared runtime dependency and every runtime
-dependency is imported; and the command line loads mpmath only for the
-commands that use it and scipy for none.
+some call, every record field is read, and every error class is raised;
+every third-party module the package imports is a declared runtime
+dependency and every runtime dependency is imported; and the command
+line loads mpmath only for the commands that use it and scipy for none.
 
 No linter ships with the project, so this is the unused-import check.
 A name counts as used when the module reads it anywhere, annotations
@@ -18,7 +18,8 @@ record (by name or attribute; ``cls`` inside its class) and passes that
 parameter by keyword, by position, or through ``*``/``**`` unpacking;
 ``replace``/``_replace`` calls pass their keywords to every record.  A
 record field counts as read when some file of the package, the tests or
-the bench loads an attribute of that name.
+the bench loads an attribute of that name.  Every ``VanHoveLabError``
+subclass is raised by some ``raise`` statement of the package.
 """
 
 import ast
@@ -227,6 +228,31 @@ def test_every_record_field_is_read():
                   ast.parse(p.read_text(encoding="utf-8")))
               if name not in read]
     assert unread == []
+
+
+def error_classes(tree):
+    """Names of the classes a module derives from ``VanHoveLabError``,
+    directly or through another such class."""
+    derived = {"VanHoveLabError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) \
+                and any(_callee(b) in derived for b in node.bases):
+            derived.add(node.name)
+    return derived - {"VanHoveLabError"}
+
+
+def raised_names(tree):
+    """Names a module raises, as ``raise X`` or ``raise X(...)``."""
+    return {_callee(n.exc.func if isinstance(n.exc, ast.Call) else n.exc)
+            for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc}
+
+
+def test_every_error_class_is_raised():
+    raised = set().union(*(raised_names(ast.parse(p.read_text(encoding="utf-8")))
+                           for p in PACKAGE.glob("*.py")))
+    classes = error_classes(
+        ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")))
+    assert classes and sorted(classes - raised) == []
 
 
 def modules_loaded_after(code, names, tmp_path):
