@@ -25,7 +25,6 @@ from .errors import (
     HypothesisViolated,
     NonFiniteSample,
     SingularDesign,
-    TraceStalled,
     VanHoveLabError,
     ZeroFrequency,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "DegenerateHessian",
     "FactorizationFailed",
     "FlatBranch",
-    "TraceStalled",
     "HypothesisViolated",
     "ZeroFrequency",
     "NonFiniteSample",

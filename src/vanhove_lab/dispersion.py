@@ -36,7 +36,6 @@ __all__ = [
     "evaluate",
     "gradient",
     "hessian",
-    "scalar_functions",
     "find_singular_points",
     "morse_normal_form",
 ]
@@ -115,30 +114,6 @@ def hessian(model: DispersionModel, k) -> np.ndarray:
         return np.stack([row1, row2], axis=-2)
     base = np.array([[0.0, 1.0], [1.0, 0.0]])
     return np.broadcast_to(base, np.shape(k1) + (2, 2)).copy()
-
-
-def scalar_functions(
-    model: DispersionModel,
-) -> Tuple[Callable[[float, float], float],
-           Callable[[float, float], Tuple[float, float]]]:
-    """``(e, grad)`` on Python floats: e(k1, k2) -> float and
-    grad(k1, k2) -> (g1, g2), with the same arithmetic as :func:`evaluate`
-    and :func:`gradient` on a single point, in ``math``.
-    """
-    if model.kind == "hubbard":
-        theta, mu = model.theta, model.mu
-        cos, sin = math.cos, math.sin
-
-        def e(k1, k2):
-            c1, c2 = cos(k1), cos(k2)
-            return -c1 - c2 + theta * (1.0 + c1 * c2) - mu
-
-        def grad(k1, k2):
-            return (sin(k1) * (1.0 - theta * cos(k2)),
-                    sin(k2) * (1.0 - theta * cos(k1)))
-
-        return e, grad
-    return (lambda k1, k2: k1 * k2), (lambda k1, k2: (k2, k1))
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,6 @@ class FlatBranch(VanHoveLabError):
     """No nonvanishing branch derivative detected up to the requested order."""
 
 
-class TraceStalled(VanHoveLabError):
-    """Newton projection failed to converge during level-set tracing."""
-
-
 class HypothesisViolated(VanHoveLabError):
     """A lemma precondition fails on the supplied data; no claim is made."""
 

@@ -1,19 +1,22 @@
 """Fermi-curve tracing and the overlap / small-set measurements.
 
-The zero set {e = 0} is traced by a predictor-corrector march: the
-predictor steps along the unit tangent (perpendicular to grad e), the
-corrector Newton-projects back onto the level set along grad e.  At a
-saddle the level set is an X, so traces terminate there and the four
-arcs meeting at the saddle are seeded separately from the isotropic
-(null) directions of the Hessian.
-
-One scalar marcher serves both bands.  It works on Python floats, with
-points as (x1, x2) tuples and e, grad e in ``math`` from
-:func:`~vanhove_lab.dispersion.scalar_functions`.  A branch becomes an
-(n, 2) array only when its :class:`CurveSample` is built.  Dot products
-and the lengths that enter a point are rounded as numpy rounds them on a
-2-vector (``_dot``, ``np.hypot``), so the points are those of the
-earlier array marcher, bit for bit.
+The zero set {e = 0} is built from the shape of the two bands.  The xy
+band's zero set is the two axes, written directly as four half-axes from
+the saddle at the origin.  On the hubbard band with 0 < theta < 1, e is
+strictly monotone along every ray k = c + r u from a pocket center c
+while |k_i - c_i| < pi.  From c = Gamma (used for mu <= 0) the slope is
+u . grad e = sum_i u_i sin(r u_i) (1 - theta cos k_j) > 0, since
+1 - theta cos k_j > 0 and u_i sin(r u_i) >= 0, zero only where u_i = 0.
+From c = (pi, pi) (used for mu > 0) each sine changes sign, so the slope
+is < 0.  So each ray meets {e = 0} at most once, and the curve is r(phi)
+in polar coordinates about c.  The curve
+is solved by safeguarded Newton on 1,024 coarse rays, cut at uniform
+arclength of that coarse chain into segments of about the step, and each
+new point is solved on its own ray, all rays as one array.  At mu = 0
+the curve runs through the saddles, which lie on the rays phi = a pi / 2
+on the edge of the square about Gamma; it is cut there into four open
+arcs whose end points are set to the saddle images.  Otherwise it is one
+closed curve, or none when mu lies on or beyond a band edge.
 
 The overlap length of a traced curve with its translate measures
 arclen{k on curve : |e(p +/- k)| <= threshold} by flagging polyline
@@ -54,11 +57,10 @@ from .dispersion import (
     DispersionModel,
     evaluate,
     find_singular_points,
+    gradient,
     morse_normal_form,
-    scalar_functions,
-    _isotropic_frame,
 )
-from .errors import HypothesisViolated, TraceStalled
+from .errors import HypothesisViolated
 
 __all__ = [
     "CurveSample",
@@ -85,328 +87,136 @@ class CurveSample:
         return np.diff(self.cumulative_arclength)
 
 
-Point = Tuple[float, float]
-
-_TRACE_TOL = 1e-10  # |e| at which a traced point counts as on the curve
-_MAX_STEPS = 2_000_000  # steps before one march is declared stalled
-_SCAN_GRID = 48  # nodes per side of the sign-change seed scan
+_MAX_STEPS = 2_000_000  # most steps (segments) on one traced branch
+_RAYS = 1024  # coarse rays of the hubbard construction, a multiple of 4
+_RAY_ITER = 100  # Newton or bisection steps of one ray solve, at most
 _TRACE_STEP_CAP = 0.01  # largest trace step of the scaling experiment
 _INTERVAL = (-1.0, 1.0)  # the interval lemma's interval
+_UNIT_ROUNDOFF = 2.0 ** -53  # of float64
 
 
-def _torus_delta(d):
-    """Periodic difference in [-pi, pi); works on floats and arrays."""
-    return (d + math.pi) % (2.0 * math.pi) - math.pi
+def _root_tol(model: DispersionModel) -> float:
+    """16 unit roundoffs of the hubbard band's scale 2 + 2 theta + |mu|:
+    the |e| at which a point counts as on the curve."""
+    return 16.0 * _UNIT_ROUNDOFF * (2.0 + 2.0 * model.theta + abs(model.mu))
 
 
-def _gap(a: Point, b: Point) -> float:
-    """|a - b|, for the step-size and termination tests only.
+def _ray_roots(
+    model: DispersionModel, center: np.ndarray, sign: float,
+    phi: np.ndarray, r: np.ndarray,
+) -> np.ndarray:
+    """The points center + r u on {e = 0}, u = (cos phi, sin phi), one per
+    ray, starting from the radii r.
 
-    ``math.hypot`` can differ from ``np.hypot`` in the last bit, so the
-    length that enters a point (``_tangent``) uses ``np.hypot`` instead,
-    as the array marcher did.
+    sign * e increases along each ray up to the square's edge at
+    R = pi / max(|u1|, |u2|), from below zero at the center to at least
+    zero at the edge, so [0, R] brackets its one root.  Newton's step is
+    taken when it stays inside the bracket, the bracket's midpoint
+    otherwise; the solve ends once every |e| is within ``_root_tol``.
+    It returns the points of its last evaluation.  Bisection alone narrows
+    a bracket of width pi to one ulp of r in about 53 halvings, well
+    inside ``_RAY_ITER``.
     """
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+    u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    lo = np.zeros_like(r)
+    hi = math.pi / np.maximum(np.abs(u[:, 0]), np.abs(u[:, 1]))
+    tol = _root_tol(model)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_RAY_ITER):
+            k = center + r[:, None] * u
+            f = sign * evaluate(model, k)
+            if np.all(np.abs(f) <= tol):
+                break
+            lo = np.where(f < 0.0, r, lo)
+            hi = np.where(f > 0.0, r, hi)
+            g = gradient(model, k)
+            newton = r - f / (sign * (g[:, 0] * u[:, 0] + g[:, 1] * u[:, 1]))
+            # a NaN step (zero slope) fails the test and bisects
+            r = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+    return k
 
 
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-
-
-def _dot(a1: float, a2: float, b1: float, b2: float) -> float:
-    """a1*b1 + a2*b2 rounded as numpy's dot (an OpenBLAS ``ddot`` loop
-    with fused multiply-add) rounds a 2-vector product: the second
-    product is fused with the sum, so it is rounded once.
-
-    a2*b2 == p + err exactly (Dekker's product), and ``math.fsum``
-    rounds the exact sum once.  A plain ``a1*b1 + a2*b2`` moves about a
-    quarter of the results by one ulp and the traced points with them.
-    """
-    p = a2 * b2
-    c = _SPLIT * a2
-    ah = c - (c - a2)
-    al = a2 - ah
-    c = _SPLIT * b2
-    bh = c - (c - b2)
-    bl = b2 - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return math.fsum((a1 * b1, p, err))
-
-
-def _distance(a: Point, b: Point, periodic: bool) -> float:
-    d1, d2 = a[0] - b[0], a[1] - b[1]
-    if periodic:
-        d1, d2 = _torus_delta(d1), _torus_delta(d2)
-    return math.hypot(d1, d2)
-
-
-def _image_near(target: Point, ref: Point, periodic: bool) -> Point:
-    """Representative of target (mod 2 pi) closest to ref."""
-    if not periodic:
-        return target
-    r1, r2 = ref
-    return (r1 + _torus_delta(target[0] - r1), r2 + _torus_delta(target[1] - r2))
-
-
-def _project(fns, x, max_iter=30) -> Point:
-    """Newton projection onto {e = 0} along grad e."""
-    e, grad = fns
-    x1, x2 = x
-    for _ in range(max_iter):
-        v = e(x1, x2)
-        if abs(v) < _TRACE_TOL:
-            return x1, x2
-        g1, g2 = grad(x1, x2)
-        g_sq = _dot(g1, g2, g1, g2)
-        if g_sq == 0.0:
-            break
-        s = v / g_sq
-        x1, x2 = x1 - s * g1, x2 - s * g2
-    raise TraceStalled(f"level-set projection failed near {(x1, x2)}")
-
-
-def _project_along(fns, x, direction, max_iter=40) -> Point:
-    """1D Newton for e(x + s d) = 0 along a fixed unit direction d."""
-    e, grad = fns
-    x1, x2 = x
-    d1, d2 = direction
-    for _ in range(max_iter):
-        v = e(x1, x2)
-        if abs(v) < _TRACE_TOL:
-            return x1, x2
-        g1, g2 = grad(x1, x2)
-        slope = _dot(g1, g2, d1, d2)
-        if slope == 0.0:
-            break
-        s = v / slope
-        x1, x2 = x1 - s * d1, x2 - s * d2
-    raise TraceStalled(f"constrained projection failed near {(x1, x2)}")
-
-
-def _tangent(fns, x) -> Point:
-    g1, g2 = fns[1](x[0], x[1])
-    n = float(np.hypot(g1, g2))
-    if n == 0.0:
-        raise TraceStalled(f"vanishing gradient on trace at {tuple(x)}")
-    return -g2 / n, g1 / n
-
-
-def _clip_to_box(x_from, x_to, box):
-    """First s in [0, 1] where the segment x_from -> x_to leaves the box,
-    with the index of the wall hit; (None, None) if x_to is inside."""
-    s_best = None
-    wall = None
-    for i in range(2):
-        lo, hi = box[i]
-        d = x_to[i] - x_from[i]
-        if x_to[i] < lo:
-            s = (lo - x_from[i]) / d if d != 0.0 else 0.0
-            side = 0
-        elif x_to[i] > hi:
-            s = (hi - x_from[i]) / d if d != 0.0 else 0.0
-            side = 1
-        else:
-            continue
-        s = min(max(s, 0.0), 1.0)
-        if s_best is None or s < s_best:
-            s_best = s
-            wall = (i, side)
-    if wall is None:
-        return None, None
-    return s_best, wall
-
-
-class _Marcher:
-    def __init__(self, model, step, sing_locs):
-        self.fns = scalar_functions(model)
-        self.box = model.domain
-        self.h = step
-        self.sing = sing_locs  # list of (x1, x2)
-        self.periodic = model.periodic
-        self.stop_r = 1.5 * step
-
-    def near_singular(self, x: Point) -> Optional[Point]:
-        for s in self.sing:
-            img = _image_near(s, x, self.periodic)
-            if _gap(x, img) <= self.stop_r:
-                return img
-        return None
-
-    def march(self, x0: Point, direction: Point):
-        """Trace from x0 until closure, a saddle, the boundary, or stall.
-
-        Returns (points, closed), the points a list of (x1, x2) tuples.
-        """
-        fns, h = self.fns, self.h
-        pts = [x0]
-        d1, d2 = direction
-        for n_step in range(_MAX_STEPS):
-            x = pts[-1]
-            x1, x2 = x
-            t1, t2 = _tangent(fns, x)
-            if t1 * d1 + t2 * d2 < 0.0:
-                t1, t2 = -t1, -t2
-            d1, d2 = t1, t2
-            cand = _project(fns, (x1 + h * t1, x2 + h * t2))
-            spacing = _gap(cand, x)
-            if not 0.25 * h <= spacing <= 4.0 * h:
-                half = 0.5 * h
-                cand = _project(fns, (x1 + half * t1, x2 + half * t2))
-                spacing = _gap(cand, x)
-                if not 0.25 * h <= spacing <= 4.0 * h:
-                    raise TraceStalled(
-                        f"step spacing {spacing} incompatible with target {h}"
-                    )
-            # saddle termination: the arc ends on the saddle itself
-            img = self.near_singular(cand)
-            if img is not None:
-                if _gap(img, x) >= 0.25 * h:
-                    pts.append(img)
-                return pts, False
-            # domain boundary (open domains only)
-            if not self.periodic:
-                s, wall = _clip_to_box(x, cand, self.box)
-                if s is not None:
-                    b = (x1 + s * (cand[0] - x1), x2 + s * (cand[1] - x2))
-                    along = (0.0, 1.0) if wall[0] == 0 else (1.0, 0.0)
-                    try:
-                        b = _project_along(fns, b, along)
-                    except TraceStalled:
-                        pass  # keep the chord point; boundary grazing
-                    if _gap(b, x) >= 0.25 * h:
-                        pts.append(b)
-                    return pts, False
-            pts.append(cand)
-            # closure against the starting point
-            if n_step >= 4:
-                start_img = _image_near(pts[0], cand, self.periodic)
-                dist = _gap(cand, start_img)
-                if dist <= 0.75 * h:
-                    if dist < 0.25 * h:
-                        pts.pop()
-                        start_img = _image_near(pts[0], pts[-1], self.periodic)
-                    pts.append(start_img)
-                    return pts, True
-        raise TraceStalled(f"no termination within {_MAX_STEPS} steps")
-
-
-def trace_fermi_curve(model: DispersionModel, step: float = 0.01) -> List[CurveSample]:
-    """All connected branches of {e = 0}, as ordered point chains.
-
-    Branch seeds come from the saddle ray directions (the isotropic
-    directions of the Hessian) and from a sign-change scan on a coarse
-    grid; traces terminate on a saddle (the arc's last point is the
-    saddle itself), at the domain boundary, or on closing up.
-    """
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError("step must be positive and finite")
-    singular = find_singular_points(model)
-    sing_locs = [tuple(p.location.tolist()) for p in singular]
-    m = _Marcher(model, step, sing_locs)
-    fns = m.fns
-
-    seeds: List[Point] = []
-    r_seed = m.stop_r + step
-    for p in singular:
-        A = _isotropic_frame(p)
-        for col in (0, 1):
-            for sgn in (+1.0, -1.0):
-                raw = p.location + sgn * r_seed * A[:, col]
-                try:
-                    seeds.append(_project(fns, raw.tolist()))
-                except TraceStalled:
-                    continue
-    seeds.extend(_scan_seeds(model, fns))
-
-    branches: List[CurveSample] = []
-    # traced points with their first coordinate (mod 2 pi when periodic)
-    traced: List[Tuple[np.ndarray, np.ndarray]] = []
-    period = 2.0 * math.pi if model.periodic else math.inf
-    # a point within 0.75 step of x lies in this strip around x[0]; the
-    # factor 2 covers the rounding of the two reductions mod 2 pi
-    strip = 1.5 * step
-
-    def too_close(x) -> bool:
-        x_col = x[0] % period if model.periodic else x[0]
-        for arr, col in traced:
-            dc = np.abs(col - x_col)
-            d = arr[(dc < strip) | (dc > period - strip)] - np.array(x)
-            if model.periodic:
-                d = _torus_delta(d)
-            if len(d) and float(np.min(np.hypot(d[:, 0], d[:, 1]))) < 0.75 * step:
-                return True
-        return False
-
-    for seed in seeds:
-        if any(
-            _distance(seed, s, model.periodic) < m.stop_r for s in sing_locs
-        ):
-            continue
-        if not _inside(model.domain, seed) and not model.periodic:
-            continue
-        if too_close(seed):
-            continue
-        t0 = _tangent(fns, seed)
-        fwd, closed = m.march(seed, t0)
-        if closed:
-            chain = fwd
-        else:
-            bwd, closed = m.march(seed, (-t0[0], -t0[1]))
-            if closed:
-                chain = bwd
-            else:
-                chain = list(reversed(bwd))[:-1] + fwd
-        if len(chain) < 2:
-            continue
-        pts = np.array(chain)
-        seg = np.hypot(*(np.diff(pts, axis=0).T))
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        branches.append(
-            CurveSample(points=pts, cumulative_arclength=cum, closed=closed)
+def _step_count(length: float, step: float) -> int:
+    """Equal segments of about ``step`` on a branch of the given length;
+    three at least, so that a closed branch stays a polygon."""
+    n = length / step
+    if not n <= _MAX_STEPS:
+        raise ValueError(
+            f"step {step!r} cuts one branch into {n:.4g} segments, above "
+            f"the limit of {_MAX_STEPS}"
         )
-        traced.append((pts, pts[:, 0] % period if model.periodic else pts[:, 0]))
+    return max(3, round(n))
+
+
+def _sample(points: np.ndarray, closed: bool) -> CurveSample:
+    seg = np.hypot(*np.diff(points, axis=0).T)
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    return CurveSample(points=points, cumulative_arclength=cum, closed=closed)
+
+
+def _hubbard_branches(model: DispersionModel, step: float) -> List[CurveSample]:
+    mu = model.mu
+    # the pocket's center, and the sign that makes e increase outward
+    center = np.zeros(2) if mu <= 0.0 else np.full(2, math.pi)
+    sign = 1.0 if mu <= 0.0 else -1.0
+    if not sign * float(evaluate(model, center)) < -_root_tol(model):
+        return []  # mu on or beyond a band edge
+    phi = 2.0 * math.pi * np.arange(_RAYS + 1) / _RAYS
+    pts = np.empty((_RAYS + 1, 2))
+    closed = mu != 0.0
+    if closed:
+        ends = np.array([0, _RAYS])
+        solve = np.arange(_RAYS + 1) < _RAYS  # the last ray is the first
+    else:
+        # four arcs between the rays phi = a pi / 2, which end exactly on
+        # the saddle images
+        ends = np.arange(0, _RAYS + 1, _RAYS // 4)
+        solve = np.ones(_RAYS + 1, dtype=bool)
+        solve[ends] = False
+        pts[ends] = [[math.pi, 0.0], [0.0, math.pi], [-math.pi, 0.0],
+                     [0.0, -math.pi], [math.pi, 0.0]]
+    pts[solve] = _ray_roots(model, center, sign, phi[solve],
+                            np.ones(np.count_nonzero(solve)))
+    if closed:
+        pts[-1] = pts[0]
+    coarse = [(phi[i:j + 1], _sample(pts[i:j + 1], closed))
+              for i, j in zip(ends[:-1], ends[1:])]
+    counts = [_step_count(c.total_length, step) for _, c in coarse]
+    branches = []
+    for (phi_c, c), n in zip(coarse, counts):
+        # rays at uniform arclength of the coarse chain, started from its
+        # interpolated radii
+        s = c.total_length * (np.arange(1, n) / n)
+        cum = c.cumulative_arclength
+        radius = np.hypot(*(c.points - center).T)
+        fine = _ray_roots(model, center, sign, np.interp(s, cum, phi_c),
+                          np.interp(s, cum, radius))
+        branches.append(
+            _sample(np.concatenate([c.points[:1], fine, c.points[-1:]]), closed)
+        )
     return branches
 
 
-def _inside(box, x) -> bool:
-    return all(box[i][0] - 1e-12 <= x[i] <= box[i][1] + 1e-12 for i in range(2))
+def trace_fermi_curve(model: DispersionModel, step: float = 0.01) -> List[CurveSample]:
+    """All connected branches of {e = 0}, as ordered point chains with
+    segments of about ``step``.
 
-
-def _scan_seeds(model, fns) -> List[Point]:
-    (x0, x1), (y0, y1) = model.domain
-    xs = np.linspace(x0, x1, _SCAN_GRID)
-    ys = np.linspace(y0, y1, _SCAN_GRID)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    E = evaluate(model, np.stack([X, Y], axis=-1))
-    xs, ys = xs.tolist(), ys.tolist()
-    e = fns[0]
-    seeds = []
-    S = np.sign(E)  # signs, not values: a product of values can overflow
-    sign_flip_x = S[:-1, :] * S[1:, :] < 0.0
-    sign_flip_y = S[:, :-1] * S[:, 1:] < 0.0
-    for (i, j) in np.argwhere(sign_flip_x):
-        seeds.append(_bisect_edge(e, (xs[i], ys[j]), (xs[i + 1], ys[j])))
-    for (i, j) in np.argwhere(sign_flip_y):
-        seeds.append(_bisect_edge(e, (xs[i], ys[j]), (xs[i], ys[j + 1])))
-    out = []
-    for s in seeds:
-        try:
-            out.append(_project(fns, s))
-        except TraceStalled:
-            continue
-    return out
-
-
-def _bisect_edge(e, a: Point, b: Point, iters=40) -> Point:
-    fa = e(*a)
-    for _ in range(iters):
-        mid = (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
-        fm = e(*mid)
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a = mid
-            fa = fm
-    return (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+    The xy band gives its four half-axes, each from the saddle at the
+    origin to the edge of the box.  The hubbard band gives one closed
+    curve around its pocket's center, or at mu = 0 four open arcs, each
+    running counterclockwise about Gamma from one saddle image to the
+    next and ending exactly on both.  Each branch is cut into
+    n = max(3, round(L / step)) segments of about equal length, L its
+    length; an n above ``_MAX_STEPS`` raises ``ValueError`` before any
+    fine point is built.  A mu on or beyond a band edge gives no branch.
+    """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be positive and finite")
+    if model.kind == "hubbard":
+        return _hubbard_branches(model, step)
+    t = np.linspace(0.0, 1.0, _step_count(1.0, step) + 1)[:, None]
+    axes = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+    return [_sample(t * np.array(d), False) for d in axes]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +228,6 @@ _CHUNK = 64  # segments per prefilter chunk
 _BLOCK = 16_384  # points per evaluation block of the overlap rows
 _SLACK = 1e-12  # relative rounding allowance of the chunk and block tests
 _GRID_BLOCK = 1024  # grid points per block of the sublevel prefilter
-_UNIT_ROUNDOFF = 2.0 ** -53  # of float64
 
 
 class _Chunks(NamedTuple):
@@ -651,7 +460,8 @@ def overlap_scaling_experiment(
     than the smallest threshold, and n0 is the largest branch
     nonflatness order over the model's saddles plus one (None, with no
     bound, for an exactly flat branch).  A threshold M^j below the
-    smallest normal float raises ``ValueError``.
+    smallest normal float raises ``ValueError``, and so does a step that
+    cuts a branch into more than ``_MAX_STEPS`` segments.
     """
     if not 1.0 < M < math.inf:
         raise ValueError("M must be finite and exceed 1")

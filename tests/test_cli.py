@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -253,6 +254,21 @@ def test_overlap_underflowing_threshold_exits_2(runner, tmp_path):
     assert r.exit_code == 2
     assert "threshold" in r.stderr
     assert "step" not in r.stderr
+    assert not (tmp_path / "ov.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--scale", "1e300", "--j-min", "-1"], ["--scale", "10", "--j-min", "-7"]],
+    ids=["threshold-1e-300", "threshold-1e-7"])
+def test_overlap_step_with_too_many_points_exits_2_at_once(runner, tmp_path, args):
+    # thresholds 1e-300 and 1e-7 set the trace step; the branch's point
+    # count is checked before any fine point is built
+    t0 = time.perf_counter()
+    r = runner.invoke(main, ["overlap", "--out-prefix", str(tmp_path / "ov")]
+                      + args)
+    assert time.perf_counter() - t0 < 1.0
+    assert r.exit_code == 2
+    assert "ValueError" in r.stderr and "limit of 2000000" in r.stderr
     assert not (tmp_path / "ov.csv").exists()
 
 

@@ -1,13 +1,12 @@
 """Curve tracing, overlap measurement, and the interval lemma."""
 
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
-
-from fractions import Fraction
 
 from vanhove_lab import geometry as geo
 from vanhove_lab.dispersion import (
@@ -17,7 +16,7 @@ from vanhove_lab.dispersion import (
     find_singular_points,
     gradient,
 )
-from vanhove_lab.errors import HypothesisViolated, TraceStalled
+from vanhove_lab.errors import HypothesisViolated
 from vanhove_lab.geometry import (
     interval_lemma_check,
     overlap_length,
@@ -102,11 +101,18 @@ def test_traced_points_have_nonvanishing_gradient(theta):
 
 
 # ---------------------------------------------------------------------------
-# reference: the array marcher the scalar one replaced
+# reference: a predictor-corrector array marcher
 # ---------------------------------------------------------------------------
 #
 # Each step below works on 2-vectors through ``evaluate``/``gradient``.
-# The scalar marcher must reproduce its points bit for bit.
+# It knows nothing of either band's shape: it seeds branches from the
+# saddles' isotropic directions and a sign-change scan, steps along the
+# tangent and Newton-projects back onto {e = 0}.  The ray construction
+# of ``trace_fermi_curve`` is checked against it within stated bounds.
+
+
+class _RefStalled(Exception):
+    """A reference projection or march did not converge."""
 
 
 def _ref_torus_delta(d):
@@ -130,7 +136,7 @@ def _ref_project(model, x, tol, max_iter=30):
         if g2 == 0.0:
             break
         x = x - (v / g2) * g
-    raise TraceStalled(f"level-set projection failed near {x}")
+    raise _RefStalled(f"level-set projection failed near {x}")
 
 
 def _ref_project_along(model, x, direction, tol, max_iter=40):
@@ -144,14 +150,43 @@ def _ref_project_along(model, x, direction, tol, max_iter=40):
         if slope == 0.0:
             break
         x = x - (v / slope) * d
-    raise TraceStalled(f"constrained projection failed near {x}")
+    raise _RefStalled(f"constrained projection failed near {x}")
+
+
+def _ref_inside(box, x):
+    return all(box[i][0] - 1e-12 <= x[i] <= box[i][1] + 1e-12 for i in range(2))
+
+
+def _ref_clip_to_box(x_from, x_to, box):
+    """First s in [0, 1] where the segment x_from -> x_to leaves the box,
+    with the index of the wall hit; (None, None) if x_to is inside."""
+    s_best = None
+    wall = None
+    for i in range(2):
+        lo, hi = box[i]
+        d = x_to[i] - x_from[i]
+        if x_to[i] < lo:
+            s = (lo - x_from[i]) / d if d != 0.0 else 0.0
+            side = 0
+        elif x_to[i] > hi:
+            s = (hi - x_from[i]) / d if d != 0.0 else 0.0
+            side = 1
+        else:
+            continue
+        s = min(max(s, 0.0), 1.0)
+        if s_best is None or s < s_best:
+            s_best = s
+            wall = (i, side)
+    if wall is None:
+        return None, None
+    return s_best, wall
 
 
 def _ref_tangent(model, x):
     g = gradient(model, x)
     n = float(np.hypot(g[0], g[1]))
     if n == 0.0:
-        raise TraceStalled(f"vanishing gradient on trace at {x}")
+        raise _RefStalled(f"vanishing gradient on trace at {x}")
     return np.array([-g[1], g[0]]) / n
 
 
@@ -189,7 +224,7 @@ class _RefMarcher:
                 cand = _ref_project(model, x + 0.5 * h * t, self.tol)
                 spacing = float(np.hypot(*(cand - x)))
                 if not 0.25 * h <= spacing <= 4.0 * h:
-                    raise TraceStalled(
+                    raise _RefStalled(
                         f"step spacing {spacing} incompatible with target {h}"
                     )
             img = self.near_singular(cand)
@@ -198,7 +233,7 @@ class _RefMarcher:
                     pts.append(img)
                 return pts, False
             if not self.periodic:
-                s, wall = geo._clip_to_box(x, cand, box)
+                s, wall = _ref_clip_to_box(x, cand, box)
                 if s is not None:
                     b = x + s * (cand - x)
                     i, _ = wall
@@ -206,7 +241,7 @@ class _RefMarcher:
                     tangent_dir[1 - i] = 1.0
                     try:
                         b = _ref_project_along(model, b, tangent_dir, self.tol)
-                    except TraceStalled:
+                    except _RefStalled:
                         pass
                     if np.hypot(*(b - x)) >= 0.25 * h:
                         pts.append(b)
@@ -221,7 +256,7 @@ class _RefMarcher:
                         start_img = _ref_image_near(pts[0], pts[-1], self.periodic)
                     pts.append(start_img)
                     return pts, True
-        raise TraceStalled(f"no termination within {self.max_steps} steps")
+        raise _RefStalled(f"no termination within {self.max_steps} steps")
 
 
 def _ref_bisect_edge(model, a, b, iters=40):
@@ -254,13 +289,15 @@ def _ref_scan_seeds(model, n, tol):
     for s in seeds:
         try:
             out.append(_ref_project(model, s, tol))
-        except TraceStalled:
+        except _RefStalled:
             continue
     return out
 
 
+@functools.cache
 def _ref_trace(model, step, tol=1e-10, max_steps=2_000_000, scan_grid=48):
-    """(points, cumulative_arclength, closed) per branch, array marcher."""
+    """(points, cumulative_arclength, closed) per branch, array marcher;
+    built once per model and step."""
     singular = find_singular_points(model)
     sing_locs = [p.location for p in singular]
     m = _RefMarcher(model, step, tol, max_steps, sing_locs)
@@ -273,7 +310,7 @@ def _ref_trace(model, step, tol=1e-10, max_steps=2_000_000, scan_grid=48):
                 try:
                     seeds.append(_ref_project(
                         model, p.location + sgn * r_seed * A[:, col], tol))
-                except TraceStalled:
+                except _RefStalled:
                     continue
     seeds.extend(_ref_scan_seeds(model, scan_grid, tol))
 
@@ -292,7 +329,7 @@ def _ref_trace(model, step, tol=1e-10, max_steps=2_000_000, scan_grid=48):
         if any(float(np.hypot(*_ref_delta(seed, s, model.periodic))) < m.stop_r
                for s in sing_locs):
             continue
-        if not geo._inside(model.domain, seed) and not model.periodic:
+        if not _ref_inside(model.domain, seed) and not model.periodic:
             continue
         if too_close(seed):
             continue
@@ -316,35 +353,98 @@ def _ref_delta(a, b, periodic):
     return _ref_torus_delta(d) if periodic else d
 
 
+_SADDLE_IMAGES = np.array([[math.pi, 0.0], [0.0, math.pi], [-math.pi, 0.0],
+                           [0.0, -math.pi]])
+
+_TRACE_MODELS = [
+    DispersionModel.hubbard(theta, mu)
+    for theta in (0.1, 0.3, 0.5, 0.8) for mu in (0.0, 0.2, -0.2)
+]
+
+
+def _same_ends(a, b, periodic):
+    """Whether two open branches (point arrays) end on the same two
+    points, in either order, mod 2 pi on the torus."""
+    d = a[[0, -1]][:, None, :] - b[[0, -1]][None, :, :]
+    if periodic:
+        d = _ref_torus_delta(d)
+    near = np.hypot(d[..., 0], d[..., 1]) < 1e-9
+    return bool((near[0, 0] and near[1, 1]) or (near[0, 1] and near[1, 0]))
+
+
 @pytest.mark.parametrize(
-    "model,step,closed",
-    [
-        (DispersionModel.hubbard(0.3, 0.0), 0.01, False),  # snap at saddle
-        (DispersionModel.hubbard(0.8, 0.0), 0.01, False),  # ulp-sensitive
-        (DispersionModel.hubbard(0.3, -1.0), 0.01, True),  # closed curve
-        (DispersionModel.xy(), 0.01, False),  # box clip, snap at saddle
-    ],
-    ids=["hubbard-snap", "hubbard-snap-0.8", "hubbard-closed", "xy-box"],
+    "model",
+    _TRACE_MODELS + [DispersionModel.hubbard(0.3, -1.0), DispersionModel.xy()],
+    ids=[f"hubbard-{m.theta}-{m.mu}" for m in _TRACE_MODELS]
+    + ["hubbard-0.3--1.0", "xy"],
 )
-def test_scalar_marcher_matches_array_reference(model, step, closed):
+def test_trace_matches_array_reference(model):
+    step = 0.01
     ref = _ref_trace(model, step)
     got = trace_fermi_curve(model, step=step)
     assert len(got) == len(ref) > 0
-    for b, (pts, cum, ref_closed) in zip(got, ref):
-        assert np.array_equal(b.points, pts)
-        assert np.array_equal(b.cumulative_arclength, cum)
-        assert b.closed == ref_closed == closed
+    assert sorted(b.closed for b in got) == sorted(c for _, _, c in ref)
+    # open arcs end on the same points: saddle images, or the xy box
+    got_open = [b.points for b in got if not b.closed]
+    ref_open = [p for p, _, c in ref if not c]
+    for a, others in ((got_open, ref_open), (ref_open, got_open)):
+        for x in a:
+            assert any(_same_ends(x, y, model.periodic) for y in others)
+    total = sum(b.total_length for b in got)
+    ref_total = sum(cum[-1] for _, cum, _ in ref)
+    assert abs(total - ref_total) <= step ** 2 * ref_total
 
 
-def test_dot_is_numpy_two_vector_dot():
-    # exactly a1*b1 + a2*b2 with the second product fused, which is how
-    # numpy's dot rounds a 2-vector product here
-    rng = np.random.default_rng(4)
-    for a1, a2, b1, b2 in rng.uniform(-3.0, 3.0, size=(20_000, 4)).tolist():
-        got = geo._dot(a1, a2, b1, b2)
-        fused = float(Fraction(a1 * b1) + Fraction(a2) * Fraction(b2))
-        assert got == fused
-        assert got == float(np.array([a1, a2]) @ np.array([b1, b2]))
+@pytest.mark.parametrize("step", [0.01, 2.0 ** -12])
+@pytest.mark.parametrize(
+    "model", _TRACE_MODELS + [DispersionModel.xy()],
+    ids=[f"hubbard-{m.theta}-{m.mu}" for m in _TRACE_MODELS] + ["xy"],
+)
+def test_trace_points_on_curve_at_uniform_spacing(model, step):
+    branches = trace_fermi_curve(model, step=step)
+    for b in branches:
+        assert np.max(np.abs(evaluate(model, b.points))) <= 1e-14
+        seg = b.segment_lengths()
+        assert np.all((0.9 * step <= seg) & (seg <= 1.1 * step))
+        if b.closed:
+            assert np.array_equal(b.points[-1], b.points[0])
+    if model.kind == "hubbard" and model.mu == 0.0:
+        assert len(branches) == 4 and not any(b.closed for b in branches)
+        for b in branches:
+            for end in b.points[[0, -1]]:
+                assert any(np.array_equal(end, s) for s in _SADDLE_IMAGES)
+    again = trace_fermi_curve(model, step=step)
+    for a, b in zip(branches, again):
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.cumulative_arclength.tobytes() == b.cumulative_arclength.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.8])
+@pytest.mark.parametrize("edge", ["gamma", "m"])
+def test_small_pocket_is_one_closed_branch(theta, edge):
+    # a pocket of radius sqrt(2 |mu - edge| / lambda) about Gamma or M,
+    # lambda the Hessian's eigenvalue there; far below the spacing of a
+    # coarse sign-change grid
+    if edge == "gamma":
+        band_edge, lam, mu = 2 * theta - 2, 1 - theta, 2 * theta - 2 + 1e-3
+    else:
+        band_edge, lam, mu = 2 + 2 * theta, 1 + theta, 2 + 2 * theta - 1e-3
+    model = DispersionModel.hubbard(theta, mu)
+    branches = trace_fermi_curve(model, step=0.01)
+    assert len(branches) == 1 and branches[0].closed
+    circle = 2 * math.pi * math.sqrt(2 * abs(mu - band_edge) / lam)
+    assert branches[0].total_length == pytest.approx(circle, rel=0.01)
+    # on or beyond the edge there is no curve
+    for outside in (band_edge, band_edge + (1.0 if edge == "m" else -1.0)):
+        assert trace_fermi_curve(DispersionModel.hubbard(theta, outside)) == []
+
+
+@pytest.mark.parametrize("step", [1e-7, 1e-300, 5e-324])
+def test_trace_rejects_step_that_needs_too_many_points(step):
+    for model in (DispersionModel.hubbard(0.3, 0.0), DispersionModel.xy()):
+        with pytest.raises(ValueError, match=re.escape(f"step {step!r} cuts")) as e:
+            trace_fermi_curve(model, step=step)
+        assert f"limit of {geo._MAX_STEPS}" in str(e.value)
 
 
 def _ref_flagged_length(vals, segs, threshold):
@@ -458,10 +558,12 @@ def _prefiltered(model, branches, p, sign, T):
 
 
 def test_prefilter_matches_unfiltered_loop_on_hubbard_curves(monkeypatch):
+    # traced before counting: the trace evaluates e too
+    cases = list(_hubbard_flag_curves())
     counter = _CountingEvaluate()
     monkeypatch.setattr(geo, "evaluate", counter)
     n_cases = n_points = 0
-    for m, b, p, sign, T in _hubbard_flag_curves():
+    for m, b, p, sign, T in cases:
         got = _prefiltered(m, [b], p, sign, T)
         assert np.array_equal(got, _ref_overlap_lengths(m, [b], p, sign, T))
         n_cases += 1
@@ -483,6 +585,24 @@ def test_prefilter_matches_unfiltered_loop_on_scaling_run():
                               (-1, rep.measured_lengths_minus)):
             ref = _ref_overlap_lengths(m, branches, p, sign, T)
             assert np.array_equal(lengths[ip], ref)
+
+
+def test_overlap_lengths_match_array_reference_curve():
+    # the polyline lengths on the ray construction's curve and on the
+    # reference marcher's curve, at the scaling run's step
+    m = DispersionModel.hubbard(0.3, 0.0)
+    rep = overlap_scaling_experiment(
+        m, M=2.0, j_range=range(-6, -10, -1), num_p=100, delta=0.1, rng_seed=42
+    )
+    branches = trace_fermi_curve(m, step=rep.step)
+    ref = [geo.CurveSample(points=p, cumulative_arclength=cum, closed=closed)
+           for p, cum, closed in _ref_trace(m, rep.step)]
+    T = np.array([2.0 ** j for j in rep.j_values])
+    for p in rep.p_samples:
+        for sign in (+1, -1):
+            got = _ref_overlap_lengths(m, branches, p, sign, T)
+            want = _ref_overlap_lengths(m, ref, p, sign, T)
+            assert np.all(np.abs(got - want) <= 0.5 * rep.step)
 
 
 def test_prefilter_matches_unfiltered_loop_on_xy_branches(monkeypatch):
