@@ -11,7 +11,7 @@ Subpackages by role:
 * ``selfenergy`` -- the second-order self-energy and its frequency/space
   derivatives in reduced (low-dimensional) form
 * ``bubbles``    -- particle-hole and particle-particle one-loop integrals
-  at the Van Hove filling, in high precision
+  at the Van Hove filling, with residuals from their exponential tails
 * ``fitlab``     -- extraction of (log q0)^2 / log q0 / constant coefficients
 * ``cli``        -- command-line front end emitting CSV/JSON/SVG artifacts
 """

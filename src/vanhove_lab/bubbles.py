@@ -13,16 +13,9 @@ beta (the 2D parents survive only as consistency oracles):
     B_ph(beta) = - int_0^beta  ln(beta/u) / cosh^2(u/2) du,
     B_pp(beta) =   int_0^{beta/2} (ln(2v/beta))^2 / cosh^2 v dv.
 
-:func:`bubble_result` is the production entry point: it returns either
-bubble by its 1D form next to its large-beta prediction.
-
-Expanding the logarithms against the thermal window produces the
-asymptotics the lab verifies,
-
-    B_ph = -2 ln beta + 2K + O(e^{-beta}),
-    B_pp = (ln beta)^2 - 2K ln beta + K' + O(e^{-beta}),
-
-with the constants
+Extending the upper limits to infinity gives the asymptotics the lab
+verifies, B_ph = -2 ln beta + 2K + R_ph and
+B_pp = (ln beta)^2 - 2K ln beta + K' + R_pp, with the constants
 
     K  = int_0^infty ln(2v) / cosh^2 v dv
        = int_0^infty ln(u) / (2 cosh^2(u/2)) du     (u = 2v),
@@ -40,30 +33,35 @@ eta(0) = 1/2, eta'(0) = ln(pi/2)/2 and eta(s) = (1 - 2^{1-s}) zeta(s):
     K  = ln(pi/2) - gamma                          (the BCS constant),
     K' = K^2 + pi^2/6 - 2 ln^2 2 - ln^2(2 pi) - 2 zeta''(0).
 
-These closed forms are what the predictions use.  They are evaluated
-with ten guard digits and rounded to the 50-digit working precision,
-which makes them equal, as mpf values, to the 50-digit quadratures of
-the defining integrals; without the guard digits the cancellation in
-K' leaves it two units in the last place (5e-51) off, which moves the
-bits of some pp residuals past beta of about 250.  The quadratures stay as the
-oracles; they truncate the semi-infinite integrals at u = 200, and the
-discarded tail is below 4 e^{-400} (ln 400 + 1)^2, far under working
-precision.
+The residuals R are minus the integrals over u > beta and v > beta/2.
+The same sech^2 series, u = beta t (ph) or v = beta t / 2 (pp), and
+int_1^infty ln t e^{-a t} dt = E1(a)/a turn them into
 
-All quadratures run in mpmath at 50 digits and results return as
-floats.  Residuals value - prediction are formed at the 50-digit
-working precision before rounding: past beta of about 35 the gap
-e^{-beta} drops under the double rounding noise of the values
-themselves, and a double subtraction would report noise instead of
-the exponential decay.
+    R_ph = -4 sum_{n>=1} (-1)^{n+1} E1(n beta),
+    R_pp = -2 beta sum_{n>=1} (-1)^{n+1} n J(n beta),
+
+with J(a) = int_1^infty ln^2 t e^{-a t} dt.  Under t = 1 + s/a,
+e^a E1(a) = int_0^infty e^{-s} / (a + s) ds and a e^a J(a) =
+int_0^infty e^{-s} ln^2(1 + s/a) ds, singular only at s = -a, so from
+a = beta_c = 2 up one Gauss-Laguerre rule gives both in double, and R
+keeps its relative precision far below the rounding of the value,
+which is prediction + R.  Below beta_c the same rule integrates the 1D
+forms under u = beta e^{-s} (ph) or v = (beta/2) e^{-s} (pp),
+
+    B_ph = -beta int_0^infty s e^{-s} sech^2(beta e^{-s}/2) ds,
+    B_pp = (beta/2) int_0^infty s^2 e^{-s} sech^2(beta e^{-s}/2) ds,
+
+whose sech^2 has no pole at Re s >= 0 while beta < pi, and the O(1)
+residual is value - prediction.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
-import mpmath as mp
+import numpy as np
 
 from . import quad
 from .matsubara import ThermalState, approx_delta, fermi
@@ -78,88 +76,73 @@ __all__ = [
     "bubble_pp_2d",
 ]
 
-_DPS = 50
-_U_CUT = 200  # truncation of the semi-infinite constant integrals
+# the closed forms of K and K' at 50 digits, rounded once; in double,
+# ln(pi/2) - gamma lands one ulp below
+_K = -0.125632959612078
+_K_PRIME = 1.3347324801364615
+
+_BETA_C = 2.0   # tail series from here up, the substituted 1D form below
+_NODES = 100    # Gauss-Laguerre nodes: both sides of beta_c converge to 1e-14
+_TAIL_SPAN = 40.0  # tail terms with n beta <= beta + 40: e^{-40} of the first
 
 
 @functools.lru_cache(maxsize=None)
-def _closed_forms() -> tuple[mp.mpf, mp.mpf]:
-    """K and K' from their closed forms, rounded to working precision."""
-    with mp.workdps(_DPS + 10):
-        K = mp.log(mp.pi / 2) - mp.euler
-        K_prime = (K ** 2 + mp.pi ** 2 / 6 - 2 * mp.log(2) ** 2
-                   - mp.log(2 * mp.pi) ** 2 - 2 * mp.zeta(0, derivative=2))
-    with mp.workdps(_DPS):
-        return +K, +K_prime
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes and weights by Golub-Welsch; the weights of
+    numpy's ``laggauss`` bias its moments by 1e-13 at 40-100 nodes."""
+    x, v = np.linalg.eigh(np.diag(2.0 * np.arange(_NODES) + 1.0)
+                          + np.diag(np.arange(1.0, _NODES), -1))
+    return x, v[0] ** 2
 
 
 @functools.lru_cache(maxsize=None)
-def _k_quadrature(definition: str) -> mp.mpf:
-    with mp.workdps(_DPS):
-        if definition == "pairing":
-            return mp.quad(lambda v: mp.log(2 * v) / mp.cosh(v) ** 2,
-                           [0, 1, 10, _U_CUT])
-        if definition == "density":
-            return mp.quad(lambda u: mp.log(u) / (2 * mp.cosh(u / 2) ** 2),
-                           [0, 2, 20, 2 * _U_CUT])
-    raise ValueError(f"unknown K definition {definition!r}")
-
-
-def _k_prime_quadrature() -> mp.mpf:
-    """Oracle for K': int_0^200 (ln 2v)^2 / cosh^2 v dv at working precision."""
-    with mp.workdps(_DPS):
-        return mp.quad(lambda v: mp.log(2 * v) ** 2 / mp.cosh(v) ** 2,
-                       [0, 1, 10, _U_CUT])
+def _k_trapezoid(definition: str) -> float:
+    """K by the trapezoid rule in x = ln v (pairing) or x = ln u
+    (density), step 1/8 on [-45, 5]: the integrands are analytic for
+    |Im x| < pi/2 and decay fast at both ends, so this is good to an ulp."""
+    x = np.arange(-360, 41) / 8.0
+    e = np.exp(x)
+    if definition == "pairing":
+        f = (math.log(2.0) + x) * e / np.cosh(e) ** 2
+    elif definition == "density":
+        f = x * e / (2.0 * np.cosh(0.5 * e) ** 2)
+    else:
+        raise ValueError(f"unknown K definition {definition!r}")
+    return math.fsum(f) / 8.0
 
 
 def k_constant(definition: str = "closed") -> float:
     """The constant K, from its closed form or by 1D quadrature.
 
-    "closed":   ln(pi/2) - gamma, evaluated with guard digits (module
-                docstring); this is the K of every prediction
-    "pairing":  int_0^200 ln(2v) / cosh^2 v dv
-    "density":  int_0^400 ln(u) / (2 cosh^2(u/2)) du
+    "closed":   ln(pi/2) - gamma, the K of every prediction
+    "pairing":  int_0^infty ln(2v) / cosh^2 v dv
+    "density":  int_0^infty ln(u) / (2 cosh^2(u/2)) du
 
-    The two quadratures are the same integral under u = 2v and must
-    agree to 10^-10; keeping both forms makes that an executable check
-    rather than a change-of-variables exercise on paper.  At 50 digits
-    both equal the closed form.
+    The two quadratures are the same integral under u = 2v, each on its
+    own variable's grid and computed once per process; their agreement
+    is an executable check of the change of variables.
     """
     if definition == "closed":
-        return float(_closed_forms()[0])
-    return float(_k_quadrature(definition))
+        return _K
+    return _k_trapezoid(definition)
 
 
 def k_prime_constant() -> float:
-    """K' = K^2 + pi^2/6 - 2 ln^2 2 - ln^2(2 pi) - 2 zeta''(0), the value
-    of int_0^infty (ln 2v)^2 / cosh^2 v dv, evaluated with ten guard
-    digits because its terms cancel (module docstring)."""
-    return float(_closed_forms()[1])
-
-
-def _bubble_ph_mpf(b: mp.mpf) -> mp.mpf:
-    upper = min(b, mp.mpf(2 * _U_CUT))
-    pts = [p for p in (mp.mpf(0), mp.mpf(2), mp.mpf(20)) if p < upper]
-    return -mp.quad(lambda u: mp.log(b / u) / mp.cosh(u / 2) ** 2,
-                    pts + [upper])
-
-
-def _bubble_pp_mpf(b: mp.mpf) -> mp.mpf:
-    upper = min(b / 2, mp.mpf(_U_CUT))
-    pts = [p for p in (mp.mpf(0), mp.mpf(1), mp.mpf(10)) if p < upper]
-    return mp.quad(lambda v: mp.log(2 * v / b) ** 2 / mp.cosh(v) ** 2,
-                   pts + [upper])
+    """K' = int_0^infty (ln 2v)^2 / cosh^2 v dv, from its closed form."""
+    return _K_PRIME
 
 
 @dataclass(frozen=True)
 class BubbleResult:
     """One bubble evaluation next to its large-beta prediction.
 
-    residual is value - asymptotic_prediction as real numbers; it is
-    formed before rounding the operands to double, so it stays
-    meaningful when the gap sinks below the rounding noise of the
-    values (construction checks it matches the double difference to
-    that noise).
+    residual is value - asymptotic_prediction, from beta_c = 2 up summed
+    from the tail series (module docstring).  It keeps full relative
+    precision while it is a normal double (beta below about 700), then
+    loses digits as a subnormal and reads -0.0 from beta of about 740,
+    where 4 e^{-beta}/beta (ph) or 4 e^{-beta}/beta^2 (pp) underflows.
+    Construction checks it matches the double difference to the
+    rounding noise of the values.
     """
 
     kind: str                      # "ph" or "pp"
@@ -179,25 +162,36 @@ class BubbleResult:
 
 def bubble_result(kind: str, beta: float) -> BubbleResult:
     """Evaluate one bubble and its prediction -2 ln b + 2K (ph) or
-    (ln b)^2 - 2K ln b + K' (pp), with the residual taken at working
-    precision."""
+    (ln b)^2 - 2K ln b + K' (pp); from beta_c = 2 up the residual comes
+    from the tail series and the value is prediction + residual."""
     if not 0.0 < beta < float("inf"):
         raise ValueError("bubble needs finite beta > 0")
     if kind not in ("ph", "pp"):
         raise ValueError(f"unknown bubble kind {kind!r}")
 
-    K, K_prime = _closed_forms()
-    with mp.workdps(_DPS):
-        b = mp.mpf(beta)
+    L = math.log(beta)
+    pred = -2.0 * L + 2.0 * _K if kind == "ph" \
+        else L * L - 2.0 * _K * L + _K_PRIME
+    x, w = _laguerre_rule()
+    if beta < _BETA_C:
+        h = 1.0 / np.cosh(0.5 * beta * np.exp(-x)) ** 2
+        value = float(-beta * np.dot(w, x * h) if kind == "ph"
+                      else 0.5 * beta * np.dot(w, x * x * h))
+        residual = value - pred
+    else:
+        a = beta * np.arange(1.0, 2.0 + math.floor(_TAIL_SPAN / beta))
         if kind == "ph":
-            value = _bubble_ph_mpf(b)
-            pred = -2 * mp.log(b) + 2 * K
+            # e^a E1(a) at each a = n beta
+            tails = -4.0 * (1.0 / (a[:, None] + x) @ w)
         else:
-            value = _bubble_pp_mpf(b)
-            pred = mp.log(b) ** 2 - 2 * K * mp.log(b) + K_prime
-        diff = value - pred
-    return BubbleResult(kind=kind, beta=beta, value=float(value),
-                        asymptotic_prediction=float(pred), residual=float(diff))
+            # a e^a J(a) at each a = n beta: e^{-a} times it is the
+            # series term n beta J(n beta)
+            tails = -2.0 * (np.log1p(x / a[:, None]) ** 2 @ w)
+        sign = (-1.0) ** np.arange(len(a))
+        residual = float(np.dot(sign * np.exp(-a), tails))
+        value = pred + residual
+    return BubbleResult(kind=kind, beta=beta, value=value,
+                        asymptotic_prediction=pred, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +216,6 @@ def bubble_pp_2d(beta: float, spec: QuadSpec) -> QuadResult:
     the evaluation goes through the Fermi function for stability:
     tanh(beta E / 2) = 1 - 2 f(E).
     """
-    import numpy as np
-
     state = ThermalState.finite(beta)
 
     def f(P):

@@ -40,7 +40,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import click
 import numpy as np
 
-from . import __version__, dispersion, fitlab, geometry, selfenergy
+from . import __version__, bubbles, dispersion, fitlab, geometry, selfenergy
 from .errors import SingularDesign, VanHoveLabError, ZeroFrequency
 from .matsubara import ThermalState
 from .quad import QuadSpec, combine
@@ -109,7 +109,6 @@ def _write_manifest(path: Path, command: str, config: dict, columns: dict,
             "vanhove_lab": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "mpmath": _dist_version("mpmath"),
             "click": _dist_version("click"),
         },
         "seeds": _jsonable(seeds),
@@ -665,8 +664,6 @@ def cmd_d2_xixi(ctx, **cfg):
 
 
 def _bubble_sweep(ctx: click.Context, cfg: dict, kind: str) -> None:
-    from . import bubbles  # mpmath loads with it; no other command needs it
-
     def setup(cfg: dict):
         return (lambda beta: bubbles.bubble_result(kind, beta),
                 lambda beta, r: (r.kind, beta, r.value,

@@ -545,8 +545,15 @@ class IntervalLemmaResult(NamedTuple):
     holds: bool
 
 
-def _sublevel_count(f, eps: float, x: np.ndarray) -> int:
-    """Number of grid points x (ascending, in [-1, 1]) with |f(x)| <= eps.
+def _grid_points(i: np.ndarray, grid: int) -> np.ndarray:
+    """Points i of ``np.linspace(a, b, grid)`` by its own formula, bit
+    for bit: i * ((b - a) / (grid - 1)) + a, the last point set to b."""
+    a, b = _INTERVAL
+    return np.where(i == grid - 1, b, i * ((b - a) / (grid - 1)) + a)
+
+
+def _sublevel_count(f, eps: float, grid: int) -> int:
+    """Number of points x of ``np.linspace(-1, 1, grid)`` with |f(x)| <= eps.
 
     The grid is cut into blocks of ``_GRID_BLOCK`` points, and f is
     first evaluated at each block's middle point xm.  With c = f.coef,
@@ -559,18 +566,20 @@ def _sublevel_count(f, eps: float, x: np.ndarray) -> int:
     more than that is flagged whole; the relative slack covers the
     rounding of the bound itself.  Every other block is evaluated.
     Horner works element by element, so the count is that of one pass
-    over the whole grid, bit for bit.
+    over the whole grid, bit for bit, of which only the points read are
+    formed (``_grid_points``).
     """
     c = np.abs(f.coef.astype(float))
     n = len(c)
     gamma = 2 * n * _UNIT_ROUNDOFF / (1.0 - 2 * n * _UNIT_ROUNDOFF)
     delta = gamma * float(np.sum(c))
     L = float(np.dot(np.arange(n), c))
-    start = np.arange(0, len(x), _GRID_BLOCK)
-    end = np.minimum(start + _GRID_BLOCK, len(x)) - 1
+    start = np.arange(0, grid, _GRID_BLOCK)
+    end = np.minimum(start + _GRID_BLOCK, grid) - 1
     mid = (start + end) // 2
-    r = np.maximum(x[mid] - x[start], x[end] - x[mid])
-    fm = np.abs(np.asarray(f(x[mid]), dtype=float))
+    xs, xm, xe = (_grid_points(i, grid) for i in (start, mid, end))
+    r = np.maximum(xm - xs, xe - xm)
+    fm = np.abs(np.asarray(f(xm), dtype=float))
     reach = L * r + 2.0 * delta
     reach += _SLACK * (reach + eps)
     # a NaN fails both tests, so its block is evaluated
@@ -578,7 +587,8 @@ def _sublevel_count(f, eps: float, x: np.ndarray) -> int:
     mixed = ~(fm > eps + reach) & ~full
     count = int(np.sum(end[full] - start[full] + 1))
     for i in np.flatnonzero(mixed):
-        fx = np.asarray(f(x[start[i]:end[i] + 1]), dtype=float)
+        x = _grid_points(np.arange(start[i], end[i] + 1), grid)
+        fx = np.asarray(f(x), dtype=float)
         count += int(np.count_nonzero(np.abs(fx) <= eps))
     return count
 
@@ -633,7 +643,7 @@ def interval_lemma_check(
         )
 
     # the float64 count over grid has the bits of np.mean of the flags
-    count = _sublevel_count(f, eps, np.linspace(a, b, grid))
+    count = _sublevel_count(f, eps, grid)
     measured = float(np.float64(count) / grid * (b - a))
     bound = 2.0 ** (k + 1) * (eps / eta) ** (1.0 / k)
     return IntervalLemmaResult(measured, bound, measured <= bound)

@@ -947,12 +947,27 @@ def _assert_blocked_count_is_one_pass(f, eps, grid):
     finite coefficients)."""
     x = np.linspace(-1.0, 1.0, grid)
     one_pass = np.abs(f(x)) <= eps
-    assert geo._sublevel_count(f, eps, x) == np.count_nonzero(one_pass)
+    assert geo._sublevel_count(f, eps, grid) == np.count_nonzero(one_pass)
     k = f.degree()
     if 1 <= k <= 3 and np.all(np.isfinite(f.coef)):
         eta = 0.5 * math.factorial(k) * abs(f.coef[-1])
         res = interval_lemma_check(f, k, eta, eps, grid=grid)
         assert res.measured_volume == float(np.mean(one_pass) * 2.0)
+
+
+@pytest.mark.parametrize("grid", [2, 1025, 1_000_000, 1_000_003])
+def test_grid_points_are_linspace_bits(grid):
+    # every block, block middle and block end the prefilter forms is the
+    # matching part of the linspace it stands in for
+    x = np.linspace(-1.0, 1.0, grid)
+    start = np.arange(0, grid, geo._GRID_BLOCK)
+    end = np.minimum(start + geo._GRID_BLOCK, grid) - 1
+    mid = (start + end) // 2
+    for i in (start, mid, end):
+        assert np.array_equal(geo._grid_points(i, grid), x[i])
+    for s, e in zip(start, end):
+        assert np.array_equal(geo._grid_points(np.arange(s, e + 1), grid),
+                              x[s:e + 1])
 
 
 @pytest.mark.parametrize("grid", [100_000, 5_000, 300])
@@ -978,8 +993,8 @@ def test_sublevel_prefilter_constant_at_eps(sign):
         f = Polynomial([sign * c])
         for grid in (2, 1000, 4096, 5000):
             _assert_blocked_count_is_one_pass(f, eps, grid)
-            x = np.linspace(-1.0, 1.0, grid)
-            assert geo._sublevel_count(f, eps, x) == (grid if c <= eps else 0)
+            assert geo._sublevel_count(f, eps, grid) \
+                == (grid if c <= eps else 0)
 
 
 def test_sublevel_prefilter_rounding_alone_crosses_eps():
@@ -995,7 +1010,7 @@ def test_sublevel_prefilter_rounding_alone_crosses_eps():
     assert f(xm) > 1.0
     one_pass = np.count_nonzero(np.abs(f(x)) <= 1.0)
     assert 0 < one_pass < grid
-    assert geo._sublevel_count(f, 1.0, x) == one_pass
+    assert geo._sublevel_count(f, 1.0, grid) == one_pass
 
 
 @pytest.mark.parametrize(

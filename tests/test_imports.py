@@ -5,7 +5,8 @@ definition, every defaulted parameter or record field is passed by
 some call, every record field is read, and every error class is raised;
 every third-party module the package imports is a declared runtime
 dependency and every runtime dependency is imported; and the command
-line loads mpmath only for the commands that use it and scipy for none.
+line loads neither mpmath nor scipy, which only the tests and the bench
+use.
 
 No linter ships with the project, so this is the unused-import check.
 A name counts as used when the module reads it anywhere, annotations
@@ -285,9 +286,10 @@ def test_zero_temperature_command_never_loads_scipy(tmp_path):
     assert "scipy.special" not in loaded and "mpmath" not in loaded
 
 
-def test_bubble_command_loads_mpmath(tmp_path):
-    loaded = modules_loaded_after(run_command(["bubble-ph"]), HEAVY, tmp_path)
-    assert "mpmath" in loaded and "scipy.special" not in loaded
+def test_bubble_commands_never_load_mpmath(tmp_path):
+    for command in ("bubble-ph", "bubble-pp"):
+        loaded = modules_loaded_after(run_command([command]), HEAVY, tmp_path)
+        assert "mpmath" not in loaded and "scipy.special" not in loaded
 
 
 def test_finite_temperature_command_never_loads_scipy(tmp_path):
