@@ -289,15 +289,15 @@ def _run(ctx: click.Context, cfg: dict,
         click.echo(f"error: {type(e).__name__}: {e}", err=True)
         ctx.exit(3)
     results = {"non_converged_rows": 0, **out.results}
-    prefix = Path(cfg["out_prefix"])
-    if prefix.parent != Path(""):
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(prefix.with_suffix(".csv"), list(out.columns), out.rows)
-    _write_manifest(prefix.with_suffix(".json"), ctx.command.name, cfg,
+    # The suffix is appended, so a dotted prefix keeps its own name.
+    prefix = cfg["out_prefix"]
+    Path(prefix).parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(Path(prefix + ".csv"), list(out.columns), out.rows)
+    _write_manifest(Path(prefix + ".json"), ctx.command.name, cfg,
                     out.columns, results, out.seeds,
                     time.perf_counter() - t0, cfg["deterministic"])
     if out.plot is not None and cfg.get("svg", False):
-        _render_svg(prefix.with_suffix(".svg"), out.plot, cfg["deterministic"])
+        _render_svg(Path(prefix + ".svg"), out.plot, cfg["deterministic"])
     bad = results["non_converged_rows"]
     if bad:
         pieces = ", ".join(results.get("non_converged_pieces", []))

@@ -123,46 +123,26 @@ class SingularPoint:
     hessian_rotation: np.ndarray  # columns are the eigenvectors
 
 
-def _wrap(model: DispersionModel, k: np.ndarray) -> np.ndarray:
-    if not model.periodic:
-        return k
-    # wrap to (-pi, pi] so the canonical saddle (pi, 0) keeps its name
-    return math.pi - np.mod(math.pi - k, 2.0 * math.pi)
-
-
-def _default_seeds(model: DispersionModel) -> List[Tuple[float, float]]:
+def _critical_points(model: DispersionModel) -> List[Tuple[float, float]]:
+    """Every zero of the gradient: with 0 < theta < 1 the hubbard gradient
+    vanishes only at the four corners of {0, pi}^2, the xy one at 0."""
     if model.kind == "hubbard":
         return [(0.0, 0.0), (math.pi, math.pi), (math.pi, 0.0), (0.0, math.pi)]
     return [(0.0, 0.0)]
 
 
-_GRADIENT_TOL = 1e-10  # |grad e| of a critical point, and |e| on the surface
+_SURFACE_TOL = 1e-10  # largest |e| of a point on the Fermi surface
 _HESSIAN_TOL = 1e-8  # smallest |Hessian eigenvalue| of a nondegenerate saddle
 _FACTORIZATION_TOL = 1e-6  # largest residual of an accepted normal form
 
 
 def find_singular_points(model: DispersionModel) -> List[SingularPoint]:
-    """Newton-refine the critical-point seeds and keep the saddles that
-    lie on the Fermi surface (|e| below tolerance)."""
+    """The critical points that lie on the Fermi surface (|e| below
+    tolerance) and are saddles."""
     found = []
-    for seed in _default_seeds(model):
-        k = np.array(seed, dtype=float)
-        ok = False
-        for _ in range(60):
-            g = gradient(model, k)
-            if np.linalg.norm(g) < _GRADIENT_TOL:
-                ok = True
-                break
-            H = hessian(model, k)
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                break
-            k = k - step
-        if not ok:
-            continue
-        k = _wrap(model, k)
-        if abs(float(evaluate(model, k))) >= _GRADIENT_TOL:
+    for point in _critical_points(model):
+        k = np.array(point)
+        if abs(float(evaluate(model, k))) >= _SURFACE_TOL:
             continue  # critical but off the Fermi surface
         H = hessian(model, k)
         eigvals, eigvecs = np.linalg.eigh(H)
@@ -172,8 +152,6 @@ def find_singular_points(model: DispersionModel) -> List[SingularPoint]:
             )
         if eigvals[0] * eigvals[1] >= 0:
             continue  # extremum, not a Van Hove point
-        if any(np.linalg.norm(_wrap(model, k - s.location)) < 1e-6 for s in found):
-            continue
         found.append(
             SingularPoint(
                 location=k,

@@ -25,13 +25,9 @@ goes on through near ties of its last cell (equal priority and roundoff up
 to summation order), so mirror-image twins split together and
 cancellations by reflection survive to roundoff.  The rule reads only the
 running totals, the tolerance and the queued cells, so it is
-deterministic.  The priority is the cell's error contribution.  A spec
-that gives ``epsilon_fn``, a caller-supplied proxy eps for the
-near-singular denominator, turns on guidance: the priority is multiplied
-by 1 + q0/(q0 + min |eps|), so cells hugging the eps = 0 manifold are
-refined preferentially.  A cell too thin to bisect in floating point is
-frozen: it keeps its estimate and leaves the queue, and refinement goes
-on with the remaining cells.
+deterministic.  The priority is the cell's error contribution.  A cell
+too thin to bisect in floating point is frozen: it keeps its estimate and
+leaves the queue, and refinement goes on with the remaining cells.
 Running out of budget is an expected outcome, not an exception: the result
 is returned with ``converged=False``.
 
@@ -47,8 +43,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -117,37 +114,25 @@ def combine(*rs: QuadResult) -> QuadResult:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances, budget and optional guidance for :func:`integrate`.
+    """Tolerances and evaluation budget for :func:`integrate`.
 
     Either tolerance may be zero (disabled) but not both, and both must
-    be finite.  Guidance is on exactly when ``epsilon_fn`` is given (same
-    vectorized signature as the integrand, returning the denominator
-    proxy eps at each point); it then needs ``q0 > 0``.
-
-    Guidance barely moves most runs, but one depends on it.  On the
-    orthant parent of ``im_d0_sigma2`` at q0 = 0.05 with abs_tol 5e-5
-    and a 12M budget, unguided refinement reports convergence after
-    44,745 evaluations, 0.102 from the reduced value -16.4218985 against
-    an error estimate of 4.0e-4 (257 times); guided, it takes 95,817
-    evaluations and lands 2.6e-5 away.
+    be finite.  The budget is a positive integer.
     """
 
     abs_tol: float = 0.0
     rel_tol: float = 1e-8
     max_evaluations: int = 10_000_000
-    q0: Optional[float] = None
-    epsilon_fn: Optional[Integrand] = None
 
     def __post_init__(self) -> None:
         if not all(0 <= t < math.inf for t in (self.abs_tol, self.rel_tol)):
             raise ValueError("tolerances must be finite and nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("abs_tol and rel_tol cannot both be zero")
-        if self.max_evaluations <= 0:
-            raise ValueError("max_evaluations must be positive")
-        if self.epsilon_fn is not None and not (
-                self.q0 is not None and self.q0 > 0):
-            raise ValueError("guided refinement needs q0 > 0")
+        if (not isinstance(self.max_evaluations, numbers.Integral)
+                or isinstance(self.max_evaluations, bool)
+                or self.max_evaluations < 1):
+            raise ValueError("max_evaluations must be a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +270,11 @@ def _eval_cells(
     rule: _Rule,
     centers: np.ndarray,
     halves: np.ndarray,
-    spec: Optional[QuadSpec],
 ):
     """Apply the rule pair to a batch of cells.
 
-    Returns per-cell high/low estimates, error, the error's roundoff floor,
-    split axis, priority weight (None unless ``spec`` gives ``epsilon_fn``),
-    plus the raw sample count.
+    Returns per-cell high/low estimates, error, the error's roundoff floor
+    and split axis, plus the raw sample count.
     """
     m = centers.shape[0]
     # Built coordinate by coordinate, so each column of ``flat`` is contiguous.
@@ -335,13 +318,7 @@ def _eval_cells(
     # signed sum vanishes still carries summation noise ~ eps * int |f|.
     noise = 50.0 * _EPS * resabs
     err = np.maximum(err, noise)
-    if spec is not None and spec.epsilon_fn is not None:
-        eps_vals = np.asarray(spec.epsilon_fn(flat)).reshape(m, rule.npts)
-        eps_min = np.min(np.abs(eps_vals), axis=1)
-        weight = 1.0 + spec.q0 / (spec.q0 + eps_min)
-    else:
-        weight = None
-    return hi, lo, err, noise, split_axis, weight, m * rule.npts
+    return hi, lo, err, noise, split_axis, m * rule.npts
 
 
 def rule_pair(f: Integrand, box: Sequence[Sequence[float]]):
@@ -354,7 +331,7 @@ def rule_pair(f: Integrand, box: Sequence[Sequence[float]]):
     rule = _RULES[b.shape[0]]
     centers = ((b[:, 0] + b[:, 1]) / 2.0)[None, :]
     halves = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
-    hi, lo, err, _, _, _, n = _eval_cells(f, rule, centers, halves, None)
+    hi, lo, err, _, _, n = _eval_cells(f, rule, centers, halves)
     return hi[0], lo[0], float(err[0]), n
 
 
@@ -490,7 +467,7 @@ def integrate(
     h = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
     is_complex = False
     while True:
-        hi, _, e, floor, ax, weight, k = _eval_cells(f, rule, c, h, spec)
+        hi, _, e, floor, ax, k = _eval_cells(f, rule, c, h)
         is_complex = is_complex or np.iscomplexobj(hi)
         evals += k
         m = len(hi)
@@ -504,10 +481,9 @@ def integrate(
                 grown.append(g)
             center, half, val, err, noise, axis = grown
         new = slice(n, n + m)
-        center[new], half[new], val[new], err[new], axis[new] = c, h, hi, e, ax
-        w = 1.0 if weight is None else weight
-        noise[new] = floor * w  # roundoff of the priority e * w
-        queue.push(np.arange(n, n + m), e * w)
+        center[new], half[new], val[new], err[new], noise[new], axis[new] = (
+            c, h, hi, e, floor, ax)
+        queue.push(np.arange(n, n + m), e)
         run_val += complex(hi.sum())
         run_err += float(e.sum())
         n += m

@@ -159,6 +159,20 @@ def test_bubble_pp_residual_column_small(runner, tmp_path):
     assert all(abs(float(row[4])) < 1e-4 for row in rows)
 
 
+def test_dotted_prefix_keeps_its_name(runner, tmp_path):
+    # The suffix is appended to the prefix, not swapped for its last dot.
+    other = tmp_path / "x.csv"
+    other.write_text("another run\n")
+    r = runner.invoke(main, ["bubble-ph", "--beta-points", "1",
+                             "--out-prefix", str(tmp_path / "x.tmp"),
+                             "--deterministic"])
+    assert r.exit_code == 0, r.output
+    header, _ = read_csv(tmp_path / "x.tmp.csv")
+    assert set(read_json(tmp_path / "x.tmp.json")["columns"]) == set(header)
+    assert other.read_text() == "another run\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_sigma2_single_point(runner, tmp_path):
     prefix = tmp_path / "s2"
     r = runner.invoke(main, [

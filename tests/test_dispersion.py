@@ -103,6 +103,15 @@ def test_hubbard_saddles_at_half_filling():
         assert np.linalg.norm(gradient(m, p.location)) < 1e-10
 
 
+def test_saddle_locations_are_exact():
+    for theta in (0.1, 0.3, 0.999):
+        locs = [tuple(p.location) for p in
+                find_singular_points(DispersionModel.hubbard(theta=theta))]
+        assert locs == [(math.pi, 0.0), (0.0, math.pi)]
+    (p,) = find_singular_points(DispersionModel.xy())
+    assert tuple(p.location) == (0.0, 0.0)
+
+
 def test_xy_saddle():
     pts = find_singular_points(DispersionModel.xy())
     assert len(pts) == 1

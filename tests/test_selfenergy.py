@@ -106,6 +106,22 @@ def test_im_d0_reduced_matches_orthant_4d():
     assert abs(r2.value - r4.value) <= bars(r2, r4)
 
 
+def test_orthant_oracle_error_covers_gap():
+    # Calibration of the orthant oracle's own error estimate: at every
+    # q0 and tolerance its gap to the reduced route lies inside the sum of
+    # both errors, one bar, not the three of bars().
+    for q0 in (0.5, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01):
+        ref = se.im_d0_sigma2(q0, QuadSpec(abs_tol=1e-9, rel_tol=0.0,
+                                           max_evaluations=4_000_000))
+        for tol in (1e-3, 3e-4, 1e-4, 3e-5):
+            r = se.im_d0_sigma2(q0, QuadSpec(abs_tol=tol, rel_tol=0.0,
+                                             max_evaluations=4_000_000),
+                                method="orthant4d")
+            assert r.converged and ref.converged
+            assert abs(r.value - ref.value) <= (r.error_estimate
+                                                + ref.error_estimate), (q0, tol)
+
+
 def test_im_d0_reduced_matches_cube_4d():
     r2 = se.im_d0_sigma2(0.1, QuadSpec(abs_tol=1e-8, rel_tol=0.0,
                                        max_evaluations=4_000_000))
