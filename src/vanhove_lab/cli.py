@@ -727,26 +727,24 @@ def _overlap(cfg: dict) -> Output:
     report = geometry.overlap_scaling_experiment(
         model, M=cfg["m_scale"], j_range=j_range, num_p=cfg["num_p"],
         delta=cfg["delta"], rng_seed=cfg["seed"])
-    sign = +1 if cfg["sign"] == "+1" else -1
-    rows = list(report.rows(sign=sign))
     columns = {
         "p_x": "translation momentum, first component",
         "p_y": "translation momentum, second component",
         "j": "threshold exponent; threshold is M^j",
         "length": "measured overlap arc length",
+        "length_error": "bound on the length's error",
         "bound": "scaling bound (M^j/delta)^(1/n0)",
         "violated": "length exceeds the bound",
     }
-    viol = report.violation_fraction if sign == +1 \
-        else report.violation_fraction_minus
     results = {
         "total_curve_length": report.total_curve_length,
+        "step": report.step,
         "n0": report.n0,
         "fitted_exponent": report.fitted_exponent,
-        "fitted_exponent_minus": report.fitted_exponent_minus,
-        "violation_fraction_per_j": viol,
+        "violation_fraction_per_j": report.violation_fraction,
     }
-    return Output(columns, rows, results, {"rng_seed": cfg["seed"]})
+    return Output(columns, list(report.rows()), results,
+                  {"rng_seed": cfg["seed"]})
 
 
 @main.command("overlap")
@@ -767,15 +765,14 @@ def _overlap(cfg: dict) -> Output:
               help="Distance floor entering the length bound.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="RNG seed for the translation samples.")
-@click.option("--sign", type=click.Choice(["+1", "-1"]), default="+1",
-              show_default=True, help="Sign of the translated curve.")
 @click.pass_context
 def cmd_overlap(ctx, **cfg):
     """Length-of-overlap scaling experiment: arc length of the Fermi
-    curve where the translated dispersion stays within M^j, against
-    the (M^j / delta)^(1/n0) bound.
+    curve where the translated dispersion stays within M^j, with its
+    error bound, against the (M^j / delta)^(1/n0) bound.  The curve is
+    even, so translating it by -p gives the same lengths.
 
-    Columns: p_x, p_y, j, length, bound, violated.
+    Columns: p_x, p_y, j, length, length_error, bound, violated.
     """
     _run(ctx, cfg, _overlap)
 

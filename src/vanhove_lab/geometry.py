@@ -18,21 +18,20 @@ on the edge of the square about Gamma; it is cut there into four open
 arcs whose end points are set to the saddle images.  Otherwise it is one
 closed curve, or none when mu lies on or beyond a band edge.
 
-The overlap length of a traced curve with its translate measures
-arclen{k on curve : |e(p +/- k)| <= threshold} by flagging polyline
-segments, with linear interpolation at the threshold crossings.  Only
-segments whose lower end value lies below the largest threshold can be
-flagged, a few percent of the curve.  So each branch is cut once into
-chunks of 64 segments with a center and a radius, and for a momentum p a
-chunk is evaluated only when |e| at its center is within max T plus a
-gradient bound times its radius (``_overlap_lengths``).  One kernel,
-``_flagged_lengths``, flags all thresholds of one (p, sign, branch) at
-once on the candidate segments of the kept chunks, in curve order: the
-set an evaluation of the whole curve would flag, so the lengths are the
-same bit for bit.
-The scaling experiment samples translation momenta p, measures the
-overlap at thresholds M^j, and compares with the bound
-(M^j / delta)^(1/n0) outside a delta^2 fraction of exceptional p.
+The overlap length arclen{k on curve : |e(p + k)| <= T} is measured on
+a trace at the fixed step 0.01, each segment the cubic Hermite between
+its end points with the exact tangents there (``_segments``).  A
+gradient bound screens out the segments where |e(p + k)| stays above
+max T, first in groups of eight, and the rest are cut at the extremum of
+e(p + k) where one can hide a dip.  On each piece the crossings of
+e(p + k) = +/-T are found by bracketed Newton, and the flagged intervals'
+arclength comes by Gauss-Legendre quadrature, with an error bound from
+the residuals, the curve's distance from {e = 0} and the quadrature
+(``_flag``).  Both bands are even and their curves symmetric under
+k -> -k, so translating by -p gives the same lengths.  The scaling
+experiment samples translation momenta p, measures the overlap at
+thresholds M^j, and compares with the bound (M^j / delta)^(1/n0) outside
+a delta^2 fraction of exceptional p.
 
 The interval lemma check verifies |{x : |f(x)| <= eps}| against the
 bound 2^(k+1) (eps/eta)^(1/k) for polynomials with |f^(k)| >= eta.  The
@@ -58,6 +57,7 @@ from .dispersion import (
     evaluate,
     find_singular_points,
     gradient,
+    hessian,
     morse_normal_form,
 )
 from .errors import HypothesisViolated
@@ -89,8 +89,7 @@ class CurveSample:
 
 _MAX_STEPS = 2_000_000  # most steps (segments) on one traced branch
 _RAYS = 1024  # coarse rays of the hubbard construction, a multiple of 4
-_RAY_ITER = 100  # Newton or bisection steps of one ray solve, at most
-_TRACE_STEP_CAP = 0.01  # largest trace step of the scaling experiment
+_NEWTON_ITER = 100  # Newton or bisection steps of one root, at most
 _INTERVAL = (-1.0, 1.0)  # the interval lemma's interval
 _UNIT_ROUNDOFF = 2.0 ** -53  # of float64
 
@@ -99,6 +98,37 @@ def _root_tol(model: DispersionModel) -> float:
     """16 unit roundoffs of the hubbard band's scale 2 + 2 theta + |mu|:
     the |e| at which a point counts as on the curve."""
     return 16.0 * _UNIT_ROUNDOFF * (2.0 + 2.0 * model.theta + abs(model.mu))
+
+
+def _newton(fg, lo: np.ndarray, hi: np.ndarray, t: np.ndarray, tol: np.ndarray):
+    """Roots of increasing functions g on brackets [lo, hi] with
+    g(lo) < 0 < g(hi), from the first guesses t.
+
+    ``fg(idx, t)`` returns g and g' of the roots idx at t.  Newton's step
+    is taken when it stays strictly inside the bracket, the bracket's
+    midpoint otherwise; a root stops once |g| <= tol or its bracket is a
+    few ulps wide, and only the others are evaluated again.  It returns
+    the last t, g and g' of each root; lo and hi are narrowed in place.
+    Bisection alone narrows a bracket of width pi to one ulp in about 53
+    halvings, well inside ``_NEWTON_ITER``.
+    """
+    idx = np.arange(len(t))
+    g, dg = fg(idx, t)
+    for _ in range(_NEWTON_ITER):
+        idx = idx[~((np.abs(g[idx]) <= tol[idx])
+                    | (hi[idx] - lo[idx] <= 8.0 * _UNIT_ROUNDOFF * hi[idx]))]
+        if not len(idx):
+            break
+        ti, gi = t[idx], g[idx]
+        lo[idx] = np.where(gi < 0.0, ti, lo[idx])
+        hi[idx] = np.where(gi > 0.0, ti, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ti - gi / dg[idx]
+        # a NaN step (zero slope) fails the test and bisects
+        t[idx] = np.where((step > lo[idx]) & (step < hi[idx]), step,
+                          0.5 * (lo[idx] + hi[idx]))
+        g[idx], dg[idx] = fg(idx, t[idx])
+    return t, g, dg
 
 
 def _ray_roots(
@@ -110,30 +140,20 @@ def _ray_roots(
 
     sign * e increases along each ray up to the square's edge at
     R = pi / max(|u1|, |u2|), from below zero at the center to at least
-    zero at the edge, so [0, R] brackets its one root.  Newton's step is
-    taken when it stays inside the bracket, the bracket's midpoint
-    otherwise; the solve ends once every |e| is within ``_root_tol``.
-    It returns the points of its last evaluation.  Bisection alone narrows
-    a bracket of width pi to one ulp of r in about 53 halvings, well
-    inside ``_RAY_ITER``.
+    zero at the edge, so [0, R] brackets its one root (``_newton``, to
+    |e| <= ``_root_tol``).
     """
     u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    lo = np.zeros_like(r)
+
+    def fg(idx, r):
+        k = center + r[:, None] * u[idx]
+        return sign * evaluate(model, k), \
+            sign * np.sum(gradient(model, k) * u[idx], axis=-1)
+
     hi = math.pi / np.maximum(np.abs(u[:, 0]), np.abs(u[:, 1]))
-    tol = _root_tol(model)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_RAY_ITER):
-            k = center + r[:, None] * u
-            f = sign * evaluate(model, k)
-            if np.all(np.abs(f) <= tol):
-                break
-            lo = np.where(f < 0.0, r, lo)
-            hi = np.where(f > 0.0, r, hi)
-            g = gradient(model, k)
-            newton = r - f / (sign * (g[:, 0] * u[:, 0] + g[:, 1] * u[:, 1]))
-            # a NaN step (zero slope) fails the test and bisects
-            r = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-    return k
+    r, _, _ = _newton(fg, np.zeros_like(r), hi, r,
+                      np.full(len(r), _root_tol(model)))
+    return center + r[:, None] * u
 
 
 def _step_count(length: float, step: float) -> int:
@@ -224,64 +244,102 @@ def trace_fermi_curve(model: DispersionModel, step: float = 0.01) -> List[CurveS
 # ---------------------------------------------------------------------------
 
 
-_CHUNK = 64  # segments per prefilter chunk
-_BLOCK = 16_384  # points per evaluation block of the overlap rows
-_SLACK = 1e-12  # relative rounding allowance of the chunk and block tests
+_OVERLAP_STEP = 0.01  # trace step of the scaling experiment
+_BLOCK = 16_384  # segments, or segment-threshold pairs, per overlap block
+_SLACK = 1e-12  # relative rounding allowance of the screening and block tests
 _GRID_BLOCK = 1024  # grid points per block of the sublevel prefilter
+_GROUP = 8  # segments per group of the coarse screening
+_SADDLE_GRAD = 1e-10  # |grad e| at or below which a curve point is a saddle
+# the Gauss-Legendre arclength rule on [0, 1], and the rule it is checked by
+_GAUSS, _GAUSS_LOW = (((x + 1.0) / 2.0, w / 2.0) for x, w in
+                      map(np.polynomial.legendre.leggauss, (4, 3)))
 
 
-class _Chunks(NamedTuple):
-    """The branches of a curve cut into chunks of ``_CHUNK`` segments.
+class _Segments(NamedTuple):
+    """A traced curve as cubic Hermite segments H(t) = c0 + c1 t + c2 t^2
+    + c3 t^3, t in [0, 1], one from each traced point to the next, with
+    end derivatives h T0 and h T1: h the chord length and T0, T1 the
+    exact unit tangents of {e = 0} at the ends (``_tangents``)."""
 
-    Row c of ``pts`` holds chunk c's points, the first point of the next
-    chunk included, so that every segment of the curve lies in exactly
-    one chunk; the last chunk of a branch repeats the branch's last
-    point, and ``valid`` marks its padded segments false.
-    """
-
-    pts: np.ndarray  # (C, _CHUNK + 1, 2)
-    segs: np.ndarray  # (C, _CHUNK) segment lengths
-    valid: np.ndarray  # (C, _CHUNK) the segment lies on the branch
-    centers: np.ndarray  # (C, 2) the middle point of each chunk
-    radius: np.ndarray  # (C,) largest distance of a row point from it
-    branch: np.ndarray  # (C,) branch index
-    n_branches: int
+    points: np.ndarray  # (N, 2) the branch points, branch after branch
+    start: np.ndarray  # (S,) index in points of each segment's first point
+    coef: np.ndarray  # (S, 4, 2) c0, c1, c2, c3
+    speed2: np.ndarray  # (S, 5) coefficients of the quartic |H'(t)|^2
+    length: np.ndarray  # (S,) arclength by _GAUSS
+    arc: np.ndarray  # (S,) length of the control polygon, >= the arclength
+    quad_err: np.ndarray  # (S,) |arclength by _GAUSS - by _GAUSS_LOW|
+    dist: np.ndarray  # (S,) |e| / |grad e| at H(1/2)
+    groups: np.ndarray  # (C + 1,) first segment of each screening group, S
     scale: float  # largest coordinate magnitude on the curve
 
 
-def _chunk_branches(branches: Sequence[CurveSample]) -> _Chunks:
-    pts, segs, valid, centers, radius, branch = [], [], [], [], [], []
-    j = np.arange(_CHUNK + 1)
-    for ib, b in enumerate(branches):
-        n = len(b.points)
-        start = _CHUNK * np.arange(-(-(n - 1) // _CHUNK))
-        idx = np.minimum(start[:, None] + j, n - 1)
-        cum = b.cumulative_arclength
-        # cum[i + 1] - cum[i] has the bits of segment_lengths()
-        segs.append(cum[idx[:, 1:]] - cum[idx[:, :-1]])
-        valid.append(start[:, None] + j[:-1] < n - 1)
-        rows = b.points[idx]
-        mid = b.points[start + np.minimum(_CHUNK, n - 1 - start) // 2]
-        d = rows - mid[:, None, :]
-        pts.append(rows)
-        centers.append(mid)
-        radius.append(np.max(np.hypot(d[..., 0], d[..., 1]), axis=1))
-        branch.append(np.full(len(start), ib))
-    return _Chunks(
-        pts=np.concatenate(pts),
-        segs=np.concatenate(segs),
-        valid=np.concatenate(valid),
-        centers=np.concatenate(centers),
-        radius=np.concatenate(radius),
-        branch=np.concatenate(branch),
-        n_branches=len(branches),
-        scale=max(float(np.max(np.abs(b.points))) for b in branches),
+def _tangents(model: DispersionModel, P: np.ndarray, chord: np.ndarray):
+    """Unit tangents of {e = 0} at the curve points P, oriented along the
+    chords: grad e turned by a right angle, or at a saddle the Hessian's
+    null direction (v . H v = 0) nearest the chord."""
+    g = gradient(model, P)
+    t = np.stack([-g[:, 1], g[:, 0]], axis=-1)
+    for i in np.flatnonzero(np.hypot(t[:, 0], t[:, 1]) <= _SADDLE_GRAD):
+        lam, q = np.linalg.eigh(hessian(model, P[i]))  # lam[0] < 0 < lam[1]
+        t[i] = max((math.sqrt(lam[1]) * q[:, 0] + s * math.sqrt(-lam[0]) * q[:, 1]
+                    for s in (1.0, -1.0)), key=lambda v: abs(v @ chord[i]))
+    t /= np.hypot(t[:, 0], t[:, 1])[:, None]
+    return np.where(np.sum(t * chord, axis=1) < 0.0, -1.0, 1.0)[:, None] * t
+
+
+def _hermite(c: np.ndarray, t: np.ndarray):
+    """H(t) and H'(t) of the cubics with coefficients c (m, 4, 2)."""
+    t = t[:, None]
+    return (((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0],
+            (3.0 * c[:, 3] * t + 2.0 * c[:, 2]) * t + c[:, 1])
+
+
+def _arclength(s2: np.ndarray, lo: np.ndarray, hi: np.ndarray, rule) -> np.ndarray:
+    """Gauss-Legendre arclength over [lo, hi] of the segments whose
+    |H'|^2 has the coefficients s2 (m, 5), constant first."""
+    x, w = rule
+    t = lo[:, None] + (hi - lo)[:, None] * x
+    q = s2[:, 4, None]
+    for i in (3, 2, 1, 0):
+        q = q * t + s2[:, i, None]
+    return (hi - lo) * np.einsum("ij,j->i", np.sqrt(q), w)
+
+
+def _segments(model: DispersionModel, branches: Sequence[CurveSample]) -> _Segments:
+    sizes = np.array([len(b.points) for b in branches])
+    first = np.cumsum(sizes) - sizes  # each branch's first point
+    start = np.concatenate([f + np.arange(n - 1) for f, n in zip(first, sizes)])
+    points = np.concatenate([b.points for b in branches])
+    P0, chord = points[start], points[start + 1] - points[start]
+    h = np.hypot(chord[:, 0], chord[:, 1])[:, None]
+    m0 = h * _tangents(model, P0, chord)
+    m1 = h * _tangents(model, points[start + 1], chord)
+    coef = np.stack([P0, m0, 3.0 * chord - 2.0 * m0 - m1, m0 + m1 - 2.0 * chord],
+                    axis=1)
+    a, b, d = m0, 2.0 * coef[:, 2], 3.0 * coef[:, 3]  # H' = a + b t + d t^2
+    dot = lambda u, v: np.sum(u * v, axis=-1)  # noqa: E731
+    speed2 = np.stack([dot(a, a), 2.0 * dot(a, b), dot(b, b) + 2.0 * dot(a, d),
+                       2.0 * dot(b, d), dot(d, d)], axis=-1)
+    one = np.ones(len(start))
+    length = _arclength(speed2, 0.0 * one, one, _GAUSS)
+    mid, _ = _hermite(coef, 0.5 * one)
+    g = gradient(model, mid)
+    return _Segments(
+        points, start, coef, speed2, length,
+        arc=2.0 * h[:, 0] / 3.0 + np.hypot(*(chord - (m0 + m1) / 3.0).T),
+        quad_err=np.abs(length - _arclength(speed2, 0.0 * one, one, _GAUSS_LOW)),
+        dist=np.abs(evaluate(model, mid)) / np.hypot(g[:, 0], g[:, 1]),
+        # a branch's first segment is its first point's index less the
+        # number of branches before it
+        groups=np.concatenate([f - i + np.arange(0, n - 1, _GROUP) for i, (f, n)
+                               in enumerate(zip(first, sizes))] + [[len(start)]]),
+        scale=float(np.max(np.abs(points))),
     )
 
 
 def _grad_bound(model: DispersionModel, k: np.ndarray, radius: np.ndarray):
     """A bound on |grad e| over the disc of the given radius about each
-    chunk center k (already translated)."""
+    point k (already translated)."""
     if model.kind == "hubbard":
         # |d e / d k_i| = |sin k_i (1 - theta cos k_j)| <= 1 + theta
         return math.sqrt(2.0) * (1.0 + model.theta)
@@ -289,79 +347,158 @@ def _grad_bound(model: DispersionModel, k: np.ndarray, radius: np.ndarray):
     return np.hypot(k[..., 0], k[..., 1]) + radius
 
 
-def _flagged_lengths(
-    a: np.ndarray, b: np.ndarray, segs: np.ndarray, thresholds: np.ndarray
-) -> np.ndarray:
-    """Flagged arc length of a set of polyline segments at each threshold T.
+def _flag(model, segs, sign, ps, ip, iseg, f_ends, bounds, thresholds,
+          lengths, errors):
+    """Add the flagged arclength of the segments iseg translated by the
+    momenta ps[ip], and its error bound, to lengths[ip] and errors[ip].
 
-    a, b are |e| at the segment ends, segs the segment lengths.  With lo,
-    hi the smaller and larger end value, a segment counts fully when
-    hi <= T and by the fraction (T - lo) / (hi - lo) when it crosses T
-    (e taken as linear along it).  The caller passes only the candidate
-    segments, those with lo <= max(T), in curve order, so the
-    threshold-by-segment table is built on that short set.
+    f_ends holds F = e(p + sign H) at the segments' ends, and bounds the
+    range of |F| on each (``_overlap_lengths``).  At a threshold T above
+    that range a segment is flagged whole, below it not at all.  Between,
+    it is cut where F' changes sign, at F's extremum, so that F is
+    monotone on each piece as long as F' changes sign at most once on a
+    segment.  On a monotone piece {|F| <= T} is one interval, ended by
+    the piece's ends or by roots of F = -T and F = T (``_newton``).  A
+    root's error in arclength is (|F - level| + G d) |H'| / |F'|, d the
+    segment's distance from {e = 0} and G the gradient bound, and at most
+    the segment's arc bound.  Each flagged interval adds the segment's
+    quadrature error times its share of [0, 1].
     """
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    # a segment with hi == lo is never partly flagged
-    width = np.where(hi > lo, hi - lo, np.inf)
-    T = thresholds[:, None]
-    frac = np.where(hi <= T, 1.0, np.maximum(T - lo, 0.0) / width)
-    return np.sum(frac * segs, axis=1)
+    T = thresholds[None, :]
+    whole = bounds[:, 1, None] <= T
+    r, j = np.nonzero(whole)
+    np.add.at(lengths, (ip[r], j), segs.length[iseg[r]])
+    np.add.at(errors, (ip[r], j), segs.quad_err[iseg[r]])
+    mixed = ~(bounds[:, 0, None] > T) & ~whole
+    sub = np.flatnonzero(np.any(mixed, axis=1))
+    ip, iseg, f_ends, mixed = ip[sub], iseg[sub], f_ends[sub], mixed[sub]
+    tol = _root_tol(model)
+    c = sign * segs.coef[iseg]
+    c[:, 0] += ps[ip]
+    k1 = ps[ip] + sign * segs.points[segs.start[iseg] + 1]
+    s0, s1 = (np.sum(gradient(model, k) * d, axis=-1) for k, d in
+              ((c[:, 0], c[:, 1]), (k1, c[:, 1] + 2.0 * c[:, 2] + 3.0 * c[:, 3])))
+
+    # the extremum of F where F' changes sign, as a root of sigma F'
+    split = np.flatnonzero(s0 * s1 < 0.0)
+    cs, sigma = c[split], np.sign(s1[split])
+
+    def curvature(idx, t):
+        k, d = _hermite(cs[idx], t)
+        dd = 6.0 * cs[idx, 3] * t[:, None] + 2.0 * cs[idx, 2]
+        g, H = gradient(model, k), hessian(model, k)
+        d2 = np.einsum("mi,mij,mj->m", d, H, d) + np.sum(g * dd, axis=-1)
+        return sigma[idx] * np.sum(g * d, axis=-1), sigma[idx] * d2
+
+    s0, s1 = s0[split], s1[split]
+    t_ext, _, _ = _newton(curvature, np.zeros_like(s0), np.ones_like(s0),
+                          s0 / (s0 - s1), tol * segs.arc[iseg[split]])
+    f_ext = evaluate(model, _hermite(cs, t_ext)[0])
+
+    # monotone pieces [a, b]: each segment up to its extremum, then the rest
+    q = np.append(np.arange(len(c)), split)
+    a, b = np.append(np.zeros(len(c)), t_ext), np.ones(len(q))
+    fa, fb = np.append(f_ends[:, 0], f_ext), np.append(f_ends[:, 1], f_ends[split, 1])
+    b[split], fb[split] = t_ext, f_ext
+    s = np.where(fb >= fa, 1.0, -1.0)  # s F increases along the piece
+    ga, gb = (s * fa)[:, None], (s * fb)[:, None]
+    t_lo = np.where(ga >= -T, a[:, None], b[:, None])
+    t_hi = np.where(gb <= T, b[:, None], a[:, None])
+    mixed = mixed[q]
+    need = [(ga < -T) & (-T < gb) & mixed, (ga < T) & (T < gb) & mixed]
+
+    # the crossings of s F = -T and s F = T, all in one solve, none solved
+    # beyond its segment's own distance from {e = 0}
+    (r_lo, j_lo), (r_hi, j_hi) = (np.nonzero(n) for n in need)
+    rq = np.concatenate([r_lo, r_hi])
+    level = np.concatenate([-thresholds[j_lo], thresholds[j_hi]])
+    cr, sr, seg = c[q[rq]], s[rq], iseg[q[rq]]
+    slack = _grad_bound(model, cr[:, 0], segs.arc[seg]) * segs.dist[seg]
+
+    def crossing(idx, t):
+        k, d = _hermite(cr[idx], t)
+        return (sr[idx] * evaluate(model, k) - level[idx],
+                sr[idx] * np.sum(gradient(model, k) * d, axis=-1))
+
+    x0 = (level - ga[rq, 0]) / (gb[rq, 0] - ga[rq, 0])
+    root, resid, slope = _newton(crossing, a[rq], b[rq], a[rq] + x0 * (b[rq] - a[rq]),
+                                 np.fmax(slack, tol))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_err = (np.abs(resid) + slack) \
+            * np.hypot(*_hermite(cr, root)[1].T) / np.abs(slope)
+    r_err = np.fmin(r_err, segs.arc[seg])
+    t_lo[need[0]], t_hi[need[1]] = root[:len(r_lo)], root[len(r_lo):]
+    err = np.zeros_like(t_lo)
+    err[need[0]] += r_err[:len(r_lo)]
+    err[need[1]] += r_err[len(r_lo):]
+    flagged = (t_hi > t_lo) & mixed
+    err += np.where(flagged, segs.quad_err[iseg[q]][:, None] * (t_hi - t_lo), 0.0)
+    r, j = np.nonzero(flagged)
+    np.add.at(lengths, (ip[q[r]], j), _arclength(
+        segs.speed2[iseg[q[r]]], t_lo[r, j], t_hi[r, j], _GAUSS))
+    r, j = np.nonzero(flagged | need[0] | need[1])
+    np.add.at(errors, (ip[q[r]], j), err[r, j])
+
+
+def _range(model, k, f, arc, scale):
+    """Bounds on |F| along curve pieces of arc bound arc whose ends are
+    the translated points k (..., 2, 2), where F takes the values f."""
+    G = _grad_bound(model, k[..., 0, :], arc)
+    mean = 0.5 * (np.abs(f[..., 0]) + np.abs(f[..., 1]))
+    half = 0.5 * G * arc + _SLACK * (1.0 + 2.0 * mean + G * scale)
+    return mean - half, mean + half
 
 
 def _overlap_lengths(
     model: DispersionModel,
-    chunks: _Chunks,
-    p: np.ndarray,
-    signs: Tuple[int, ...],
+    segs: _Segments,
+    ps: np.ndarray,
+    sign: int,
     thresholds: np.ndarray,
-) -> np.ndarray:
-    """(len(signs), len(thresholds)) overlap lengths of a chunked curve
-    with its translate by p.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(len(ps), len(thresholds)) arclengths of {t : |e(p + sign H)| <= T}
+    on the Hermite segments, one row per momentum p, and their error
+    bounds.
 
-    By the mean value theorem |e(x)| >= |e(c)| - G r on a chunk with
-    center c, radius r and gradient bound G, so a chunk with
-    |e(c)| > max(T) + G r holds no candidate segment and is skipped.
-    The slack added to the right side covers the rounding of e, of the
-    translation and of the radius.  The kept chunks are evaluated
-    exactly and their candidate segments flagged branch by branch in
-    curve order: the compacted set, the table and its sum are those of
-    an evaluation of the whole curve, bit for bit.
+    |F| = |e(p + sign H)| is G-Lipschitz in arclength, so on a piece of
+    curve with end values F_0, F_1 and arc bound a it stays within
+    (|F_0| + |F_1|)/2 +/- G a/2, plus a slack for the rounding of e, of
+    the translation and of the bound (``_range``).  Groups of ``_GROUP``
+    segments whose lower bound exceeds max T are skipped, then such
+    segments of the other groups, in blocks of about ``_BLOCK`` segments;
+    the kept ones are flagged (``_flag``) in blocks of about ``_BLOCK``
+    segment-threshold pairs.
     """
-    t_max = thresholds.max()
-    sgn = np.array(signs, dtype=float)[:, None, None]
-    kc = p + sgn * chunks.centers  # (S, C, 2)
-    ec = np.abs(evaluate(model, kc))
-    G = _grad_bound(model, kc, chunks.radius)
-    scale = chunks.scale + float(np.max(np.abs(p)))
-    reach = t_max + G * chunks.radius + _SLACK * (1.0 + ec + G * scale)
-    # written as a negation so that a NaN bound keeps its chunk
-    s_idx, c_idx = np.nonzero(~(ec > reach))
-    # rows in blocks of about _BLOCK points, to bound the temporaries;
-    # (-1) * x + p has the bits of p - x
-    vals = np.empty((len(c_idx), _CHUNK + 1))
-    step = _BLOCK // (_CHUNK + 1)
-    for lo in range(0, len(c_idx), step):
-        k = chunks.pts[c_idx[lo:lo + step]]
-        k *= sgn[s_idx[lo:lo + step]]
-        k += p
-        vals[lo:lo + step] = np.abs(evaluate(model, k))
-    a, b = vals[:, :-1], vals[:, 1:]
-    hit = (np.minimum(a, b) <= t_max) & chunks.valid[c_idx]
-    a, b, segs = a[hit], b[hit], chunks.segs[c_idx][hit]
-    # kept rows come sorted by (sign, branch); find each group's hits
-    n_groups = len(signs) * chunks.n_branches
-    group = s_idx * chunks.n_branches + chunks.branch[c_idx]
-    ends = np.concatenate([[0], np.cumsum(np.count_nonzero(hit, axis=1))])
-    bounds = ends[np.searchsorted(group, np.arange(n_groups + 1))]
-    out = np.zeros((len(signs), len(thresholds)))
-    for g in range(n_groups):
-        lo, hi = bounds[g], bounds[g + 1]
-        if hi > lo:
-            out[g // chunks.n_branches] += _flagged_lengths(
-                a[lo:hi], b[lo:hi], segs[lo:hi], thresholds
-            )
-    return out
+    t_max = float(thresholds.max())
+    scale = segs.scale + float(np.max(np.abs(ps)))
+    pts = sign * segs.points
+    g0, g1 = segs.groups[:-1], segs.groups[1:]
+    coarse = pts[np.stack([segs.start[g0], segs.start[g1 - 1] + 1], axis=-1)]
+    g_arc = np.add.reduceat(segs.arc, g0)
+    kept = []
+    per = max(1, _BLOCK // len(segs.arc))
+    for lo in range(0, len(ps), per):
+        k = ps[lo:lo + per, None, None, :] + coarse
+        low, _ = _range(model, k, evaluate(model, k), g_arc, scale)
+        # written as negations so that a NaN bound keeps its segments
+        i, g = np.nonzero(~(low > t_max))
+        n = g1[g] - g0[g]
+        ip = np.repeat(i + lo, n)
+        iseg = np.arange(n.sum()) + np.repeat(g0[g] - np.cumsum(n) + n, n)
+        k = ps[ip, None, :] + pts[segs.start[iseg, None] + [0, 1]]
+        f = evaluate(model, k)
+        bounds = np.stack(_range(model, k, f, segs.arc[iseg], scale), axis=-1)
+        keep = ~(bounds[:, 0] > t_max)
+        kept.append((ip[keep], iseg[keep], f[keep], bounds[keep]))
+    ip, iseg, f_ends, bounds = (np.concatenate(x) for x in zip(*kept))
+    lengths = np.zeros((len(ps), len(thresholds)))
+    errors = np.zeros_like(lengths)
+    per = max(1, _BLOCK // len(thresholds))
+    for lo in range(0, len(ip), per):
+        part = slice(lo, lo + per)
+        _flag(model, segs, sign, ps, ip[part], iseg[part], f_ends[part],
+              bounds[part], thresholds, lengths, errors)
+    return lengths, errors
 
 
 def overlap_length(
@@ -370,8 +507,10 @@ def overlap_length(
     p,
     sign: int = +1,
     threshold: float = 1e-3,
-) -> float:
-    """Arc length of {k on curve : |e(p + sign k)| <= threshold}."""
+) -> Tuple[float, float]:
+    """Arc length of {k on curve : |e(p + sign k)| <= threshold} on the
+    cubic Hermite curve through the traced points, and a bound on its
+    error (``_flag``)."""
     if not (math.isfinite(threshold) and threshold > 0.0):
         raise ValueError("threshold must be positive and finite")
     if sign not in (+1, -1):
@@ -379,38 +518,42 @@ def overlap_length(
     p = np.asarray(p, dtype=float)
     if p.shape != (2,):
         raise ValueError(f"p must have shape (2,), not {p.shape}")
-    out = _overlap_lengths(
-        model, _chunk_branches([curve]), p, (sign,), np.array([threshold])
+    lengths, errors = _overlap_lengths(
+        model, _segments(model, [curve]), p[None, :], sign, np.array([threshold])
     )
-    return float(out[0, 0])
+    return float(lengths[0, 0]), float(errors[0, 0])
 
 
 @dataclass(frozen=True)
 class OverlapScalingReport:
+    """Both bands are even and their Fermi curves symmetric under
+    k -> -k, so the overlaps of sign -1 equal those of sign +1: every
+    ``_minus`` field is its sign +1 counterpart."""
+
     p_samples: np.ndarray  # (num_p, 2)
     j_values: Tuple[int, ...]  # descending (toward smaller thresholds)
-    measured_lengths: np.ndarray  # (num_p, num_j), sign +
-    measured_lengths_minus: np.ndarray  # (num_p, num_j), sign -
+    measured_lengths: np.ndarray  # (num_p, num_j)
+    measured_lengths_minus: np.ndarray  # (num_p, num_j), the same
+    length_errors: np.ndarray  # (num_p, num_j), bounds on the lengths' errors
     fitted_exponent: Optional[float]
     fitted_exponent_minus: Optional[float]
     n0: Optional[int]
     bounds: Optional[np.ndarray]  # (num_j,), (M^j/delta)^(1/n0)
-    violation_fraction: Optional[np.ndarray]  # per j, sign +
+    violation_fraction: Optional[np.ndarray]  # per j
     violation_fraction_minus: Optional[np.ndarray]
     total_curve_length: float
     step: float
 
-    def rows(self, sign: int = +1):
-        """(p_x, p_y, j, length, bound, violated) tuples for CSV export."""
-        lengths = (
-            self.measured_lengths if sign == +1 else self.measured_lengths_minus
-        )
+    def rows(self):
+        """(p_x, p_y, j, length, length_error, bound, violated) tuples
+        for CSV export."""
         for ip, p in enumerate(self.p_samples):
             for ij, j in enumerate(self.j_values):
                 bound = float(self.bounds[ij]) if self.bounds is not None else math.nan
-                ell = float(lengths[ip, ij])
+                ell = float(self.measured_lengths[ip, ij])
                 violated = bool(ell > bound) if self.bounds is not None else False
-                yield (float(p[0]), float(p[1]), int(j), ell, bound, violated)
+                yield (float(p[0]), float(p[1]), int(j), ell,
+                       float(self.length_errors[ip, ij]), bound, violated)
 
 
 def _derive_n0(model: DispersionModel) -> Optional[int]:
@@ -427,20 +570,17 @@ def _derive_n0(model: DispersionModel) -> Optional[int]:
     return max(orders) + 1
 
 
-def _fit_envelope(lengths, j_sorted, M, num_drop, floor):
+def _fit_envelope(lengths, j_sorted, M, num_drop):
     """Least-squares slope of log(envelope length) against j log M,
-    after dropping the worst num_drop samples per threshold."""
-    env = []
-    for ij in range(lengths.shape[1]):
-        col = np.sort(lengths[:, ij])
-        kept = col[: len(col) - num_drop] if num_drop > 0 else col
-        env.append(max(float(kept[-1]), floor))
-    env = np.asarray(env)
-    if len(env) < 2:
+    after dropping the worst num_drop samples per threshold; None for a
+    single threshold or an envelope of zero length."""
+    if lengths.shape[1] < 2:
+        return None
+    env = np.sort(lengths, axis=0)[len(lengths) - 1 - num_drop]
+    if not np.all(env > 0.0):
         return None
     x = np.asarray(j_sorted, dtype=float) * math.log(M)
-    y = np.log(env)
-    slope = np.polyfit(x, y, 1)[0]
+    slope = np.polyfit(x, np.log(env), 1)[0]
     return float(slope)
 
 
@@ -456,12 +596,13 @@ def overlap_scaling_experiment(
     (seeded by rng_seed), measure overlap lengths at the thresholds M^j,
     and compare against (M^j/delta)^(1/n0).
 
-    The curve is traced with step min(0.01, M^min(j)), never coarser
-    than the smallest threshold, and n0 is the largest branch
-    nonflatness order over the model's saddles plus one (None, with no
-    bound, for an exactly flat branch).  A threshold M^j below the
-    smallest normal float raises ``ValueError``, and so does a step that
-    cuts a branch into more than ``_MAX_STEPS`` segments.
+    The curve is traced at the fixed step ``_OVERLAP_STEP`` whatever the
+    thresholds, and each length comes with an error bound
+    (``_overlap_lengths``).  Only sign +1 is measured: the report's
+    ``_minus`` fields repeat it.  n0 is the largest branch nonflatness
+    order over the model's saddles plus one (None, with no bound, for an
+    exactly flat branch).  A threshold M^j that rounds to 0 raises
+    ``ValueError``.
     """
     if not 1.0 < M < math.inf:
         raise ValueError("M must be finite and exceed 1")
@@ -480,14 +621,12 @@ def overlap_scaling_experiment(
     ):
         raise ValueError("j_range must be nonempty negative integers")
     j_sorted = tuple(sorted(set(int(j) for j in j_range), reverse=True))
-    smallest = M ** j_sorted[-1]
-    if smallest < np.finfo(float).tiny:
+    thresholds = np.array([M ** j for j in j_sorted])
+    if not thresholds[-1] > 0.0:
         raise ValueError(
-            f"threshold M^j for M = {M}, j = {j_sorted[-1]} underflows the "
-            "smallest normal float"
+            f"threshold M^j for M = {M}, j = {j_sorted[-1]} rounds to 0"
         )
-    step = min(_TRACE_STEP_CAP, smallest)
-    branches = trace_fermi_curve(model, step=step)
+    branches = trace_fermi_curve(model, step=_OVERLAP_STEP)
     if not branches:
         raise ValueError("no Fermi curve found for this model")
     total_len = sum(b.total_length for b in branches)
@@ -498,39 +637,30 @@ def overlap_scaling_experiment(
     p_samples = np.column_stack(
         [rng.uniform(x0, x1, size=num_p), rng.uniform(y0, y1, size=num_p)]
     )
-
-    thresholds = np.array([M ** j for j in j_sorted])
-    chunks = _chunk_branches(branches)
-    both = np.array(
-        [_overlap_lengths(model, chunks, p, (+1, -1), thresholds) for p in p_samples]
+    lengths, errors = _overlap_lengths(
+        model, _segments(model, branches), p_samples, +1, thresholds
     )
-    lengths = {+1: both[:, 0].copy(), -1: both[:, 1].copy()}
 
-    bounds = None
-    viol = {+1: None, -1: None}
+    bounds = viol = None
     if n0 is not None:
         bounds = (thresholds / delta) ** (1.0 / n0)
-        for sign in (+1, -1):
-            viol[sign] = np.mean(lengths[sign] > bounds[None, :], axis=0)
-
-    fit = {
-        sign: _fit_envelope(lengths[sign], j_sorted, M, num_drop, floor=step)
-        for sign in (+1, -1)
-    }
+        viol = np.mean(lengths > bounds[None, :], axis=0)
+    fit = _fit_envelope(lengths, j_sorted, M, num_drop)
 
     return OverlapScalingReport(
         p_samples=p_samples,
         j_values=j_sorted,
-        measured_lengths=lengths[+1],
-        measured_lengths_minus=lengths[-1],
-        fitted_exponent=fit[+1],
-        fitted_exponent_minus=fit[-1],
+        measured_lengths=lengths,
+        measured_lengths_minus=lengths,
+        length_errors=errors,
+        fitted_exponent=fit,
+        fitted_exponent_minus=fit,
         n0=n0,
         bounds=bounds,
-        violation_fraction=viol[+1],
-        violation_fraction_minus=viol[-1],
+        violation_fraction=viol,
+        violation_fraction_minus=viol,
         total_curve_length=total_len,
-        step=float(step),
+        step=_OVERLAP_STEP,
     )
 
 

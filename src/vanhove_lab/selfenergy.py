@@ -495,7 +495,7 @@ _PANEL_UNITS = 4.0      # target panel length in u-units
 _PANEL_MIN = 4
 _PANEL_MAX = 32
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_BLOCK = 8192           # panel nodes per block of rows
+_BLOCK = 16384          # panel nodes per block of rows
 # Nodes and weights of m equal Gauss panels on [0, 1], for each panel count m.
 _PANELS = {m: ((np.arange(0.5, m)[:, None] / m + 0.5 / m * _GL_NODES).ravel(),
                np.tile(0.5 / m * _GL_WEIGHTS, m))

@@ -237,18 +237,21 @@ def test_d2_xixi_with_imaginary_converges_at_defaults(runner, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_overlap_csv_has_exactly_six_columns(runner, tmp_path):
+def test_overlap_csv_has_exactly_seven_columns(runner, tmp_path):
     prefix = tmp_path / "ov"
     r = runner.invoke(main, [
         "overlap", "--num-p", "2", "--j-min", "-3",
         "--out-prefix", str(prefix), "--deterministic"])
     assert r.exit_code == 0, r.output
     header, rows = read_csv(prefix.with_suffix(".csv"))
-    assert header == ["p_x", "p_y", "j", "length", "bound", "violated"]
-    assert all(len(row) == 6 for row in rows)
+    assert header == ["p_x", "p_y", "j", "length", "length_error", "bound",
+                      "violated"]
+    assert all(len(row) == 7 for row in rows)
     assert len(rows) == 2 * 3
+    assert all(0.0 <= float(row[4]) < 1e-6 for row in rows)
     man = read_json(prefix.with_suffix(".json"))
     assert man["seeds"] == {"rng_seed": 0}
+    assert man["results"]["step"] == 0.01
 
 
 @pytest.mark.parametrize("args", [
@@ -262,11 +265,11 @@ def test_overlap_bad_sample_inputs_exit_2(runner, tmp_path, args):
 
 
 def test_overlap_underflowing_threshold_exits_2(runner, tmp_path):
-    # 1e300^-6 is 0.0; the error names the threshold, not the trace step
-    r = runner.invoke(main, ["overlap", "--scale", "1e300",
+    # 1e300^-2 is 0.0; the error names M and j, not the trace step
+    r = runner.invoke(main, ["overlap", "--scale", "1e300", "--j-min", "-2",
                              "--out-prefix", str(tmp_path / "ov")])
     assert r.exit_code == 2
-    assert "threshold" in r.stderr
+    assert "threshold M^j for M = 1e+300, j = -2 rounds to 0" in r.stderr
     assert "step" not in r.stderr
     assert not (tmp_path / "ov.csv").exists()
 
@@ -274,16 +277,16 @@ def test_overlap_underflowing_threshold_exits_2(runner, tmp_path):
 @pytest.mark.parametrize("args", [
     ["--scale", "1e300", "--j-min", "-1"], ["--scale", "10", "--j-min", "-7"]],
     ids=["threshold-1e-300", "threshold-1e-7"])
-def test_overlap_step_with_too_many_points_exits_2_at_once(runner, tmp_path, args):
-    # thresholds 1e-300 and 1e-7 set the trace step; the branch's point
-    # count is checked before any fine point is built
+def test_overlap_deep_thresholds_run_at_fixed_step(runner, tmp_path, args):
+    # thresholds 1e-300 and 1e-7 no longer set the trace step
+    prefix = tmp_path / "ov"
     t0 = time.perf_counter()
-    r = runner.invoke(main, ["overlap", "--out-prefix", str(tmp_path / "ov")]
-                      + args)
-    assert time.perf_counter() - t0 < 1.0
-    assert r.exit_code == 2
-    assert "ValueError" in r.stderr and "limit of 2000000" in r.stderr
-    assert not (tmp_path / "ov.csv").exists()
+    r = runner.invoke(main, ["overlap", "--out-prefix", str(prefix)] + args)
+    assert time.perf_counter() - t0 < 5.0
+    assert r.exit_code == 0, r.output
+    assert read_json(prefix.with_suffix(".json"))["results"]["step"] == 0.01
+    header, rows = read_csv(prefix.with_suffix(".csv"))
+    assert len(rows) == 40 * -int(args[-1])
 
 
 @pytest.mark.parametrize("args", [

@@ -447,47 +447,32 @@ def test_trace_rejects_step_that_needs_too_many_points(step):
         assert f"limit of {geo._MAX_STEPS}" in str(e.value)
 
 
-def _ref_flagged_length(vals, segs, threshold):
-    """The per-threshold flagging kernel the batched one replaced."""
-    a, b = vals[:-1], vals[1:]
-    fa = a <= threshold
-    fb = b <= threshold
-    frac = np.zeros_like(segs)
-    frac[fa & fb] = 1.0
-    out = fa & ~fb
-    frac[out] = (threshold - a[out]) / (b[out] - a[out])
-    into = ~fa & fb
-    frac[into] = (threshold - b[into]) / (a[into] - b[into])
-    return float(np.sum(frac * segs))
-
-
-def _candidates(vals, segs, thresholds):
-    """End values and lengths of the segments with min(a, b) <= max(T),
-    in curve order: the set ``_flagged_lengths`` expects."""
-    a, b = vals[:-1], vals[1:]
-    idx = np.flatnonzero(np.minimum(a, b) <= thresholds.max())
-    return a[idx], b[idx], segs[idx]
-
-
-def _ref_flagged_lengths(vals, segs, thresholds):
-    """The unfiltered flagging of a whole branch that the chunk
-    prefilter replaced, kept as the bit-identity reference."""
-    a, b, segs = _candidates(vals, segs, thresholds)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    width = np.where(hi > lo, hi - lo, np.inf)
-    T = thresholds[:, None]
-    frac = np.where(hi <= T, 1.0, np.maximum(T - lo, 0.0) / width)
-    return np.sum(frac * segs, axis=1)
-
-
 def _ref_overlap_lengths(model, branches, p, sign, thresholds):
-    """The unfiltered per-branch loop: evaluate every curve point."""
-    out = np.zeros(len(thresholds))
+    """Flagged length of the polyline through the traced points, with
+    F = e(p + sign k) taken as linear along each segment: the share of
+    the segment where |F| <= T.  Also returns the polyline's own error at
+    each threshold: linear interpolation misplaces a crossing of F = +/-T
+    by about h^2 |F''| / (8 |F'|), with F'' h^2 and F' h read from the
+    differences of F at the neighbouring points."""
+    T, t_max = thresholds[:, None], thresholds.max()
+    out, err = np.zeros(len(thresholds)), np.zeros(len(thresholds))
     for b in branches:
-        k = p + b.points if sign > 0 else p - b.points
-        vals = np.abs(evaluate(model, k))
-        out += _ref_flagged_lengths(vals, b.segment_lengths(), thresholds)
-    return out
+        F = evaluate(model, p + sign * b.points)
+        above, below = F > t_max, F < -t_max
+        idx = np.flatnonzero(~(above[:-1] & above[1:]) & ~(below[:-1] & below[1:]))
+        a, c = F[idx], F[idx + 1]
+        lo, hi = np.minimum(a, c), np.maximum(a, c)
+        segs = b.segment_lengths()[idx]
+        width = np.where(hi > lo, hi - lo, np.inf)
+        inside = np.maximum(np.minimum(hi, T) - np.maximum(lo, -T), 0.0) / width
+        out += np.sum(np.where(hi > lo, inside, np.abs(lo) <= T) * segs, axis=1)
+        crossings = ((lo < T) & (T < hi)).astype(float) + ((lo < -T) & (-T < hi))
+        # second differences at both ends (the nearest interior point's at a
+        # branch end)
+        i = np.clip(np.stack([idx, idx + 1]), 1, len(F) - 2)
+        curv = np.max(np.abs(F[i + 1] - 2.0 * F[i] + F[i - 1]), axis=0)
+        err += np.sum(crossings * segs * curv / (8.0 * width), axis=1)
+    return out, err
 
 
 def _hubbard_flag_curves():
@@ -495,48 +480,43 @@ def _hubbard_flag_curves():
     m = DispersionModel.hubbard(0.3, 0.0)
     T = 2.0 ** np.arange(-6.0, -13.0, -1.0)
     rng = np.random.default_rng(2)
-    rng.uniform(0.5, 1.5, size=10)  # the draws of the hand case
-    for b in trace_fermi_curve(m, step=2.0 ** -9):
+    for b in trace_fermi_curve(m, step=0.01):
         for p in rng.uniform(-math.pi, math.pi, size=(10, 2)):
             for sign in (+1, -1):
                 yield m, b, p, sign, T
 
 
-def _flag_cases():
-    T = np.array([0.25, 0.01, 0.002])
-    # pairs: both in (0.001, 0.002 at 0.01), leaving (0.002 -> 0.5),
-    # entering (0.5 -> 0.003), a == b inside (0.003, 0.003), leaving
-    # (-> 0.7), a == b outside (0.7, 0.7), ends exactly on a threshold
-    # (0.25 and 0.002), both out (0.7 -> 0.3)
-    hand = np.array([0.001, 0.002, 0.5, 0.003, 0.003, 0.7, 0.7, 0.25, 0.002,
-                     0.7, 0.3])
-    rng = np.random.default_rng(2)
-    segs = rng.uniform(0.5, 1.5, size=len(hand) - 1)
-    yield hand, segs, T
-    yield np.full(6, 0.6), np.ones(5), T  # no candidate segment
-    yield np.zeros(4), np.ones(3), T  # a == b == 0 everywhere
-    for m, b, p, sign, T in _hubbard_flag_curves():
-        vals = np.abs(evaluate(m, p[None, :] + sign * b.points))
-        yield vals, b.segment_lengths(), T
+def _kernel(model, branches, ps, sign, T):
+    return geo._overlap_lengths(model, geo._segments(model, branches),
+                                np.atleast_2d(ps), sign, T)
 
 
 def test_flagged_lengths_match_per_threshold_reference():
+    # all thresholds at once give each threshold's own run, to rounding
     n_cases = 0
-    for vals, segs, T in _flag_cases():
-        got = geo._flagged_lengths(*_candidates(vals, segs, T), T)
-        ref = np.array([_ref_flagged_length(vals, segs, t) for t in T])
-        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+    for m, b, p, sign, T in _hubbard_flag_curves():
+        got, got_err = _kernel(m, [b], p, sign, T)
+        for j, t in enumerate(T):
+            length, error = overlap_length(m, b, p, sign, t)
+            assert got[0, j] == pytest.approx(length, rel=1e-14, abs=1e-15)
+            assert got_err[0, j] == pytest.approx(error, rel=1e-12, abs=1e-15)
         n_cases += 1
-    assert n_cases == 3 + 4 * 10 * 2
+    assert n_cases == 4 * 10 * 2
 
 
 def test_flagged_lengths_on_threshold_and_empty():
-    vals, segs, T = next(_flag_cases())
-    # at T = 0.002 only the pair (0.001, 0.002) counts, fully; the three
-    # pairs with 0.002 as their lower end contribute a zero fraction
-    assert geo._flagged_lengths(*_candidates(vals, segs, T), T)[2] == segs[0]
-    empty = _candidates(np.full(6, 0.6), np.ones(5), T)
-    assert np.array_equal(geo._flagged_lengths(*empty, T), np.zeros(3))
+    # on the +x half-axis e((x, 0) + (0, 0.5)) = x / 2 is linear: a
+    # threshold at a traced point's value flags exactly up to that point
+    m = DispersionModel.xy()
+    b = trace_fermi_curve(m, step=0.01)[0]
+    assert np.all(b.points[:, 1] == 0.0) and np.all(b.points[:, 0] >= 0.0)
+    T = 0.5 * b.points[[7, 40, 99], 0]
+    got, err = _kernel(m, [b], np.array([0.0, 0.5]), +1, T)
+    np.testing.assert_allclose(got[0], b.points[[7, 40, 99], 0], rtol=1e-14)
+    assert np.all(err[0] < 1e-15)
+    # far from the curve nothing is flagged, and nothing is uncertain
+    got, err = _kernel(m, [b], np.array([2.0, 2.0]), +1, T)
+    assert np.array_equal(got, np.zeros((1, 3))) and np.array_equal(err, got)
 
 
 class _CountingEvaluate:
@@ -552,137 +532,231 @@ class _CountingEvaluate:
         return evaluate(model, k)
 
 
-def _prefiltered(model, branches, p, sign, T):
-    return geo._overlap_lengths(model, geo._chunk_branches(branches), p,
-                                (sign,), T)[0]
+def _assert_screening_exact(monkeypatch, model, branches, ps, sign, T):
+    """The screened kernel against the same kernel with an infinite
+    rounding slack, which keeps every segment and flags none whole; also
+    the points each run evaluates."""
+    counts = []
+    for slack in (geo._SLACK, math.inf):
+        counter = _CountingEvaluate()
+        with monkeypatch.context() as mp:
+            mp.setattr(geo, "_SLACK", slack)
+            mp.setattr(geo, "evaluate", counter)
+            counts.append((_kernel(model, branches, ps, sign, T), counter.points))
+    (got, n_got), (ref, n_ref) = counts
+    np.testing.assert_allclose(got[0], ref[0], rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(got[1], ref[1], rtol=1e-12, atol=1e-15)
+    return got, n_got, n_ref
 
 
 def test_prefilter_matches_unfiltered_loop_on_hubbard_curves(monkeypatch):
-    # traced before counting: the trace evaluates e too
-    cases = list(_hubbard_flag_curves())
-    counter = _CountingEvaluate()
-    monkeypatch.setattr(geo, "evaluate", counter)
-    n_cases = n_points = 0
-    for m, b, p, sign, T in cases:
-        got = _prefiltered(m, [b], p, sign, T)
-        assert np.array_equal(got, _ref_overlap_lengths(m, [b], p, sign, T))
-        n_cases += 1
-        n_points += len(b.points)
-    assert n_cases == 80
+    n_got = n_ref = 0
+    for m, b, p, sign, T in _hubbard_flag_curves():
+        _, got, ref = _assert_screening_exact(monkeypatch, m, [b], p, sign, T)
+        n_got, n_ref = n_got + got, n_ref + ref
     # the bound skips most of the curve
-    assert counter.points < 0.25 * n_points
+    assert n_got < 0.5 * n_ref
 
 
-def test_prefilter_matches_unfiltered_loop_on_scaling_run():
+def test_prefilter_matches_unfiltered_loop_on_scaling_run(monkeypatch):
     m = DispersionModel.hubbard(0.3, 0.0)
     rep = overlap_scaling_experiment(
         m, M=2.0, j_range=range(-6, -10, -1), num_p=100, delta=0.1, rng_seed=42
     )
-    branches = trace_fermi_curve(m, step=rep.step)
     T = np.array([2.0 ** j for j in rep.j_values])
-    for ip, p in enumerate(rep.p_samples):
-        for sign, lengths in ((+1, rep.measured_lengths),
-                              (-1, rep.measured_lengths_minus)):
-            ref = _ref_overlap_lengths(m, branches, p, sign, T)
-            assert np.array_equal(lengths[ip], ref)
+    got, _, _ = _assert_screening_exact(
+        monkeypatch, m, trace_fermi_curve(m, rep.step), rep.p_samples, +1, T)
+    assert np.array_equal(got[0], rep.measured_lengths)
+    assert np.array_equal(got[1], rep.length_errors)
 
 
 def test_overlap_lengths_match_array_reference_curve():
-    # the polyline lengths on the ray construction's curve and on the
-    # reference marcher's curve, at the scaling run's step
+    # the Hermite lengths on the ray construction's curve against the
+    # polyline on the reference marcher's curve at step 2^-11, within the
+    # reported error plus that polyline's own
     m = DispersionModel.hubbard(0.3, 0.0)
     rep = overlap_scaling_experiment(
         m, M=2.0, j_range=range(-6, -10, -1), num_p=100, delta=0.1, rng_seed=42
     )
-    branches = trace_fermi_curve(m, step=rep.step)
     ref = [geo.CurveSample(points=p, cumulative_arclength=cum, closed=closed)
-           for p, cum, closed in _ref_trace(m, rep.step)]
+           for p, cum, closed in _ref_trace(m, 2.0 ** -11)]
     T = np.array([2.0 ** j for j in rep.j_values])
-    for p in rep.p_samples:
-        for sign in (+1, -1):
-            got = _ref_overlap_lengths(m, branches, p, sign, T)
-            want = _ref_overlap_lengths(m, ref, p, sign, T)
-            assert np.all(np.abs(got - want) <= 0.5 * rep.step)
+    for ip, p in enumerate(rep.p_samples):
+        want, chord = _ref_overlap_lengths(m, ref, p, +1, T)
+        gap = np.abs(rep.measured_lengths[ip] - want)
+        assert np.all(gap <= rep.length_errors[ip] + chord + 1e-13)
+
+
+def test_overlap_lengths_match_fine_polyline_on_criterion_9():
+    # criterion 9's run against the polyline at step 2^-14, within the
+    # reported error plus that polyline's own
+    m = DispersionModel.hubbard(0.3, 0.0)
+    rep = overlap_scaling_experiment(
+        m, M=2.0, j_range=range(-6, -13, -1), num_p=500, delta=0.1, rng_seed=42
+    )
+    assert rep.step == 0.01
+    fine = trace_fermi_curve(m, step=2.0 ** -14)
+    T = np.array([2.0 ** j for j in rep.j_values])
+    for ip, p in enumerate(rep.p_samples):
+        want, chord = _ref_overlap_lengths(m, fine, p, +1, T)
+        gap = np.abs(rep.measured_lengths[ip] - want)
+        assert np.all(gap <= rep.length_errors[ip] + chord + 1e-13)
+
+
+def test_overlap_flags_tangential_dip_inside_one_segment():
+    # the mu = -1 curve is symmetric under k1 <-> k2 and k -> -k, so its
+    # normal at the diagonal point P is the diagonal.  With
+    # p = -P - (y, y), p + P = -(y, y) lies on the diagonal too, where
+    # grad e is normal to the curve: F = e(p + k) has a minimum
+    # F(P) = e(y, y) at P, a tangential touch between the curve and its
+    # translate.  Both ends of P's 0.01 segment stay above the threshold.
+    theta = 0.3
+    m = DispersionModel.hubbard(theta, -1.0)
+
+    def diagonal(level):
+        # e(y, y) = theta c^2 - 2 c + theta + 1 with c = cos y
+        return math.acos((1.0 - math.sqrt(1.0 - theta * (theta + 1.0 - level)))
+                         / theta)
+
+    x, y = diagonal(0.0), diagonal(1e-4)
+    p = -np.array([x + y, x + y])
+    curve = trace_fermi_curve(m, step=0.01)[0]
+    d = curve.points[:, 0] - curve.points[:, 1]
+    i = np.flatnonzero((d[:-1] < 0.0) != (d[1:] < 0.0))[0]
+    ends = np.abs(evaluate(m, p + curve.points[[i, i + 1]]))
+    T = 0.5 * (1e-4 + ends.min())
+    assert ends.min() > T
+    # the polyline through the traced points misses the dip
+    assert _ref_overlap_lengths(m, [curve], p, +1, np.array([T]))[0][0] == 0.0
+    length, error = overlap_length(m, curve, p, +1, T)
+    fine = trace_fermi_curve(m, step=2.0 ** -16)
+    want, chord = _ref_overlap_lengths(m, fine, p, +1, np.array([T]))
+    assert length > 0.003
+    assert abs(length - want[0]) <= error + chord[0]
+
+
+@pytest.mark.parametrize(
+    "model", [DispersionModel.hubbard(0.3, mu) for mu in (0.0, 0.2, -0.2)]
+    + [DispersionModel.xy()],
+    ids=["hubbard-0.0", "hubbard-0.2", "hubbard--0.2", "xy"],
+)
+def test_sign_minus_equals_sign_plus_within_error(model):
+    # both bands are even and their curves symmetric under k -> -k, so
+    # {|e(p - k)| <= T} and {|e(p + k)| <= T} have the same length
+    branches = trace_fermi_curve(model, step=0.01)
+    rng = np.random.default_rng(5)
+    (x0, x1), (y0, y1) = model.domain
+    ps = np.column_stack([rng.uniform(x0, x1, 12), rng.uniform(y0, y1, 12)])
+    for p in ps:
+        for T in (2.0 ** -3, 2.0 ** -8, 2.0 ** -12):
+            plus = np.array([overlap_length(model, b, p, +1, T) for b in branches])
+            minus = np.array([overlap_length(model, b, p, -1, T) for b in branches])
+            gap = abs(plus[:, 0].sum() - minus[:, 0].sum())
+            assert gap <= plus[:, 1].sum() + minus[:, 1].sum() + 1e-15
 
 
 def test_prefilter_matches_unfiltered_loop_on_xy_branches(monkeypatch):
-    # the per-chunk bound |grad e| <= |center| + radius
+    # the per-segment bound |grad e| <= |start| + arc
     m = DispersionModel.xy()
-    branches = trace_fermi_curve(m, step=2.0 ** -9)
-    counter = _CountingEvaluate()
-    monkeypatch.setattr(geo, "evaluate", counter)
+    branches = trace_fermi_curve(m, step=0.01)
     T = 2.0 ** np.arange(-4.0, -9.0, -1.0)
     rng = np.random.default_rng(7)
     ps = np.concatenate([rng.uniform(-1.0, 1.0, size=(20, 2)),
                          [[0.5, 0.0], [0.0, -0.3], [0.0, 0.0]]])
-    n_points = 0
-    for p in ps:
-        for sign in (+1, -1):
-            got = _prefiltered(m, branches, p, sign, T)
-            assert np.array_equal(got, _ref_overlap_lengths(m, branches, p, sign, T))
-            n_points += sum(len(b.points) for b in branches)
-    assert counter.points < 0.5 * n_points
+    for sign in (+1, -1):
+        _, n_got, n_ref = _assert_screening_exact(monkeypatch, m, branches, ps,
+                                                  sign, T)
+        assert n_got < 0.5 * n_ref
 
 
 def test_prefilter_rows_in_several_blocks_match_unfiltered_loop(monkeypatch):
-    # a tiny p keeps the whole curve near e = 0 for sign -1, so the kept
-    # rows span several evaluation blocks
+    # many momenta near 0 keep the whole curve near e = 0 for sign -1, so
+    # both the screening and the flagging run in several blocks
     m = DispersionModel.hubbard(0.3, 0.0)
-    branches = trace_fermi_curve(m, step=2.0 ** -11)
-    chunks = geo._chunk_branches(branches)
-    counter = _CountingEvaluate()
-    monkeypatch.setattr(geo, "evaluate", counter)
+    branches = trace_fermi_curve(m, step=0.01)
     T = 2.0 ** np.arange(-6.0, -12.0, -1.0)
-    p = np.array([1e-3, -2e-3])
-    got = geo._overlap_lengths(m, chunks, p, (+1, -1), T)
-    rows_per_block = geo._BLOCK // (geo._CHUNK + 1)
-    assert counter.calls >= 1 + math.ceil(len(chunks.pts) / rows_per_block) >= 4
-    for i, sign in enumerate((+1, -1)):
-        assert np.array_equal(got[i], _ref_overlap_lengths(m, branches, p, sign, T))
+    ps = np.random.default_rng(3).uniform(-2e-3, 2e-3, size=(40, 2))
+    counter = _CountingEvaluate()
+    with monkeypatch.context() as mp:
+        mp.setattr(geo, "evaluate", counter)
+        got = _kernel(m, branches, ps, -1, T)
+    segs = geo._segments(m, branches)
+    assert counter.calls >= 2 * math.ceil(len(ps) / (geo._BLOCK // len(segs.arc)))
+    assert len(ps) * len(segs.arc) > 2 * (geo._BLOCK // len(T))
+    # one block per momentum: the sums do not depend on the blocks
+    for ip, p in enumerate(ps):
+        one = _kernel(m, branches, p, -1, T)
+        np.testing.assert_allclose(got[0][ip], one[0][0], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(got[1][ip], one[1][0], rtol=1e-12, atol=1e-15)
+    _assert_screening_exact(monkeypatch, m, branches, ps, -1, T)
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 64, 65, 66, 7 * 64 + 1, 7 * 64 + 2])
-def test_prefilter_matches_unfiltered_loop_on_short_and_ragged_branches(n):
-    # shorter than one chunk, and 64 k + 1 (k full chunks) or 64 k + 2
-    # (a last chunk of one segment) points
+def test_prefilter_matches_unfiltered_loop_on_short_and_ragged_branches(
+        n, monkeypatch):
+    # fewer segments than one screening group, and cuts whose last group
+    # is short
     m = DispersionModel.hubbard(0.3, 0.0)
-    full = max(trace_fermi_curve(m, step=2.0 ** -9),
-               key=lambda b: len(b.points))
+    full = max(trace_fermi_curve(m, step=2.0 ** -9), key=lambda b: len(b.points))
     rng = np.random.default_rng(n)
     T = 2.0 ** np.arange(-2.0, -9.0, -1.0)
     n_nonzero = 0
-    for start in rng.integers(0, len(full.points) - n, size=20):
-        # segment lengths spread over three decades make the sums depend
-        # on which segments enter them, padding ones included
-        segs = 10.0 ** rng.uniform(-3.0, 0.0, size=n - 1)
+    for start in rng.integers(0, len(full.points) - n, size=5):
         cut = geo.CurveSample(
             points=full.points[start:start + n],
-            cumulative_arclength=np.concatenate([[0.0], np.cumsum(segs)]),
+            cumulative_arclength=full.cumulative_arclength[start:start + n],
         )
         # p = 0 keeps the whole cut on the level set
         for p in (np.zeros(2), rng.uniform(-0.1, 0.1, size=2)):
             for sign in (+1, -1):
-                got = _prefiltered(m, [cut], p, sign, T)
-                assert np.array_equal(got, _ref_overlap_lengths(m, [cut], p, sign, T))
-                n_nonzero += bool(got[0] > 0.0)
-                one = _ref_overlap_lengths(m, [cut], p, sign, T[-1:])
-                assert overlap_length(m, cut, p, sign, T[-1]) == one[0]
+                got, _, _ = _assert_screening_exact(monkeypatch, m, [cut], p,
+                                                    sign, T)
+                n_nonzero += bool(got[0][0, 0] > 0.0)
     assert n_nonzero > 0
 
 
-def test_chunks_cover_each_segment_once_within_their_radius():
-    m = DispersionModel.hubbard(0.3, 0.0)
-    branches = trace_fermi_curve(m, step=0.01)
-    chunks = geo._chunk_branches(branches)
-    assert np.array_equal(
-        chunks.segs[chunks.valid],
-        np.concatenate([b.segment_lengths() for b in branches]),
-    )
-    d = chunks.pts - chunks.centers[:, None, :]
-    assert np.all(np.hypot(d[..., 0], d[..., 1]) <= chunks.radius[:, None])
-    # each row starts where the previous row of its branch ended
-    same = chunks.branch[1:] == chunks.branch[:-1]
-    assert np.array_equal(chunks.pts[1:, 0][same], chunks.pts[:-1, -1][same])
+@pytest.mark.parametrize(
+    "model", [DispersionModel.hubbard(theta, mu)
+              for theta in (0.3, 0.8) for mu in (0.0, 0.2, -0.2)]
+    + [DispersionModel.xy()],
+    ids=[f"hubbard-{t}-{mu}" for t in (0.3, 0.8) for mu in (0.0, 0.2, -0.2)]
+    + ["xy"],
+)
+def test_segments_are_hermite_cubics_with_exact_end_tangents(model):
+    branches = trace_fermi_curve(model, step=0.01)
+    segs = geo._segments(model, branches)
+    n = len(segs.arc)
+    assert n == sum(len(b.points) - 1 for b in branches)
+    # each segment runs from its traced point to the next
+    P = np.concatenate([b.points for b in branches])
+    H0, D0 = geo._hermite(segs.coef, np.zeros(n))
+    H1, D1 = geo._hermite(segs.coef, np.ones(n))
+    assert np.array_equal(H0, P[segs.start])
+    np.testing.assert_allclose(H1, P[segs.start + 1], rtol=0.0, atol=1e-15)
+    # end derivatives are the chord length times a unit tangent of
+    # {e = 0}: normal to grad e, or at a saddle along one branch
+    h = np.hypot(*(P[segs.start + 1] - P[segs.start]).T)
+    for D, end in ((D0, 0), (D1, 1)):
+        np.testing.assert_allclose(np.hypot(D[:, 0], D[:, 1]), h, rtol=1e-14)
+        g = gradient(model, P[segs.start + end])
+        assert np.all(np.abs(np.sum(g * D, axis=1)) <= 1e-14 * h)
+    # C1 across each interior point
+    inner = segs.start[1:] == segs.start[:-1] + 1
+    u0 = D0[1:] / h[1:, None]
+    u1 = D1[:-1] / h[:-1, None]
+    np.testing.assert_allclose(u0[inner], u1[inner], rtol=0.0, atol=1e-14)
+    # arclength between the chord and the control polygon, and the curve
+    # within the measured 2.3e-8 of {e = 0} (3.1e-9 at theta = 0.3)
+    assert np.all(h <= segs.length * (1.0 + 1e-15))
+    assert np.all(segs.length <= segs.arc * (1.0 + 1e-15))
+    assert np.all(segs.quad_err <= 1e-12 * segs.length)
+    assert np.max(segs.dist) <= (3e-8 if model.theta == 0.8 else 3.1e-9)
+    # the screening groups tile the segments, one branch each
+    g = segs.groups
+    assert g[0] == 0 and g[-1] == n and np.all(np.diff(g) >= 1)
+    assert np.all(np.diff(g) <= geo._GROUP)
+    starts = np.cumsum([0] + [len(b.points) - 1 for b in branches])
+    assert set(starts[:-1]) <= set(g)
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0])
@@ -711,8 +785,12 @@ def test_overlap_length_rejects_p_not_a_2_vector(p):
 def test_overlap_at_zero_momentum_is_full_length():
     m = DispersionModel.hubbard(0.3, -1.0)
     curve = trace_fermi_curve(m, step=0.01)[0]
-    L = overlap_length(m, curve, np.zeros(2), +1, 1.0)
-    assert L == curve.total_length
+    length, error = overlap_length(m, curve, np.zeros(2), +1, 1.0)
+    # the arclength of the Hermite curve exceeds its chords' and meets
+    # that of a fine polyline within the error plus its chord deficit
+    fine = trace_fermi_curve(m, step=2.0 ** -14)[0]
+    assert length > curve.total_length
+    assert length == pytest.approx(fine.total_length, abs=error + 1e-9)
 
 
 def test_overlap_flat_branch_fully_flagged():
@@ -730,11 +808,10 @@ def test_overlap_flat_branch_fully_flagged():
     b = plus_x[0]
     generic = []
     for T in 2.0 ** np.arange(-5.0, -9.0, -1.0):
-        L = overlap_length(m, b, np.array([0.5, 0.0]), +1, T)
+        L, _ = overlap_length(m, b, np.array([0.5, 0.0]), +1, T)
         assert L == pytest.approx(b.total_length, rel=1e-12)
-        generic.append(
-            sum(overlap_length(m, c, np.array([0.3, 0.4]), +1, T) for c in branches)
-        )
+        generic.append(sum(overlap_length(m, c, np.array([0.3, 0.4]), +1, T)[0]
+                           for c in branches))
     assert generic[-1] > 0.0
     assert np.all(np.diff(generic) < 0.0)
 
@@ -750,7 +827,7 @@ def test_overlap_linear_interpolation_exact():
         if np.all(np.abs(c.points[:, 1]) < 1e-9) and np.all(c.points[:, 0] >= 0)
     ][0]
     T = 0.1
-    L = overlap_length(m, b, np.array([0.0, 0.5]), +1, T)
+    L, _ = overlap_length(m, b, np.array([0.0, 0.5]), +1, T)
     x_lo = float(np.min(b.points[:, 0]))
     assert L == pytest.approx(T / 0.5 - x_lo, abs=1e-9)
 
@@ -762,8 +839,7 @@ def test_overlap_bound_on_momentum_ring():
     # four curve-arm directions at the saddles (translating the curve
     # along its own asymptote keeps it close to itself)
     m = DispersionModel.hubbard(0.3, 0.0)
-    step = 2.0 ** -10
-    branches = trace_fermi_curve(m, step=step)
+    branches = trace_fermi_curve(m, step=0.01)
     arm_dirs = []
     for s in find_singular_points(m):
         A = _isotropic_frame(s)
@@ -780,12 +856,11 @@ def test_overlap_bound_on_momentum_ring():
     angles = rng.uniform(0.0, 2 * math.pi, size=200)
     ps = 0.2 * np.column_stack([np.cos(angles), np.sin(angles)])
     bound = (2.0 ** -10 / 0.1) ** 0.25
+    lengths, _ = geo._overlap_lengths(m, geo._segments(m, branches), ps, +1,
+                                      np.array([2.0 ** -10]))
     outside = 0
     outside_ok = 0
-    for alpha, p in zip(angles, ps):
-        L = sum(
-            overlap_length(m, b, p, +1, 2.0 ** -10) for b in branches
-        )
+    for alpha, L in zip(angles, lengths[:, 0]):
         if L > bound:
             # every violator must sit in a tangency cone
             assert in_cone(alpha), (alpha, L)
@@ -811,9 +886,11 @@ def test_scaling_experiment_report_shape_and_monotonicity():
     assert np.all(np.diff(rep.measured_lengths_minus, axis=1) <= 1e-12)
     assert rep.fitted_exponent is not None
     assert rep.fitted_exponent == pytest.approx(rep.fitted_exponent_minus, abs=1e-6)
-    rows = list(rep.rows(+1))
+    assert np.array_equal(rep.measured_lengths_minus, rep.measured_lengths)
+    assert np.all((rep.length_errors >= 0.0) & (rep.length_errors < 1e-6))
+    rows = list(rep.rows())
     assert len(rows) == 60 * 4
-    assert all(len(r) == 6 for r in rows)
+    assert all(len(r) == 7 for r in rows)
 
 
 def test_scaling_experiment_deterministic():
@@ -841,12 +918,12 @@ def test_scaling_experiment_rejects_inputs_that_leave_no_sample(num_p, delta):
 
 
 @pytest.mark.parametrize(
-    "M,j_range", [(1e300, [-1, -2]), (2.0, [-5, -1075]), (2.0, [-1023])]
+    "M,j_range", [(1e300, [-1, -2]), (2.0, [-5, -1075]), (2.0, [-1, -1100])]
 )
 def test_scaling_experiment_rejects_underflowing_threshold(M, j_range):
-    # M^min j is 0.0 or subnormal, and so would the derived trace step be
+    # M^min j rounds to 0.0
     m = DispersionModel.hubbard(0.3, 0.0)
-    msg = re.escape(f"threshold M^j for M = {M}, j = {min(j_range)} underflows")
+    msg = re.escape(f"threshold M^j for M = {M}, j = {min(j_range)} rounds to 0")
     with pytest.raises(ValueError, match=msg):
         overlap_scaling_experiment(
             m, M=M, j_range=j_range, num_p=5, delta=0.1, rng_seed=0
@@ -870,6 +947,35 @@ def test_scaling_experiment_single_threshold_no_fit():
     )
     assert rep.fitted_exponent is None
     assert rep.measured_lengths.shape == (10, 1)
+
+
+def test_scaling_experiment_runs_subnormal_threshold():
+    # a threshold only has to be positive: 2^-1050 runs at the fixed step,
+    # and its lengths are zero within their errors
+    m = DispersionModel.hubbard(0.3, 0.0)
+    rep = overlap_scaling_experiment(
+        m, M=2.0, j_range=[-1, -1050], num_p=10, delta=0.1, rng_seed=3
+    )
+    assert rep.step == 0.01
+    assert np.all(rep.measured_lengths[:, 1] <= rep.length_errors[:, 1])
+    assert np.all(np.isfinite(rep.length_errors))
+
+
+def test_envelope_fit_at_deep_thresholds():
+    # the trace step no longer floors the envelope: down to 2^-20 it keeps
+    # falling, from criterion 9's 2^-0.75 per j to the 2^-1 of transversal
+    # crossings, whose length is proportional to the threshold
+    m = DispersionModel.hubbard(0.3, 0.0)
+    kw = dict(M=2.0, num_p=500, delta=0.1, rng_seed=42)
+    shallow = overlap_scaling_experiment(m, j_range=range(-6, -13, -1), **kw)
+    deep = overlap_scaling_experiment(m, j_range=range(-6, -21, -1), **kw)
+    drop = math.ceil(0.1 ** 2 * 500)
+    env = np.sort(deep.measured_lengths, axis=0)[500 - 1 - drop]
+    assert env[-1] < 1e-3
+    np.testing.assert_allclose(np.diff(np.log2(env[-4:])), -1.0, atol=1e-3)
+    x = np.array(deep.j_values) * math.log(2.0)
+    assert deep.fitted_exponent == pytest.approx(np.polyfit(x, np.log(env), 1)[0])
+    assert shallow.fitted_exponent < deep.fitted_exponent < 1.0
 
 
 def test_interval_lemma_linear_exact():

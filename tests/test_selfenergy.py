@@ -361,6 +361,25 @@ def test_panel_kernel_rows_do_not_depend_on_batching():
         assert (batch == alone).all(), kind
 
 
+def test_panel_kernel_does_not_depend_on_block_size(monkeypatch):
+    # rows and whole terms are the same bits at any block size: each row
+    # sum is an einsum of that row alone
+    P = _kernel_rows()
+    spec = QuadSpec(abs_tol=1e-4, rel_tol=0.0, max_evaluations=4_000_000)
+    runs = []
+    for block in (8192, 16384):
+        monkeypatch.setattr(se, "_BLOCK", block)
+        runs.append(([se._panel_sums(P, 0.1, 16.0, kind)
+                      for kind in ("zeta2", "zeta3", "x2", "x3")],
+                     [se.zeta3(0.3, 4.0, spec), se.x2(0.3, 4.0, spec)]))
+    (rows_a, terms_a), (rows_b, terms_b) = runs
+    for a, b in zip(rows_a, rows_b):
+        assert np.array_equal(a, b)
+    for a, b in zip(terms_a, terms_b):
+        assert (a.value, a.error_estimate, a.evaluations) \
+            == (b.value, b.error_estimate, b.evaluations)
+
+
 @pytest.mark.parametrize("kind", ["zeta2", "zeta3", "x2", "x3"])
 @pytest.mark.parametrize("q0", [0.1, 0.3])
 @pytest.mark.parametrize("beta", [4.0, 16.0, 64.0])
