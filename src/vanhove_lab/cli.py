@@ -377,6 +377,18 @@ def _svg_option(f):
                         help="Also write PREFIX.svg with the sweep plot.")(f)
 
 
+def _model_options(f):
+    """The band of a geometry command (``_model_from``)."""
+    f = click.option("--mu", type=float, default=0.0, show_default=True,
+                     help="Chemical potential measured from the Van Hove "
+                          "level (hubbard model).")(f)
+    f = click.option("--theta", type=float, default=0.3, show_default=True,
+                     help="Next-neighbor hopping ratio (hubbard model).")(f)
+    return click.option("--model", type=click.Choice(["hubbard", "xy"]),
+                        default="hubbard", show_default=True,
+                        help="Band: the hubbard saddle band or e = k1 k2.")(f)
+
+
 # ---------------------------------------------------------------------------
 # the sweep driver
 # ---------------------------------------------------------------------------
@@ -749,12 +761,7 @@ def _overlap(cfg: dict) -> Output:
 
 @main.command("overlap")
 @_common_options
-@click.option("--model", type=click.Choice(["hubbard", "xy"]),
-              default="hubbard", show_default=True)
-@click.option("--theta", type=float, default=0.3, show_default=True,
-              help="Next-neighbor hopping ratio (hubbard model).")
-@click.option("--mu", type=float, default=0.0, show_default=True,
-              help="Chemical potential measured from the Van Hove level.")
+@_model_options
 @click.option("--scale", "m_scale", type=float, default=2.0, show_default=True,
               help="Threshold scale M; thresholds are M^j.")
 @click.option("--j-min", type=int, default=-6, show_default=True,
@@ -809,10 +816,7 @@ def _normal_form(cfg: dict) -> Output:
 
 @main.command("normal-form")
 @_common_options
-@click.option("--model", type=click.Choice(["hubbard", "xy"]),
-              default="hubbard", show_default=True)
-@click.option("--theta", type=float, default=0.3, show_default=True)
-@click.option("--mu", type=float, default=0.0, show_default=True)
+@_model_options
 @click.option("--radius", type=float, default=0.1, show_default=True,
               help="Half-width of the factorization patch.")
 @click.option("--grid", type=int, default=41, show_default=True,
@@ -859,7 +863,7 @@ def _interval_check(cfg: dict) -> Output:
         raise ValueError("--per-k must be positive")
     rows = []
     for ident, k, eta, eps, f in _interval_corpus(cfg["seed"], cfg["per_k"]):
-        r = geometry.interval_lemma_check(f, k, eta, eps, grid=cfg["grid"])
+        r = geometry.interval_lemma_check(f, k, eta, eps)
         rows.append((ident, k, eta, eps, r.measured_volume, r.bound, r.holds))
     columns = {
         "poly_id": "corpus index",
@@ -880,12 +884,13 @@ def _interval_check(cfg: dict) -> Output:
               help="Corpus polynomials per derivative order k in {1,2,3}.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="RNG seed for the corpus.")
-@click.option("--grid", type=int, default=200_000, show_default=True,
-              help="Sample points for the sublevel-measure estimate.")
 @click.pass_context
 def cmd_interval_check(ctx, **cfg):
     """Sublevel-set measure against the derivative-bound estimate
-    2^(k+1) (eps/eta)^(1/k) on a bundled polynomial corpus.
+    2^(k+1) (eps/eta)^(1/k) on a bundled polynomial corpus.  The measure
+    comes from the roots of f - eps and f + eps, and the hypothesis
+    |f^(k)| >= eta is checked at the ends and the roots of f^(k) and
+    f^(k+1).
 
     Columns: poly_id, k, eta, eps, measured_volume, bound, holds.
     """

@@ -43,8 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DispersionModel:
-    """One of the two bands above; ``domain`` and ``periodic`` follow
-    from ``kind``."""
+    """One of the two bands above; ``domain`` follows from ``kind``: the
+    torus [-pi, pi)^2 for hubbard, the box [-1, 1]^2 for xy."""
 
     kind: str  # "hubbard" | "xy"
     theta: float = 0.0
@@ -67,10 +67,6 @@ class DispersionModel:
         if self.kind == "hubbard":
             return (-math.pi, math.pi), (-math.pi, math.pi)
         return (-1.0, 1.0), (-1.0, 1.0)
-
-    @property
-    def periodic(self) -> bool:
-        return self.kind == "hubbard"
 
     @classmethod
     def hubbard(cls, theta: float, mu: float = 0.0) -> "DispersionModel":

@@ -18,28 +18,28 @@ on the edge of the square about Gamma; it is cut there into four open
 arcs whose end points are set to the saddle images.  Otherwise it is one
 closed curve, or none when mu lies on or beyond a band edge.
 
-The overlap length arclen{k on curve : |e(p + k)| <= T} is measured on
-a trace at the fixed step 0.01, each segment the cubic Hermite between
-its end points with the exact tangents there (``_segments``).  A
-gradient bound screens out the segments where |e(p + k)| stays above
-max T, first in groups of eight, and the rest are cut at the extremum of
-e(p + k) where one can hide a dip.  On each piece the crossings of
-e(p + k) = +/-T are found by bracketed Newton, and the flagged intervals'
-arclength comes by Gauss-Legendre quadrature, with an error bound from
-the residuals, the curve's distance from {e = 0} and the quadrature
-(``_flag``).  Both bands are even and their curves symmetric under
+The overlap length arclen{k on curve : |e(p + k)| <= T} is measured
+(``overlap_lengths``) on a trace at the fixed step 0.01, each segment the
+cubic Hermite between its end points with the exact tangents there
+(``_segments``).  A gradient bound screens out the segments where
+|e(p + k)| stays above max T, first in groups of eight, and the rest are
+cut at the extremum of e(p + k) where one can hide a dip.  On each piece
+the crossings of e(p + k) = +/-T are found by bracketed Newton, and the
+flagged intervals' arclength comes by Gauss-Legendre quadrature, with an
+error bound from the residuals, the curve's distance from {e = 0} and
+the quadrature (``_flag``).  Both bands are even and their curves symmetric under
 k -> -k, so translating by -p gives the same lengths.  The scaling
 experiment samples translation momenta p, measures the overlap at
 thresholds M^j, and compares with the bound (M^j / delta)^(1/n0) outside
 a delta^2 fraction of exceptional p.
 
 The interval lemma check verifies |{x : |f(x)| <= eps}| against the
-bound 2^(k+1) (eps/eta)^(1/k) for polynomials with |f^(k)| >= eta.  The
-coefficients bound f's slope and rounding on [-1, 1], so a grid block of
-1,024 points whose middle value lies far enough from eps is counted
-without evaluating it, and only the few blocks near a crossing are
-evaluated (``_sublevel_count``); the count is that of one pass, bit for
-bit.
+bound 2^(k+1) (eps/eta)^(1/k) for polynomials with |f^(k)| >= eta.  Both
+come from polynomial roots, all found by one eigenvalue call on stacked
+companion matrices (``_real_roots``): the measure exactly, from the
+pieces of [-1, 1] between the roots of f - eps and f + eps, and the
+hypothesis at the ends and the roots of f^(k) and f^(k+1), where |f^(k)|
+is least.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 
 from .dispersion import (
     DispersionModel,
@@ -67,7 +68,7 @@ __all__ = [
     "OverlapScalingReport",
     "IntervalLemmaResult",
     "trace_fermi_curve",
-    "overlap_length",
+    "overlap_lengths",
     "overlap_scaling_experiment",
     "interval_lemma_check",
 ]
@@ -90,7 +91,7 @@ class CurveSample:
 _MAX_STEPS = 2_000_000  # most steps (segments) on one traced branch
 _RAYS = 1024  # coarse rays of the hubbard construction, a multiple of 4
 _NEWTON_ITER = 100  # Newton or bisection steps of one root, at most
-_INTERVAL = (-1.0, 1.0)  # the interval lemma's interval
+_INTERVAL = np.array([-1.0, 1.0])  # the interval lemma's interval
 _UNIT_ROUNDOFF = 2.0 ** -53  # of float64
 
 
@@ -246,8 +247,7 @@ def trace_fermi_curve(model: DispersionModel, step: float = 0.01) -> List[CurveS
 
 _OVERLAP_STEP = 0.01  # trace step of the scaling experiment
 _BLOCK = 16_384  # segments, or segment-threshold pairs, per overlap block
-_SLACK = 1e-12  # relative rounding allowance of the screening and block tests
-_GRID_BLOCK = 1024  # grid points per block of the sublevel prefilter
+_SLACK = 1e-12  # relative rounding allowance of the segment screening
 _GROUP = 8  # segments per group of the coarse screening
 _SADDLE_GRAD = 1e-10  # |grad e| at or below which a curve point is a saddle
 # the Gauss-Legendre arclength rule on [0, 1], and the rule it is checked by
@@ -347,13 +347,12 @@ def _grad_bound(model: DispersionModel, k: np.ndarray, radius: np.ndarray):
     return np.hypot(k[..., 0], k[..., 1]) + radius
 
 
-def _flag(model, segs, sign, ps, ip, iseg, f_ends, bounds, thresholds,
-          lengths, errors):
+def _flag(model, segs, ps, ip, iseg, f_ends, bounds, thresholds, lengths, errors):
     """Add the flagged arclength of the segments iseg translated by the
     momenta ps[ip], and its error bound, to lengths[ip] and errors[ip].
 
-    f_ends holds F = e(p + sign H) at the segments' ends, and bounds the
-    range of |F| on each (``_overlap_lengths``).  At a threshold T above
+    f_ends holds F = e(p + H) at the segments' ends, and bounds the
+    range of |F| on each (``overlap_lengths``).  At a threshold T above
     that range a segment is flagged whole, below it not at all.  Between,
     it is cut where F' changes sign, at F's extremum, so that F is
     monotone on each piece as long as F' changes sign at most once on a
@@ -373,9 +372,9 @@ def _flag(model, segs, sign, ps, ip, iseg, f_ends, bounds, thresholds,
     sub = np.flatnonzero(np.any(mixed, axis=1))
     ip, iseg, f_ends, mixed = ip[sub], iseg[sub], f_ends[sub], mixed[sub]
     tol = _root_tol(model)
-    c = sign * segs.coef[iseg]
+    c = segs.coef[iseg]
     c[:, 0] += ps[ip]
-    k1 = ps[ip] + sign * segs.points[segs.start[iseg] + 1]
+    k1 = ps[ip] + segs.points[segs.start[iseg] + 1]
     s0, s1 = (np.sum(gradient(model, k) * d, axis=-1) for k, d in
               ((c[:, 0], c[:, 1]), (k1, c[:, 1] + 2.0 * c[:, 2] + 3.0 * c[:, 3])))
 
@@ -449,18 +448,20 @@ def _range(model, k, f, arc, scale):
     return mean - half, mean + half
 
 
-def _overlap_lengths(
+def overlap_lengths(
     model: DispersionModel,
-    segs: _Segments,
-    ps: np.ndarray,
-    sign: int,
-    thresholds: np.ndarray,
+    branches: Sequence[CurveSample],
+    ps,
+    thresholds,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(len(ps), len(thresholds)) arclengths of {t : |e(p + sign H)| <= T}
-    on the Hermite segments, one row per momentum p, and their error
-    bounds.
+    """Arc lengths of {k on the branches : |e(p + k)| <= T} on the cubic
+    Hermite curve through the traced points, one row per momentum p of
+    ps (m, 2) and one column per threshold T, and bounds on their errors.
+    Both bands are even, so the lengths of |e(p - k)| are those of the
+    branches with their points negated.
 
-    |F| = |e(p + sign H)| is G-Lipschitz in arclength, so on a piece of
+    The segment table (``_segments``) is built once for all of them.
+    |F| = |e(p + H)| is G-Lipschitz in arclength, so on a piece of
     curve with end values F_0, F_1 and arc bound a it stays within
     (|F_0| + |F_1|)/2 +/- G a/2, plus a slack for the rounding of e, of
     the translation and of the bound (``_range``).  Groups of ``_GROUP``
@@ -469,11 +470,21 @@ def _overlap_lengths(
     the kept ones are flagged (``_flag``) in blocks of about ``_BLOCK``
     segment-threshold pairs.
     """
+    thresholds = np.asarray(thresholds, dtype=float)
+    if not (thresholds.ndim == 1 and len(thresholds)
+            and np.all(np.isfinite(thresholds) & (thresholds > 0.0))):
+        raise ValueError("thresholds must be positive and finite")
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 2 or ps.shape[1] != 2 or not len(ps):
+        raise ValueError(f"ps must have shape (m, 2), m >= 1, not {ps.shape}")
+    if not branches:
+        raise ValueError("no branch to measure")
+    segs = _segments(model, branches)
     t_max = float(thresholds.max())
     scale = segs.scale + float(np.max(np.abs(ps)))
-    pts = sign * segs.points
     g0, g1 = segs.groups[:-1], segs.groups[1:]
-    coarse = pts[np.stack([segs.start[g0], segs.start[g1 - 1] + 1], axis=-1)]
+    coarse = segs.points[np.stack([segs.start[g0], segs.start[g1 - 1] + 1],
+                                  axis=-1)]
     g_arc = np.add.reduceat(segs.arc, g0)
     kept = []
     per = max(1, _BLOCK // len(segs.arc))
@@ -485,7 +496,7 @@ def _overlap_lengths(
         n = g1[g] - g0[g]
         ip = np.repeat(i + lo, n)
         iseg = np.arange(n.sum()) + np.repeat(g0[g] - np.cumsum(n) + n, n)
-        k = ps[ip, None, :] + pts[segs.start[iseg, None] + [0, 1]]
+        k = ps[ip, None, :] + segs.points[segs.start[iseg, None] + [0, 1]]
         f = evaluate(model, k)
         bounds = np.stack(_range(model, k, f, segs.arc[iseg], scale), axis=-1)
         keep = ~(bounds[:, 0] > t_max)
@@ -496,32 +507,9 @@ def _overlap_lengths(
     per = max(1, _BLOCK // len(thresholds))
     for lo in range(0, len(ip), per):
         part = slice(lo, lo + per)
-        _flag(model, segs, sign, ps, ip[part], iseg[part], f_ends[part],
+        _flag(model, segs, ps, ip[part], iseg[part], f_ends[part],
               bounds[part], thresholds, lengths, errors)
     return lengths, errors
-
-
-def overlap_length(
-    model: DispersionModel,
-    curve: CurveSample,
-    p,
-    sign: int = +1,
-    threshold: float = 1e-3,
-) -> Tuple[float, float]:
-    """Arc length of {k on curve : |e(p + sign k)| <= threshold} on the
-    cubic Hermite curve through the traced points, and a bound on its
-    error (``_flag``)."""
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValueError("threshold must be positive and finite")
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2,):
-        raise ValueError(f"p must have shape (2,), not {p.shape}")
-    lengths, errors = _overlap_lengths(
-        model, _segments(model, [curve]), p[None, :], sign, np.array([threshold])
-    )
-    return float(lengths[0, 0]), float(errors[0, 0])
 
 
 @dataclass(frozen=True)
@@ -598,7 +586,7 @@ def overlap_scaling_experiment(
 
     The curve is traced at the fixed step ``_OVERLAP_STEP`` whatever the
     thresholds, and each length comes with an error bound
-    (``_overlap_lengths``).  Only sign +1 is measured: the report's
+    (``overlap_lengths``).  Only sign +1 is measured: the report's
     ``_minus`` fields repeat it.  n0 is the largest branch nonflatness
     order over the model's saddles plus one (None, with no bound, for an
     exactly flat branch).  A threshold M^j that rounds to 0 raises
@@ -637,9 +625,7 @@ def overlap_scaling_experiment(
     p_samples = np.column_stack(
         [rng.uniform(x0, x1, size=num_p), rng.uniform(y0, y1, size=num_p)]
     )
-    lengths, errors = _overlap_lengths(
-        model, _segments(model, branches), p_samples, +1, thresholds
-    )
+    lengths, errors = overlap_lengths(model, branches, p_samples, thresholds)
 
     bounds = viol = None
     if n0 is not None:
@@ -675,52 +661,36 @@ class IntervalLemmaResult(NamedTuple):
     holds: bool
 
 
-def _grid_points(i: np.ndarray, grid: int) -> np.ndarray:
-    """Points i of ``np.linspace(a, b, grid)`` by its own formula, bit
-    for bit: i * ((b - a) / (grid - 1)) + a, the last point set to b."""
-    a, b = _INTERVAL
-    return np.where(i == grid - 1, b, i * ((b - a) / (grid - 1)) + a)
+def _real_roots(polys) -> np.ndarray:
+    """Real parts of the roots of the polynomials (coefficient arrays,
+    constant first, each with a nonzero last coefficient), one row each,
+    from one eigenvalue call on stacked companion matrices.
 
-
-def _sublevel_count(f, eps: float, grid: int) -> int:
-    """Number of points x of ``np.linspace(-1, 1, grid)`` with |f(x)| <= eps.
-
-    The grid is cut into blocks of ``_GRID_BLOCK`` points, and f is
-    first evaluated at each block's middle point xm.  With c = f.coef,
-    n = len(c) and r the block's largest |x - xm| (at an end, since x
-    ascends), |f(x) - f(xm)| <= L r on the block, L = sum i |c_i|, and
-    Horner's rounding moves each computed value by at most
-    delta = gamma_{2n} sum |c_i| (Higham, Accuracy and Stability of
-    Numerical Algorithms, sec. 5.1).  So a block whose |f(xm)| exceeds
-    eps by more than L r + 2 delta holds no flag, and one below eps by
-    more than that is flagged whole; the relative slack covers the
-    rounding of the bound itself.  Every other block is evaluated.
-    Horner works element by element, so the count is that of one pass
-    over the whole grid, bit for bit, of which only the points read are
-    formed (``_grid_points``).
+    A companion matrix finds well only the roots that are not small
+    against its largest entry, max |c_i / c_n|.  So each polynomial is
+    also solved reversed, for the roots 1/x, which finds the roots with
+    |x| <= 1 well where c_n is small against the other coefficients; its
+    roots with |x| > 1 are read as x = 1.  A companion entry that
+    overflows is read as 0.  Every row is padded to the largest degree by
+    roots at 0 (at infinity when reversed).  The callers only cut
+    [-1, 1] at these points or test there, so a point too many does no
+    harm.
     """
-    c = np.abs(f.coef.astype(float))
-    n = len(c)
-    gamma = 2 * n * _UNIT_ROUNDOFF / (1.0 - 2 * n * _UNIT_ROUNDOFF)
-    delta = gamma * float(np.sum(c))
-    L = float(np.dot(np.arange(n), c))
-    start = np.arange(0, grid, _GRID_BLOCK)
-    end = np.minimum(start + _GRID_BLOCK, grid) - 1
-    mid = (start + end) // 2
-    xs, xm, xe = (_grid_points(i, grid) for i in (start, mid, end))
-    r = np.maximum(xm - xs, xe - xm)
-    fm = np.abs(np.asarray(f(xm), dtype=float))
-    reach = L * r + 2.0 * delta
-    reach += _SLACK * (reach + eps)
-    # a NaN fails both tests, so its block is evaluated
-    full = fm < eps - reach
-    mixed = ~(fm > eps + reach) & ~full
-    count = int(np.sum(end[full] - start[full] + 1))
-    for i in np.flatnonzero(mixed):
-        x = _grid_points(np.arange(start[i], end[i] + 1), grid)
-        fx = np.asarray(f(x), dtype=float)
-        count += int(np.count_nonzero(np.abs(fx) <= eps))
-    return count
+    polys = list(polys)
+    polys += [c[np.flatnonzero(c)[0]:][::-1] for c in polys]
+    n = max(len(c) for c in polys) - 1
+    a = np.zeros((len(polys), n + 1))
+    for row, c in zip(a, polys):
+        row[n + 1 - len(c):] = c
+    comp = np.zeros((len(polys), n, n))
+    comp[:, 1:, :-1] = np.eye(n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comp[:, :, -1] = -a[:, :-1] / a[:, -1:]
+    x = np.linalg.eigvals(np.nan_to_num(comp, posinf=0.0, neginf=0.0))
+    half = len(polys) // 2
+    inv = np.divide(1.0, x[half:], out=np.ones_like(x[half:]),
+                    where=np.abs(x[half:]) >= 1.0)
+    return np.concatenate([x[:half], inv], axis=1).real
 
 
 def interval_lemma_check(
@@ -728,18 +698,19 @@ def interval_lemma_check(
     k: int,
     eta: float,
     eps: float,
-    grid: int = 1_000_000,
 ) -> IntervalLemmaResult:
     """Measure |{x : |f(x)| <= eps}| on [-1, 1] and compare with
     2^(k+1) (eps/eta)^(1/k).
 
     f is a ``numpy.polynomial.Polynomial`` with finite real
-    coefficients and the default domain and window, so that f(x) is
-    Horner's rule on f.coef (``_sublevel_count`` bounds it from them);
-    anything else raises ``ValueError``.  The derivative hypothesis
-    |f^(k)| >= eta is verified first by k-fold finite differencing on a
-    coarse stencil grid.  The measure is the flagged share of ``grid``
-    equispaced points, times 2.
+    coefficients and the default domain and window, so that f.coef are
+    its coefficients in x; anything else raises ``ValueError``.  Both
+    steps read polynomial roots (``_real_roots``).  The hypothesis
+    |g| >= eta, g = f^(k), is checked where |g| is least on [-1, 1]: at
+    an end, a root of g or a root of g'.  [-1, 1] is cut at the roots of
+    f - eps and f + eps, between which |f| - eps keeps its sign, and the
+    measure is the length of the pieces whose midpoint has |f| <= eps; a
+    complex root's real part only adds a cut.
     """
     if not (
         isinstance(f, Polynomial)
@@ -757,23 +728,20 @@ def interval_lemma_check(
     for name, v in (("eta", eta), ("eps", eps)):
         if not (math.isfinite(v) and v > 0.0):
             raise ValueError(f"{name} must be positive and finite")
-    a, b = _INTERVAL
-    grid = int(grid)
-    if grid < 2:
-        raise ValueError("grid needs at least 2 points")
-
-    n_check = 2001
-    xc = np.linspace(a, b, n_check)
-    h = xc[1] - xc[0]
-    dk = np.diff(np.asarray(f(xc), dtype=float), k) / h ** k
+    c = np.trim_zeros(f.coef, "b")
+    if len(c) <= k:
+        raise HypothesisViolated(f"f^({k}) vanishes identically")
+    g = P.polyder(c, k)
+    shift = eps * (np.arange(len(c)) == 0)
+    # a constant g has no g' and no critical point
+    rows = [c - shift, c + shift, g, g[1:] * np.arange(1.0, len(g))]
+    roots = np.clip(_real_roots([r for r in rows if len(r)]), *_INTERVAL)
+    least = np.min(np.abs(P.polyval(np.append(roots[2:], _INTERVAL), g)))
     # written as a negation so that a NaN fails the hypothesis
-    if not float(np.min(np.abs(dk))) >= eta * (1.0 - 1e-9):
-        raise HypothesisViolated(
-            f"|f^({k})| falls below eta={eta} on the check grid"
-        )
-
-    # the float64 count over grid has the bits of np.mean of the flags
-    count = _sublevel_count(f, eps, grid)
-    measured = float(np.float64(count) / grid * (b - a))
+    if not least >= eta * (1.0 - 1e-9):
+        raise HypothesisViolated(f"|f^({k})| falls below eta={eta} on [-1, 1]")
+    cuts = np.sort(np.append(roots[:2], _INTERVAL))
+    inside = np.abs(P.polyval(0.5 * (cuts[:-1] + cuts[1:]), c)) <= eps
+    measured = float(np.sum(np.diff(cuts)[inside]))
     bound = 2.0 ** (k + 1) * (eps / eta) ** (1.0 / k)
     return IntervalLemmaResult(measured, bound, measured <= bound)

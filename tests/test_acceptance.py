@@ -400,7 +400,7 @@ def test_criterion_10_interval_lemma_corpus():
     assert len(corpus) == 300
     failures = []
     for ident, k, eta, eps, f in corpus:
-        r = interval_lemma_check(f, k, eta, eps, grid=200_000)
+        r = interval_lemma_check(f, k, eta, eps)
         if not r.holds:
             failures.append((ident, k))
     ok = not failures

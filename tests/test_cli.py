@@ -72,7 +72,7 @@ COLUMN_CASES = {
     "bubble-pp": ["bubble-pp", "--beta-points", "1"],
     "overlap": ["overlap", "--num-p", "2", "--j-min", "-2"],
     "normal-form": ["normal-form", "--grid", "21"],
-    "interval-check": ["interval-check", "--per-k", "1", "--grid", "2000"],
+    "interval-check": ["interval-check", "--per-k", "1"],
     "fit": ["fit"],
 }
 
@@ -300,6 +300,17 @@ def test_normal_form_bad_patch_inputs_exit_2(runner, tmp_path, args):
     assert not (tmp_path / "nf.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["overlap", "normal-form"])
+def test_model_options_have_help(runner, command):
+    r = runner.invoke(main, [command, "--help"])
+    assert r.exit_code == 0
+    text = " ".join(r.output.split())
+    for option, words in (("--model", "Band: the hubbard saddle band"),
+                          ("--theta", "Next-neighbor hopping ratio"),
+                          ("--mu", "Chemical potential measured")):
+        assert f"{option} " in text and words in text
+
+
 def test_normal_form_rows(runner, tmp_path):
     prefix = tmp_path / "nf"
     r = runner.invoke(main, ["normal-form", "--out-prefix", str(prefix),
@@ -316,7 +327,7 @@ def test_normal_form_rows(runner, tmp_path):
 def test_interval_check_all_hold(runner, tmp_path):
     prefix = tmp_path / "ic"
     r = runner.invoke(main, [
-        "interval-check", "--per-k", "3", "--grid", "20000",
+        "interval-check", "--per-k", "3",
         "--out-prefix", str(prefix), "--deterministic"])
     assert r.exit_code == 0, r.output
     header, rows = read_csv(prefix.with_suffix(".csv"))
@@ -328,10 +339,11 @@ def test_interval_check_all_hold(runner, tmp_path):
 
 @pytest.mark.parametrize("grid", ["0", "1"])
 def test_interval_check_grid_below_two_exits_2(runner, tmp_path, grid):
+    # the measure needs no sample grid: --grid is no option at all
     r = runner.invoke(main, ["interval-check", "--per-k", "1", "--grid", grid,
                              "--out-prefix", str(tmp_path / "ic")])
     assert r.exit_code == 2
-    assert "ValueError" in r.output
+    assert "No such option" in r.output and "--grid" in r.output
     assert not (tmp_path / "ic.csv").exists()
 
 

@@ -207,11 +207,10 @@ def test_flat_branch_detected():
 def test_model_domain_follows_kind():
     xy = DispersionModel(kind="xy")
     assert xy == DispersionModel.xy()
-    assert xy.domain == ((-1.0, 1.0), (-1.0, 1.0)) and xy.periodic is False
+    assert xy.domain == ((-1.0, 1.0), (-1.0, 1.0))
     hub = DispersionModel(kind="hubbard", theta=0.3)
     assert hub == DispersionModel.hubbard(0.3)
     assert hub.domain == ((-math.pi, math.pi), (-math.pi, math.pi))
-    assert hub.periodic is True
     for kwargs in ({"kind": "custom"}, {"kind": "xy", "theta": 0.3},
                    {"kind": "xy", "mu": 0.1}):
         with pytest.raises(ValueError):

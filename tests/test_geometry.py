@@ -19,7 +19,7 @@ from vanhove_lab.dispersion import (
 from vanhove_lab.errors import HypothesisViolated
 from vanhove_lab.geometry import (
     interval_lemma_check,
-    overlap_length,
+    overlap_lengths,
     overlap_scaling_experiment,
     trace_fermi_curve,
 )
@@ -197,7 +197,7 @@ class _RefMarcher:
         self.tol = tol
         self.max_steps = max_steps
         self.sing = sing_locs
-        self.periodic = model.periodic
+        self.periodic = model.kind == "hubbard"
         self.stop_r = 1.5 * step
 
     def near_singular(self, x):
@@ -298,6 +298,7 @@ def _ref_scan_seeds(model, n, tol):
 def _ref_trace(model, step, tol=1e-10, max_steps=2_000_000, scan_grid=48):
     """(points, cumulative_arclength, closed) per branch, array marcher;
     built once per model and step."""
+    periodic = model.kind == "hubbard"
     singular = find_singular_points(model)
     sing_locs = [p.location for p in singular]
     m = _RefMarcher(model, step, tol, max_steps, sing_locs)
@@ -319,17 +320,17 @@ def _ref_trace(model, step, tol=1e-10, max_steps=2_000_000, scan_grid=48):
     def too_close(x):
         for arr, _, _ in out:
             d = arr - x[None, :]
-            if model.periodic:
+            if periodic:
                 d = _ref_torus_delta(d)
             if float(np.min(np.hypot(d[:, 0], d[:, 1]))) < 0.75 * step:
                 return True
         return False
 
     for seed in seeds:
-        if any(float(np.hypot(*_ref_delta(seed, s, model.periodic))) < m.stop_r
+        if any(float(np.hypot(*_ref_delta(seed, s, periodic))) < m.stop_r
                for s in sing_locs):
             continue
-        if not _ref_inside(model.domain, seed) and not model.periodic:
+        if not _ref_inside(model.domain, seed) and not periodic:
             continue
         if too_close(seed):
             continue
@@ -389,7 +390,7 @@ def test_trace_matches_array_reference(model):
     ref_open = [p for p, _, c in ref if not c]
     for a, others in ((got_open, ref_open), (ref_open, got_open)):
         for x in a:
-            assert any(_same_ends(x, y, model.periodic) for y in others)
+            assert any(_same_ends(x, y, model.kind == "hubbard") for y in others)
     total = sum(b.total_length for b in got)
     ref_total = sum(cum[-1] for _, cum, _ in ref)
     assert abs(total - ref_total) <= step ** 2 * ref_total
@@ -447,9 +448,9 @@ def test_trace_rejects_step_that_needs_too_many_points(step):
         assert f"limit of {geo._MAX_STEPS}" in str(e.value)
 
 
-def _ref_overlap_lengths(model, branches, p, sign, thresholds):
+def _ref_overlap_lengths(model, branches, p, thresholds):
     """Flagged length of the polyline through the traced points, with
-    F = e(p + sign k) taken as linear along each segment: the share of
+    F = e(p + k) taken as linear along each segment: the share of
     the segment where |F| <= T.  Also returns the polyline's own error at
     each threshold: linear interpolation misplaces a crossing of F = +/-T
     by about h^2 |F''| / (8 |F'|), with F'' h^2 and F' h read from the
@@ -457,7 +458,7 @@ def _ref_overlap_lengths(model, branches, p, sign, thresholds):
     T, t_max = thresholds[:, None], thresholds.max()
     out, err = np.zeros(len(thresholds)), np.zeros(len(thresholds))
     for b in branches:
-        F = evaluate(model, p + sign * b.points)
+        F = evaluate(model, p + b.points)
         above, below = F > t_max, F < -t_max
         idx = np.flatnonzero(~(above[:-1] & above[1:]) & ~(below[:-1] & below[1:]))
         a, c = F[idx], F[idx + 1]
@@ -475,29 +476,43 @@ def _ref_overlap_lengths(model, branches, p, sign, thresholds):
     return out, err
 
 
+def _reflected(b):
+    """The branch b with its points negated: e(p + k) on it is e(p - k)
+    on b."""
+    return geo.CurveSample(points=-b.points,
+                           cumulative_arclength=b.cumulative_arclength,
+                           closed=b.closed)
+
+
 def _hubbard_flag_curves():
-    """(model, branch, p, sign, thresholds): 80 translated hubbard curves."""
+    """(model, branch, p, thresholds): 80 translated hubbard curves, each
+    branch also reflected."""
     m = DispersionModel.hubbard(0.3, 0.0)
     T = 2.0 ** np.arange(-6.0, -13.0, -1.0)
     rng = np.random.default_rng(2)
     for b in trace_fermi_curve(m, step=0.01):
         for p in rng.uniform(-math.pi, math.pi, size=(10, 2)):
-            for sign in (+1, -1):
-                yield m, b, p, sign, T
+            for branch in (b, _reflected(b)):
+                yield m, branch, p, T
 
 
-def _kernel(model, branches, ps, sign, T):
-    return geo._overlap_lengths(model, geo._segments(model, branches),
-                                np.atleast_2d(ps), sign, T)
+def _kernel(model, branches, ps, T):
+    return overlap_lengths(model, branches, np.atleast_2d(ps), T)
+
+
+def _overlap(model, branches, p, T):
+    """Length and error bound at one momentum p and threshold T."""
+    lengths, errors = overlap_lengths(model, branches, [p], [T])
+    return float(lengths[0, 0]), float(errors[0, 0])
 
 
 def test_flagged_lengths_match_per_threshold_reference():
     # all thresholds at once give each threshold's own run, to rounding
     n_cases = 0
-    for m, b, p, sign, T in _hubbard_flag_curves():
-        got, got_err = _kernel(m, [b], p, sign, T)
+    for m, b, p, T in _hubbard_flag_curves():
+        got, got_err = _kernel(m, [b], p, T)
         for j, t in enumerate(T):
-            length, error = overlap_length(m, b, p, sign, t)
+            length, error = _overlap(m, [b], p, t)
             assert got[0, j] == pytest.approx(length, rel=1e-14, abs=1e-15)
             assert got_err[0, j] == pytest.approx(error, rel=1e-12, abs=1e-15)
         n_cases += 1
@@ -511,11 +526,11 @@ def test_flagged_lengths_on_threshold_and_empty():
     b = trace_fermi_curve(m, step=0.01)[0]
     assert np.all(b.points[:, 1] == 0.0) and np.all(b.points[:, 0] >= 0.0)
     T = 0.5 * b.points[[7, 40, 99], 0]
-    got, err = _kernel(m, [b], np.array([0.0, 0.5]), +1, T)
+    got, err = _kernel(m, [b], np.array([0.0, 0.5]), T)
     np.testing.assert_allclose(got[0], b.points[[7, 40, 99], 0], rtol=1e-14)
     assert np.all(err[0] < 1e-15)
     # far from the curve nothing is flagged, and nothing is uncertain
-    got, err = _kernel(m, [b], np.array([2.0, 2.0]), +1, T)
+    got, err = _kernel(m, [b], np.array([2.0, 2.0]), T)
     assert np.array_equal(got, np.zeros((1, 3))) and np.array_equal(err, got)
 
 
@@ -532,7 +547,7 @@ class _CountingEvaluate:
         return evaluate(model, k)
 
 
-def _assert_screening_exact(monkeypatch, model, branches, ps, sign, T):
+def _assert_screening_exact(monkeypatch, model, branches, ps, T):
     """The screened kernel against the same kernel with an infinite
     rounding slack, which keeps every segment and flags none whole; also
     the points each run evaluates."""
@@ -542,7 +557,7 @@ def _assert_screening_exact(monkeypatch, model, branches, ps, sign, T):
         with monkeypatch.context() as mp:
             mp.setattr(geo, "_SLACK", slack)
             mp.setattr(geo, "evaluate", counter)
-            counts.append((_kernel(model, branches, ps, sign, T), counter.points))
+            counts.append((_kernel(model, branches, ps, T), counter.points))
     (got, n_got), (ref, n_ref) = counts
     np.testing.assert_allclose(got[0], ref[0], rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(got[1], ref[1], rtol=1e-12, atol=1e-15)
@@ -551,8 +566,8 @@ def _assert_screening_exact(monkeypatch, model, branches, ps, sign, T):
 
 def test_prefilter_matches_unfiltered_loop_on_hubbard_curves(monkeypatch):
     n_got = n_ref = 0
-    for m, b, p, sign, T in _hubbard_flag_curves():
-        _, got, ref = _assert_screening_exact(monkeypatch, m, [b], p, sign, T)
+    for m, b, p, T in _hubbard_flag_curves():
+        _, got, ref = _assert_screening_exact(monkeypatch, m, [b], p, T)
         n_got, n_ref = n_got + got, n_ref + ref
     # the bound skips most of the curve
     assert n_got < 0.5 * n_ref
@@ -565,7 +580,7 @@ def test_prefilter_matches_unfiltered_loop_on_scaling_run(monkeypatch):
     )
     T = np.array([2.0 ** j for j in rep.j_values])
     got, _, _ = _assert_screening_exact(
-        monkeypatch, m, trace_fermi_curve(m, rep.step), rep.p_samples, +1, T)
+        monkeypatch, m, trace_fermi_curve(m, rep.step), rep.p_samples, T)
     assert np.array_equal(got[0], rep.measured_lengths)
     assert np.array_equal(got[1], rep.length_errors)
 
@@ -582,7 +597,7 @@ def test_overlap_lengths_match_array_reference_curve():
            for p, cum, closed in _ref_trace(m, 2.0 ** -11)]
     T = np.array([2.0 ** j for j in rep.j_values])
     for ip, p in enumerate(rep.p_samples):
-        want, chord = _ref_overlap_lengths(m, ref, p, +1, T)
+        want, chord = _ref_overlap_lengths(m, ref, p, T)
         gap = np.abs(rep.measured_lengths[ip] - want)
         assert np.all(gap <= rep.length_errors[ip] + chord + 1e-13)
 
@@ -598,7 +613,7 @@ def test_overlap_lengths_match_fine_polyline_on_criterion_9():
     fine = trace_fermi_curve(m, step=2.0 ** -14)
     T = np.array([2.0 ** j for j in rep.j_values])
     for ip, p in enumerate(rep.p_samples):
-        want, chord = _ref_overlap_lengths(m, fine, p, +1, T)
+        want, chord = _ref_overlap_lengths(m, fine, p, T)
         gap = np.abs(rep.measured_lengths[ip] - want)
         assert np.all(gap <= rep.length_errors[ip] + chord + 1e-13)
 
@@ -627,10 +642,10 @@ def test_overlap_flags_tangential_dip_inside_one_segment():
     T = 0.5 * (1e-4 + ends.min())
     assert ends.min() > T
     # the polyline through the traced points misses the dip
-    assert _ref_overlap_lengths(m, [curve], p, +1, np.array([T]))[0][0] == 0.0
-    length, error = overlap_length(m, curve, p, +1, T)
+    assert _ref_overlap_lengths(m, [curve], p, np.array([T]))[0][0] == 0.0
+    length, error = _overlap(m, [curve], p, T)
     fine = trace_fermi_curve(m, step=2.0 ** -16)
-    want, chord = _ref_overlap_lengths(m, fine, p, +1, np.array([T]))
+    want, chord = _ref_overlap_lengths(m, fine, p, np.array([T]))
     assert length > 0.003
     assert abs(length - want[0]) <= error + chord[0]
 
@@ -642,17 +657,17 @@ def test_overlap_flags_tangential_dip_inside_one_segment():
 )
 def test_sign_minus_equals_sign_plus_within_error(model):
     # both bands are even and their curves symmetric under k -> -k, so
-    # {|e(p - k)| <= T} and {|e(p + k)| <= T} have the same length
+    # {|e(p - k)| <= T} and {|e(p + k)| <= T} have the same length; sign -1
+    # is measured on the reflected branches
     branches = trace_fermi_curve(model, step=0.01)
     rng = np.random.default_rng(5)
     (x0, x1), (y0, y1) = model.domain
     ps = np.column_stack([rng.uniform(x0, x1, 12), rng.uniform(y0, y1, 12)])
-    for p in ps:
-        for T in (2.0 ** -3, 2.0 ** -8, 2.0 ** -12):
-            plus = np.array([overlap_length(model, b, p, +1, T) for b in branches])
-            minus = np.array([overlap_length(model, b, p, -1, T) for b in branches])
-            gap = abs(plus[:, 0].sum() - minus[:, 0].sum())
-            assert gap <= plus[:, 1].sum() + minus[:, 1].sum() + 1e-15
+    T = [2.0 ** -3, 2.0 ** -8, 2.0 ** -12]
+    plus, plus_err = overlap_lengths(model, branches, ps, T)
+    minus, minus_err = overlap_lengths(model, [_reflected(b) for b in branches],
+                                       ps, T)
+    assert np.all(np.abs(plus - minus) <= plus_err + minus_err + 1e-15)
 
 
 def test_prefilter_matches_unfiltered_loop_on_xy_branches(monkeypatch):
@@ -663,32 +678,31 @@ def test_prefilter_matches_unfiltered_loop_on_xy_branches(monkeypatch):
     rng = np.random.default_rng(7)
     ps = np.concatenate([rng.uniform(-1.0, 1.0, size=(20, 2)),
                          [[0.5, 0.0], [0.0, -0.3], [0.0, 0.0]]])
-    for sign in (+1, -1):
-        _, n_got, n_ref = _assert_screening_exact(monkeypatch, m, branches, ps,
-                                                  sign, T)
+    for bs in (branches, [_reflected(b) for b in branches]):
+        _, n_got, n_ref = _assert_screening_exact(monkeypatch, m, bs, ps, T)
         assert n_got < 0.5 * n_ref
 
 
 def test_prefilter_rows_in_several_blocks_match_unfiltered_loop(monkeypatch):
-    # many momenta near 0 keep the whole curve near e = 0 for sign -1, so
+    # many momenta near 0 keep the whole reflected curve near e = 0, so
     # both the screening and the flagging run in several blocks
     m = DispersionModel.hubbard(0.3, 0.0)
-    branches = trace_fermi_curve(m, step=0.01)
+    branches = [_reflected(b) for b in trace_fermi_curve(m, step=0.01)]
     T = 2.0 ** np.arange(-6.0, -12.0, -1.0)
     ps = np.random.default_rng(3).uniform(-2e-3, 2e-3, size=(40, 2))
     counter = _CountingEvaluate()
     with monkeypatch.context() as mp:
         mp.setattr(geo, "evaluate", counter)
-        got = _kernel(m, branches, ps, -1, T)
+        got = _kernel(m, branches, ps, T)
     segs = geo._segments(m, branches)
     assert counter.calls >= 2 * math.ceil(len(ps) / (geo._BLOCK // len(segs.arc)))
     assert len(ps) * len(segs.arc) > 2 * (geo._BLOCK // len(T))
     # one block per momentum: the sums do not depend on the blocks
     for ip, p in enumerate(ps):
-        one = _kernel(m, branches, p, -1, T)
+        one = _kernel(m, branches, p, T)
         np.testing.assert_allclose(got[0][ip], one[0][0], rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(got[1][ip], one[1][0], rtol=1e-12, atol=1e-15)
-    _assert_screening_exact(monkeypatch, m, branches, ps, -1, T)
+    _assert_screening_exact(monkeypatch, m, branches, ps, T)
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 64, 65, 66, 7 * 64 + 1, 7 * 64 + 2])
@@ -708,9 +722,8 @@ def test_prefilter_matches_unfiltered_loop_on_short_and_ragged_branches(
         )
         # p = 0 keeps the whole cut on the level set
         for p in (np.zeros(2), rng.uniform(-0.1, 0.1, size=2)):
-            for sign in (+1, -1):
-                got, _, _ = _assert_screening_exact(monkeypatch, m, [cut], p,
-                                                    sign, T)
+            for c in (cut, _reflected(cut)):
+                got, _, _ = _assert_screening_exact(monkeypatch, m, [c], p, T)
                 n_nonzero += bool(got[0][0, 0] > 0.0)
     assert n_nonzero > 0
 
@@ -771,21 +784,23 @@ def test_overlap_length_rejects_bad_threshold(threshold):
     m = DispersionModel.hubbard(0.3, -1.0)
     curve = trace_fermi_curve(m, step=0.01)[0]
     with pytest.raises(ValueError):
-        overlap_length(m, curve, np.zeros(2), +1, threshold)
+        overlap_lengths(m, [curve], np.zeros((1, 2)), [threshold])
 
 
-@pytest.mark.parametrize("p", [0.5, [0.5], [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+@pytest.mark.parametrize(
+    "p", [0.5, [0.5], [0.1, 0.2, 0.3], [[0.1, 0.2, 0.3]], np.zeros((0, 2))])
 def test_overlap_length_rejects_p_not_a_2_vector(p):
+    # ps must be a nonempty (m, 2) array of momenta
     m = DispersionModel.hubbard(0.3, -1.0)
     curve = trace_fermi_curve(m, step=0.01)[0]
     with pytest.raises(ValueError):
-        overlap_length(m, curve, p, +1, 1e-3)
+        overlap_lengths(m, [curve], p, [1e-3])
 
 
 def test_overlap_at_zero_momentum_is_full_length():
     m = DispersionModel.hubbard(0.3, -1.0)
     curve = trace_fermi_curve(m, step=0.01)[0]
-    length, error = overlap_length(m, curve, np.zeros(2), +1, 1.0)
+    length, error = _overlap(m, [curve], np.zeros(2), 1.0)
     # the arclength of the Hermite curve exceeds its chords' and meets
     # that of a fine polyline within the error plus its chord deficit
     fine = trace_fermi_curve(m, step=2.0 ** -14)[0]
@@ -808,10 +823,9 @@ def test_overlap_flat_branch_fully_flagged():
     b = plus_x[0]
     generic = []
     for T in 2.0 ** np.arange(-5.0, -9.0, -1.0):
-        L, _ = overlap_length(m, b, np.array([0.5, 0.0]), +1, T)
+        L, _ = _overlap(m, [b], [0.5, 0.0], T)
         assert L == pytest.approx(b.total_length, rel=1e-12)
-        generic.append(sum(overlap_length(m, c, np.array([0.3, 0.4]), +1, T)[0]
-                           for c in branches))
+        generic.append(_overlap(m, branches, [0.3, 0.4], T)[0])
     assert generic[-1] > 0.0
     assert np.all(np.diff(generic) < 0.0)
 
@@ -827,7 +841,7 @@ def test_overlap_linear_interpolation_exact():
         if np.all(np.abs(c.points[:, 1]) < 1e-9) and np.all(c.points[:, 0] >= 0)
     ][0]
     T = 0.1
-    L, _ = overlap_length(m, b, np.array([0.0, 0.5]), +1, T)
+    L, _ = _overlap(m, [b], [0.0, 0.5], T)
     x_lo = float(np.min(b.points[:, 0]))
     assert L == pytest.approx(T / 0.5 - x_lo, abs=1e-9)
 
@@ -856,8 +870,7 @@ def test_overlap_bound_on_momentum_ring():
     angles = rng.uniform(0.0, 2 * math.pi, size=200)
     ps = 0.2 * np.column_stack([np.cos(angles), np.sin(angles)])
     bound = (2.0 ** -10 / 0.1) ** 0.25
-    lengths, _ = geo._overlap_lengths(m, geo._segments(m, branches), ps, +1,
-                                      np.array([2.0 ** -10]))
+    lengths, _ = overlap_lengths(m, branches, ps, [2.0 ** -10])
     outside = 0
     outside_ok = 0
     for alpha, L in zip(angles, lengths[:, 0]):
@@ -980,16 +993,39 @@ def test_envelope_fit_at_deep_thresholds():
 
 def test_interval_lemma_linear_exact():
     res = interval_lemma_check(Polynomial([0.0, 1.0]), k=1, eta=1.0, eps=0.1)
-    assert res.measured_volume == pytest.approx(0.2, abs=1e-5)
+    assert res.measured_volume == pytest.approx(0.2, rel=1e-14)
     assert res.bound == pytest.approx(0.4)
     assert res.holds
 
 
 def test_interval_lemma_quadratic_exact():
     res = interval_lemma_check(Polynomial([0.0, 0.0, 1.0]), k=2, eta=2.0, eps=0.01)
-    assert res.measured_volume == pytest.approx(0.2, abs=1e-5)
+    assert res.measured_volume == pytest.approx(0.2, rel=1e-14)
     assert res.bound == pytest.approx(8.0 * math.sqrt(0.005))
     assert res.holds
+
+
+@pytest.mark.parametrize(
+    "f,k,eta,volume,eps_values",
+    [
+        (Polynomial([0.0, 1.0]), 1, 1.0, lambda e: 2.0 * e,
+         [0.1, 1e-3, 1e-6, 1e-9]),
+        (Polynomial([0.0, 0.0, 3.7]), 2, 7.4, lambda e: 2.0 * math.sqrt(e / 3.7),
+         [0.1, 1e-3, 1e-6, 1e-9]),
+        (Polynomial([0.0, 0.0, 0.0, 1.0]), 3, 6.0, lambda e: 2.0 * e ** (1 / 3),
+         [0.1, 1e-3, 1e-6, 1e-9]),
+        # shifted: rounding the constant term of f -/+ eps moves the roots
+        # by about 1e-16 |c0| / |f'|, below 1e-14 of the measure at these eps
+        (Polynomial([0.25, -2.0, 4.0]), 2, 8.0, math.sqrt, [0.1, 1e-2, 1e-3]),
+        (Polynomial([0.125, -1.5, 6.0, -8.0]), 3, 48.0,
+         lambda e: 2.0 * (e / 8.0) ** (1 / 3), [0.1, 1e-2, 1e-3]),
+    ],
+    ids=["x", "3.7 x^2", "x^3", "4 (x - 1/4)^2", "-8 (x - 1/4)^3"],
+)
+def test_interval_lemma_measure_closed_forms(f, k, eta, volume, eps_values):
+    for eps in eps_values:
+        res = interval_lemma_check(f, k, eta, eps)
+        assert res.measured_volume == pytest.approx(volume(eps), rel=1e-14)
 
 
 def test_interval_lemma_random_cubics():
@@ -999,13 +1035,8 @@ def test_interval_lemma_random_cubics():
         a2, a1, a0 = rng.uniform(-1.0, 1.0, size=3)
         eta = 6.0 * abs(a3) * 0.999
         eps = rng.uniform(1e-4, 0.05)
-        res = interval_lemma_check(
-            Polynomial([a0, a1, a2, a3]),
-            k=3,
-            eta=eta,
-            eps=eps,
-            grid=100_000,
-        )
+        res = interval_lemma_check(Polynomial([a0, a1, a2, a3]), k=3, eta=eta,
+                                   eps=eps)
         assert res.holds
 
 
@@ -1014,15 +1045,31 @@ def test_interval_lemma_hypothesis_violated():
         interval_lemma_check(Polynomial([0.0, 0.0, 0.0, 1.0]), k=2, eta=0.1, eps=0.01)
 
 
+def test_interval_lemma_hypothesis_checked_at_its_minimum():
+    # f' = 2x vanishes at x = 0 alone, between the points of a stencil
+    with pytest.raises(HypothesisViolated):
+        interval_lemma_check(Polynomial([0.0, 0.0, 1.0]), k=1, eta=9e-4, eps=1e-6)
+    # a constant f has f' = 0
+    with pytest.raises(HypothesisViolated):
+        interval_lemma_check(Polynomial([0.05]), k=1, eta=1e-3, eps=0.1)
+    # |f'| is least, at 1, at a critical point of f' (f' = 1 + u^2 + u^3/2,
+    # u = x - 1/2, at x = 1/2, which no root of f' has as its real part)
+    # or at an end (f' = 2 + x, at -1)
+    for coef in ([0.0, 1.1875, -0.3125, 0.25 / 3.0, 0.125], [0.0, 2.0, 0.5]):
+        f = Polynomial(coef)
+        assert interval_lemma_check(f, k=1, eta=1.0, eps=1e-3).holds
+        with pytest.raises(HypothesisViolated):
+            interval_lemma_check(f, k=1, eta=1.0 + 1e-6, eps=1e-3)
+
+
 def test_interval_lemma_validation():
     line = Polynomial([0.0, 1.0])
     with pytest.raises(ValueError):
         interval_lemma_check(line, k=0, eta=1.0, eps=0.1)
     with pytest.raises(ValueError):
         interval_lemma_check(line, k=1, eta=-1.0, eps=0.1)
-    for grid in (-1, 0, 1):
-        with pytest.raises(ValueError):
-            interval_lemma_check(line, k=1, eta=1.0, eps=0.1, grid=grid)
+    with pytest.raises(TypeError):
+        interval_lemma_check(line, k=1, eta=1.0, eps=0.1, grid=1000)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             interval_lemma_check(line, k=1, eta=bad, eps=0.1)
@@ -1030,7 +1077,7 @@ def test_interval_lemma_validation():
             interval_lemma_check(line, k=1, eta=1.0, eps=bad)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         interval_lemma_check(line, k=1.5, eta=1.0, eps=0.1)
-    # the prefilter reads the coefficients: only a plain real polynomial
+    # the roots come from the coefficients: only a plain real polynomial
     not_polys = [
         lambda x: x,
         Polynomial([0.0, 1.0], domain=[0.0, 1.0]),
@@ -1047,135 +1094,79 @@ def test_interval_lemma_validation():
             interval_lemma_check(f, k=1, eta=0.5, eps=0.1)
 
 
-def _assert_blocked_count_is_one_pass(f, eps, grid):
-    """The prefiltered count equals one pass over the grid, and so does
-    the checked volume where f meets the lemma's hypothesis (which needs
-    finite coefficients)."""
+def _assert_one_pass_count(f, k, eta, eps, grid=200_001):
+    """The measure against the count of points of np.linspace(-1, 1, grid)
+    with |f| <= eps, times the spacing h: each of the at most deg f
+    intervals of the set holds its length / h points, give or take one,
+    and 2 deg f roots of f -/+ eps cut [-1, 1].  f is evaluated by
+    Horner's rule in place, in cache-sized chunks."""
     x = np.linspace(-1.0, 1.0, grid)
-    one_pass = np.abs(f(x)) <= eps
-    assert geo._sublevel_count(f, eps, grid) == np.count_nonzero(one_pass)
-    k = f.degree()
-    if 1 <= k <= 3 and np.all(np.isfinite(f.coef)):
-        eta = 0.5 * math.factorial(k) * abs(f.coef[-1])
-        res = interval_lemma_check(f, k, eta, eps, grid=grid)
-        assert res.measured_volume == float(np.mean(one_pass) * 2.0)
+    h = 2.0 / (grid - 1)
+    count = 0
+    for lo in range(0, grid, 1 << 15):
+        xs = x[lo:lo + (1 << 15)]
+        y = np.full_like(xs, f.coef[-1])
+        for c in f.coef[-2::-1]:
+            y *= xs
+            y += c
+        count += np.count_nonzero(np.abs(y) <= eps)
+    res = interval_lemma_check(f, k, eta, eps)
+    assert abs(res.measured_volume - count * h) <= 2 * f.degree() * h
+    return res
 
 
-@pytest.mark.parametrize("grid", [2, 1025, 1_000_000, 1_000_003])
-def test_grid_points_are_linspace_bits(grid):
-    # every block, block middle and block end the prefilter forms is the
-    # matching part of the linspace it stands in for
-    x = np.linspace(-1.0, 1.0, grid)
-    start = np.arange(0, grid, geo._GRID_BLOCK)
-    end = np.minimum(start + geo._GRID_BLOCK, grid) - 1
-    mid = (start + end) // 2
-    for i in (start, mid, end):
-        assert np.array_equal(geo._grid_points(i, grid), x[i])
-    for s, e in zip(start, end):
-        assert np.array_equal(geo._grid_points(np.arange(s, e + 1), grid),
-                              x[s:e + 1])
-
-
-@pytest.mark.parametrize("grid", [100_000, 5_000, 300])
-@pytest.mark.parametrize("where", ["grid point", "block middle"])
+@pytest.mark.parametrize("x0", [0.0, 0.3])
 @pytest.mark.parametrize("sign", [+1.0, -1.0])
-def test_sublevel_prefilter_tangent_to_eps(grid, where, sign):
-    # |f| = eps + (x - x0)^2 touches eps at x0: a block's middle point,
-    # or the grid point after it
-    x = np.linspace(-1.0, 1.0, grid)
-    start = geo._GRID_BLOCK * (len(range(0, grid, geo._GRID_BLOCK)) // 2)
-    end = min(start + geo._GRID_BLOCK, grid) - 1
-    i0 = (start + end) // 2 + (where == "grid point")
-    x0 = float(x[i0])
-    for eps in (1e-3, 0.25, 3.0e-9):
+def test_interval_lemma_measure_tangent_to_eps(sign, x0):
+    # f = sign (eps - (x - x0)^2) touches +eps (sign +1) or -eps (sign -1)
+    # at x0 from inside {|f| <= eps}, which is |x - x0| <= sqrt(2 eps), and
+    # sign (eps + (x - x0)^2) from outside, where the set is {x0} alone.
+    # The double root of f -/+ eps at x0 splits by about sqrt(1e-16 |c0|),
+    # and the piece between may be lost or kept
+    for eps in (0.02, 1e-3, 3e-9):
+        f = sign * Polynomial([eps - x0 * x0, 2.0 * x0, -1.0])
+        res = _assert_one_pass_count(f, 2, 1.999, eps)
+        assert res.measured_volume == pytest.approx(2.0 * math.sqrt(2.0 * eps),
+                                                    rel=1e-12, abs=1e-7)
         f = sign * Polynomial([eps + x0 * x0, -2.0 * x0, 1.0])
-        _assert_blocked_count_is_one_pass(f, eps, grid)
+        assert _assert_one_pass_count(f, 2, 1.999, eps).measured_volume <= 1e-7
 
 
-@pytest.mark.parametrize("sign", [+1.0, -1.0])
-def test_sublevel_prefilter_constant_at_eps(sign):
-    eps = 0.1
-    for c in (eps, np.nextafter(eps, 1.0), np.nextafter(eps, 0.0)):
-        f = Polynomial([sign * c])
-        for grid in (2, 1000, 4096, 5000):
-            _assert_blocked_count_is_one_pass(f, eps, grid)
-            assert geo._sublevel_count(f, eps, grid) \
-                == (grid if c <= eps else 0)
-
-
-def test_sublevel_prefilter_rounding_alone_crosses_eps():
-    # f = 1 + c1 x with c1 x = 2^-53 (1 + 1e-9) at a block middle xm:
-    # f(xm) rounds up to 1 + 2^-52, while f at the grid point below xm
-    # rounds down to 1 = eps.  The slope bound c1 r is far below one ulp,
-    # so only the rounding allowance keeps this block for evaluation.
-    grid = 100_000
-    x = np.linspace(-1.0, 1.0, grid)
-    start = geo._GRID_BLOCK * (3 * grid // (4 * geo._GRID_BLOCK))
-    xm = float(x[start + (geo._GRID_BLOCK - 1) // 2])
-    f = Polynomial([1.0, 2.0 ** -53 * (1.0 + 1e-9) / xm])
-    assert f(xm) > 1.0
-    one_pass = np.count_nonzero(np.abs(f(x)) <= 1.0)
-    assert 0 < one_pass < grid
-    assert geo._sublevel_count(f, 1.0, grid) == one_pass
-
-
-@pytest.mark.parametrize(
-    "grid", [2, 7, geo._GRID_BLOCK - 1, geo._GRID_BLOCK, 3 * geo._GRID_BLOCK + 5,
-             123_457]
-)
-def test_sublevel_prefilter_partial_blocks(grid):
+def test_interval_lemma_measure_ignores_trailing_zero_coefficients():
     f = Polynomial([0.01, -0.3, 0.0, 1.0])
+    padded = Polynomial([0.01, -0.3, 0.0, 1.0, 0.0, 0.0])
     for eps in (1e-4, 0.02, 10.0):
-        _assert_blocked_count_is_one_pass(f, eps, grid)
+        res = _assert_one_pass_count(f, 3, 5.99, eps)
+        assert interval_lemma_check(padded, 3, 5.99, eps) == res
 
 
-def test_sublevel_prefilter_nan_coefficient_keeps_every_block():
-    for coef in ([math.nan, 1.0], [0.0, math.nan], [0.1, 1.0, math.nan],
-                 [0.0, math.inf, 1.0]):
-        with np.errstate(invalid="ignore"):
-            _assert_blocked_count_is_one_pass(Polynomial(coef), 0.05, 10_000)
+def test_interval_lemma_measure_with_negligible_leading_coefficient():
+    # 0.5 + x + c2 x^2 has a root near -1 / c2, which swamps the companion
+    # matrix; the root near -0.5 -/+ eps comes from the reversed polynomial
+    for c2 in (1e-10, 1e-14, 1e-20, 1e-300):
+        f = Polynomial([0.5, 1.0, c2])
+        res = _assert_one_pass_count(f, 1, 0.5, 0.1)
+        assert res.measured_volume == pytest.approx(0.2, abs=1e-10)
+    # 1 / 1e-320 overflows; 1 + 1e-320 x stays above 0.1 on [-1, 1]
+    res = interval_lemma_check(Polynomial([1.0, 1e-320]), 1, 1e-321, 0.1)
+    assert res.measured_volume == 0.0
 
 
-@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("degree", range(1, 6))
 @pytest.mark.parametrize("sign", [+1.0, -1.0])
-def test_sublevel_prefilter_degrees(degree, sign):
+def test_interval_lemma_measure_degrees(degree, sign):
     rng = np.random.default_rng(degree)
     for _ in range(20):
         coef = rng.uniform(-1.0, 1.0, size=degree + 1)
         coef[-1] = sign * rng.uniform(0.2, 2.0)
         eps = 10.0 ** rng.uniform(-4.0, 0.0)
-        _assert_blocked_count_is_one_pass(Polynomial(coef), eps, 50_000)
+        eta = 0.5 * math.factorial(degree) * abs(coef[-1])
+        _assert_one_pass_count(Polynomial(coef), degree, eta, eps)
 
 
-class _CountedPolynomial(Polynomial):
-    points = 0  # grid points this class was called on
-
-    def __call__(self, arg):
-        type(self).points += np.size(arg)
-        return super().__call__(arg)
-
-
-def test_interval_lemma_evaluates_few_grid_points():
-    # a return to evaluating the whole grid fails here
+def test_interval_lemma_measure_matches_one_pass_count_on_corpus():
+    # the criterion-10 corpus on 2,000,001 points
     from vanhove_lab.cli import _interval_corpus
 
-    grid = 200_000
-    corpus = _interval_corpus(seed=0, per_k=100)
-    _CountedPolynomial.points = 0
-    for _, k, eta, eps, f in corpus:
-        g = _CountedPolynomial(f.coef)
-        assert interval_lemma_check(g, k, eta, eps, grid=grid) \
-            == interval_lemma_check(f, k, eta, eps, grid=grid)
-    assert _CountedPolynomial.points < 0.05 * grid * len(corpus)
-
-
-@pytest.mark.parametrize("grid", [1000, 16_384, 16_385, 123_457, 200_000])
-def test_interval_lemma_blocked_count_matches_one_pass_mean(grid):
-    # the criterion-10 corpus; blocks of 16,384 points
-    from vanhove_lab.cli import _interval_corpus
-
-    x = np.linspace(-1.0, 1.0, grid)
     for _, k, eta, eps, f in _interval_corpus(seed=0, per_k=100):
-        one_pass = float(np.mean(np.abs(f(x)) <= eps) * 2.0)
-        assert interval_lemma_check(f, k, eta, eps, grid=grid).measured_volume \
-            == one_pass
+        _assert_one_pass_count(f, k, eta, eps, grid=2_000_001)
