@@ -1049,9 +1049,6 @@ def test_interval_lemma_hypothesis_checked_at_its_minimum():
     # f' = 2x vanishes at x = 0 alone, between the points of a stencil
     with pytest.raises(HypothesisViolated):
         interval_lemma_check(Polynomial([0.0, 0.0, 1.0]), k=1, eta=9e-4, eps=1e-6)
-    # a constant f has f' = 0
-    with pytest.raises(HypothesisViolated):
-        interval_lemma_check(Polynomial([0.05]), k=1, eta=1e-3, eps=0.1)
     # |f'| is least, at 1, at a critical point of f' (f' = 1 + u^2 + u^3/2,
     # u = x - 1/2, at x = 1/2, which no root of f' has as its real part)
     # or at an end (f' = 2 + x, at -1)
@@ -1115,28 +1112,53 @@ def _assert_one_pass_count(f, k, eta, eps, grid=200_001):
     return res
 
 
-@pytest.mark.parametrize("x0", [0.0, 0.3])
+# The sublevel-set edge cases below keep the names they had when the
+# measure was a grid count behind a block prefilter; a grid size now sets
+# the spacing of the one-pass count the exact measure is checked against.
+
+
+@pytest.mark.parametrize("grid", [100_000, 5_000, 300])
+@pytest.mark.parametrize("where", ["grid point", "block middle"])
 @pytest.mark.parametrize("sign", [+1.0, -1.0])
-def test_interval_lemma_measure_tangent_to_eps(sign, x0):
+def test_sublevel_prefilter_tangent_to_eps(grid, where, sign):
     # f = sign (eps - (x - x0)^2) touches +eps (sign +1) or -eps (sign -1)
     # at x0 from inside {|f| <= eps}, which is |x - x0| <= sqrt(2 eps), and
     # sign (eps + (x - x0)^2) from outside, where the set is {x0} alone.
-    # The double root of f -/+ eps at x0 splits by about sqrt(1e-16 |c0|),
-    # and the piece between may be lost or kept
+    # x0 is a point of the count's grid or the middle between two.  The
+    # double root of f -/+ eps at x0 splits by about sqrt(1e-16 |c0|), and
+    # the piece between may be lost or kept
+    x = np.linspace(-1.0, 1.0, grid)
+    i0 = 2 * grid // 3
+    x0 = float(x[i0] if where == "grid point" else 0.5 * (x[i0] + x[i0 + 1]))
     for eps in (0.02, 1e-3, 3e-9):
         f = sign * Polynomial([eps - x0 * x0, 2.0 * x0, -1.0])
-        res = _assert_one_pass_count(f, 2, 1.999, eps)
+        res = _assert_one_pass_count(f, 2, 1.999, eps, grid)
         assert res.measured_volume == pytest.approx(2.0 * math.sqrt(2.0 * eps),
                                                     rel=1e-12, abs=1e-7)
         f = sign * Polynomial([eps + x0 * x0, -2.0 * x0, 1.0])
-        assert _assert_one_pass_count(f, 2, 1.999, eps).measured_volume <= 1e-7
+        res = _assert_one_pass_count(f, 2, 1.999, eps, grid)
+        assert res.measured_volume <= 1e-7
 
 
-def test_interval_lemma_measure_ignores_trailing_zero_coefficients():
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_sublevel_prefilter_constant_at_eps(sign):
+    # a constant f, with or without trailing zero coefficients, has
+    # f^(k) = 0 for every k, however near eps it lies
+    eps = 0.1
+    for c in (eps, np.nextafter(eps, 1.0), np.nextafter(eps, 0.0), 0.05):
+        for f in (Polynomial([sign * c]), Polynomial([sign * c, 0.0, 0.0])):
+            for k in (1, 2, 3):
+                with pytest.raises(HypothesisViolated):
+                    interval_lemma_check(f, k=k, eta=1e-3, eps=eps)
+
+
+@pytest.mark.parametrize("grid", [2, 7, 1023, 1024, 3077, 123_457])
+def test_sublevel_prefilter_partial_blocks(grid):
+    # trailing zero coefficients change neither the roots nor the measure
     f = Polynomial([0.01, -0.3, 0.0, 1.0])
     padded = Polynomial([0.01, -0.3, 0.0, 1.0, 0.0, 0.0])
     for eps in (1e-4, 0.02, 10.0):
-        res = _assert_one_pass_count(f, 3, 5.99, eps)
+        res = _assert_one_pass_count(f, 3, 5.99, eps, grid)
         assert interval_lemma_check(padded, 3, 5.99, eps) == res
 
 
@@ -1152,21 +1174,28 @@ def test_interval_lemma_measure_with_negligible_leading_coefficient():
     assert res.measured_volume == 0.0
 
 
-@pytest.mark.parametrize("degree", range(1, 6))
+@pytest.mark.parametrize("degree", range(6))
 @pytest.mark.parametrize("sign", [+1.0, -1.0])
-def test_interval_lemma_measure_degrees(degree, sign):
+def test_sublevel_prefilter_degrees(degree, sign):
     rng = np.random.default_rng(degree)
     for _ in range(20):
         coef = rng.uniform(-1.0, 1.0, size=degree + 1)
         coef[-1] = sign * rng.uniform(0.2, 2.0)
         eps = 10.0 ** rng.uniform(-4.0, 0.0)
+        if degree == 0:
+            with pytest.raises(HypothesisViolated):
+                interval_lemma_check(Polynomial(coef), 1, 1e-3, eps)
+            continue
         eta = 0.5 * math.factorial(degree) * abs(coef[-1])
         _assert_one_pass_count(Polynomial(coef), degree, eta, eps)
 
 
-def test_interval_lemma_measure_matches_one_pass_count_on_corpus():
-    # the criterion-10 corpus on 2,000,001 points
+@pytest.mark.parametrize(
+    "grid", [1000, 16_384, 16_385, 123_457, 200_000, 2_000_001]
+)
+def test_interval_lemma_blocked_count_matches_one_pass_mean(grid):
+    # the criterion-10 corpus
     from vanhove_lab.cli import _interval_corpus
 
     for _, k, eta, eps, f in _interval_corpus(seed=0, per_k=100):
-        _assert_one_pass_count(f, k, eta, eps, grid=2_000_001)
+        _assert_one_pass_count(f, k, eta, eps, grid)
