@@ -745,7 +745,8 @@ def _overlap(cfg: dict) -> Output:
         "j": "threshold exponent; threshold is M^j",
         "length": "measured overlap arc length",
         "length_error": "bound on the length's error",
-        "bound": "scaling bound (M^j/delta)^(1/n0)",
+        "bound": "scaling bound (M^j/delta)^(1/n0); asymptotic, so it "
+                 "holds only for small M^j",
         "violated": "length exceeds the bound",
     }
     results = {
@@ -779,6 +780,12 @@ def cmd_overlap(ctx, **cfg):
     error bound, against the (M^j / delta)^(1/n0) bound.  The curve is
     even, so translating it by -p gives the same lengths.
 
+    The bound is asymptotic: it holds as M^j goes to 0, outside a
+    fraction of about delta^2 of the momenta.  The default window
+    (j = -1 .. -6) starts at M^j = 1/2, far from that regime, so violation
+    fractions from 1.0 down to 0.3 are expected there.  With
+    --j-min -12 --num-p 500 they fall to 0.004 at j = -12.
+
     Columns: p_x, p_y, j, length, length_error, bound, violated.
     """
     _run(ctx, cfg, _overlap)
@@ -792,14 +799,13 @@ def _normal_form(cfg: dict) -> Output:
     rows = []
     worst = 0.0
     for p in saddles:
-        nf = dispersion.morse_normal_form(model, p, radius=cfg["radius"],
-                                          grid=cfg["grid"])
+        nf = dispersion.morse_normal_form(model, p, radius=cfg["radius"])
         worst = max(worst, nf.max_residual)
         rows.append((p.location[0], p.location[1],
                      p.hessian_eigenvalues[0], p.hessian_eigenvalues[1],
                      -1 if nf.nu1 is None else nf.nu1,
                      -1 if nf.nu2 is None else nf.nu2,
-                     nf.radius, nf.max_residual))
+                     nf.radius, nf.max_residual, nf.a_min, nf.a_max))
     columns = {
         "k1": "saddle location, first component",
         "k2": "saddle location, second component",
@@ -808,7 +814,9 @@ def _normal_form(cfg: dict) -> Output:
         "nu1": "branch tangency order, first factor (-1: linear)",
         "nu2": "branch tangency order, second factor (-1: linear)",
         "radius": "patch half-width used",
-        "max_residual": "largest factorization residual on the patch",
+        "max_residual": "largest |e| at the computed branch points",
+        "a_min": "least |a| = |e / (P1 P2)| at the patch's cell midpoints",
+        "a_max": "largest |a| = |e / (P1 P2)| at the patch's cell midpoints",
     }
     return Output(columns, rows, {"num_saddles": len(rows),
                                   "max_residual": worst})
@@ -819,14 +827,17 @@ def _normal_form(cfg: dict) -> Output:
 @_model_options
 @click.option("--radius", type=float, default=0.1, show_default=True,
               help="Half-width of the factorization patch.")
-@click.option("--grid", type=int, default=41, show_default=True,
-              help="Nodes per side of the factorization grid.")
 @click.pass_context
 def cmd_normal_form(ctx, **cfg):
     """Saddle points of the dispersion and their product normal forms
-    e = a(k) (k1 - k2^nu1 b)(k2 - k1^nu2 c) on a patch.
+    e = a(k) (k1 - k2^nu1 b)(k2 - k1^nu2 c) on a patch.  The branches are
+    root-found where they are used and a = e / (P1 P2) is taken exactly at
+    the patch's 40 x 40 cell midpoints; nothing is interpolated.
+    max_residual is the largest |e| at the branch points, a_min and a_max
+    the range of |a|.
 
-    Columns: k1, k2, lambda1, lambda2, nu1, nu2, radius, max_residual.
+    Columns: k1, k2, lambda1, lambda2, nu1, nu2, radius, max_residual,
+    a_min, a_max.
     """
     _run(ctx, cfg, _normal_form)
 

@@ -10,19 +10,25 @@ The lab studies two bands, each on its own domain:
 * XY model e(k) = k1 k2 on [-1, 1]^2: the exact product normal form.
 
 The normal-form factorization writes e(p + A k) = a(k) P1(k) P2(k) with
-P1 = k1 - k2^{nu1} b(k), P2 = k2 - k1^{nu2} c(k), where the columns of A
+P1 = k1 - k2^{nu1} b(k2), P2 = k2 - k1^{nu2} c(k1), where the columns of A
 span the two isotropic directions of the Hessian (so the zero curves
-become tangent to the axes) and the branch functions are found by 1D
-Newton continuation.  nu is the order of the first Taylor coefficient of
-the branch that passes a relative-significance test; an exactly straight
-branch is kept in product form (nu = None, b = 0).
+become tangent to the axes).  The branches k1 = phi1(k2) and
+k2 = phi2(k1) are root-found where they are used, each in the bracket
+|phi| <= |t| / 2 by the bracketed Newton that geometry shares
+(``_newton``).  nu is the order of the first Taylor coefficient of the
+branch that passes a relative-significance test; an exactly straight
+branch is kept in product form (nu = None, b = 0).  a = e / (P1 P2) is
+evaluated exactly at the patch's cell midpoints, none of which lies on
+an axis, and the normal form keeps its range [a_min, a_max] and, as
+max_residual, the largest |e| at the branch points.  Nothing is
+interpolated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +37,6 @@ from .errors import DegenerateHessian, FactorizationFailed, FlatBranch
 __all__ = [
     "DispersionModel",
     "SingularPoint",
-    "GridField",
     "NormalForm",
     "evaluate",
     "gradient",
@@ -129,7 +134,6 @@ def _critical_points(model: DispersionModel) -> List[Tuple[float, float]]:
 
 _SURFACE_TOL = 1e-10  # largest |e| of a point on the Fermi surface
 _HESSIAN_TOL = 1e-8  # smallest |Hessian eigenvalue| of a nondegenerate saddle
-_FACTORIZATION_TOL = 1e-6  # largest residual of an accepted normal form
 
 
 def find_singular_points(model: DispersionModel) -> List[SingularPoint]:
@@ -159,60 +163,76 @@ def find_singular_points(model: DispersionModel) -> List[SingularPoint]:
 
 
 # ---------------------------------------------------------------------------
+# Bracketed Newton, shared with geometry
+# ---------------------------------------------------------------------------
+
+_NEWTON_ITER = 100  # Newton or bisection steps of one root, at most
+_UNIT_ROUNDOFF = 2.0 ** -53  # of float64
+
+
+def _root_tol(model: DispersionModel) -> float:
+    """16 unit roundoffs of the hubbard band's scale 2 + 2 theta + |mu|:
+    the |e| at which a point counts as on the curve."""
+    return 16.0 * _UNIT_ROUNDOFF * (2.0 + 2.0 * model.theta + abs(model.mu))
+
+
+def _newton(fg, lo: np.ndarray, hi: np.ndarray, t: np.ndarray, tol: np.ndarray):
+    """Roots of increasing functions g on brackets [lo, hi] with
+    g(lo) < 0 < g(hi), from the first guesses t.
+
+    ``fg(idx, t)`` returns g and g' of the roots idx at t.  Newton's step
+    is taken when it stays strictly inside the bracket, the bracket's
+    midpoint otherwise; a root stops once |g| <= tol or its bracket is a
+    few ulps wide, and only the others are evaluated again.  It returns
+    the last t, g and g' of each root; lo and hi are narrowed in place.
+    Bisection alone narrows a bracket of width pi to one ulp in about 53
+    halvings, well inside ``_NEWTON_ITER``.
+    """
+    idx = np.arange(len(t))
+    g, dg = fg(idx, t)
+    for _ in range(_NEWTON_ITER):
+        idx = idx[~((np.abs(g[idx]) <= tol[idx])
+                    | (hi[idx] - lo[idx] <= 8.0 * _UNIT_ROUNDOFF * hi[idx]))]
+        if not len(idx):
+            break
+        ti, gi = t[idx], g[idx]
+        lo[idx] = np.where(gi < 0.0, ti, lo[idx])
+        hi[idx] = np.where(gi > 0.0, ti, hi[idx])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = ti - gi / dg[idx]
+        # a NaN step (zero slope) fails the test and bisects
+        t[idx] = np.where((step > lo[idx]) & (step < hi[idx]), step,
+                          0.5 * (lo[idx] + hi[idx]))
+        g[idx], dg[idx] = fg(idx, t[idx])
+    return t, g, dg
+
+
+# ---------------------------------------------------------------------------
 # Morse normal form
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class GridField:
-    """Scalar field sampled on a uniform square grid with bilinear lookup."""
-
-    axis: np.ndarray  # shared 1D axis for both coordinates
-    values: np.ndarray  # shape (n, n), indexed [i1, i2]
-
-    def __call__(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        k1, k2 = k[..., 0], k[..., 1]
-        a = self.axis
-        h = a[1] - a[0]
-        f1 = np.clip((k1 - a[0]) / h, 0.0, len(a) - 1.000001)
-        f2 = np.clip((k2 - a[0]) / h, 0.0, len(a) - 1.000001)
-        i1 = f1.astype(int)
-        i2 = f2.astype(int)
-        t1 = f1 - i1
-        t2 = f2 - i2
-        v = self.values
-        return (
-            v[i1, i2] * (1 - t1) * (1 - t2)
-            + v[i1 + 1, i2] * t1 * (1 - t2)
-            + v[i1, i2 + 1] * (1 - t1) * t2
-            + v[i1 + 1, i2 + 1] * t1 * t2
-        )
+_CELLS = 40  # cells per side of the patch; a is taken at their midpoints
+_STENCIL = np.arange(-3, 4)  # branch samples t = j radius / 4 for the order
 
 
 @dataclass(frozen=True)
 class NormalForm:
+    """e(p + A k) = a(k) (k1 - k2^nu1 b(k2)) (k2 - k1^nu2 c(k1)) on the
+    patch |k1|, |k2| <= radius; nu None means the branch is the axis.
+
+    a_min and a_max are the least and largest |a| = |e / (P1 P2)| at the
+    patch's 40 x 40 cell midpoints.  max_residual is the largest |e| at
+    the branch points k1 = k2^nu1 b and k2 = k1^nu2 c where they were
+    computed: how far {e = 0} lies from the factors' zero set.
+    """
+
     A: np.ndarray
     nu1: Optional[int]
     nu2: Optional[int]
-    a_fn: GridField
-    b_fn: GridField
-    c_fn: GridField
     radius: float
+    a_min: float
+    a_max: float
     max_residual: float
-
-    def factors(self, k) -> Tuple[np.ndarray, np.ndarray]:
-        k = np.asarray(k, dtype=float)
-        k1, k2 = k[..., 0], k[..., 1]
-        b = self.b_fn(k)
-        c = self.c_fn(k)
-        p1 = k1 - (k2 ** self.nu1 * b if self.nu1 is not None else b)
-        p2 = k2 - (k1 ** self.nu2 * c if self.nu2 is not None else c)
-        return p1, p2
-
-    def reconstruct(self, k) -> np.ndarray:
-        p1, p2 = self.factors(k)
-        return self.a_fn(k) * p1 * p2
 
 
 def _isotropic_frame(p: SingularPoint) -> np.ndarray:
@@ -230,183 +250,117 @@ def _isotropic_frame(p: SingularPoint) -> np.ndarray:
     return A
 
 
-def _branch_solver(ebar_fn, debar_fn, axis_index: int):
-    """Newton solver for the branch tangent to the given axis.
+def _branches(ebar, debar, t: np.ndarray, tol: float) -> np.ndarray:
+    """Rows phi1(t) and phi2(t): the roots of ebar(phi, t) = 0 and
+    ebar(t, phi) = 0 in the bracket |phi| <= |t| / 2, by ``_newton``.
 
-    axis_index 0 solves ebar(phi, t) = 0 for phi (branch near k2-axis is
-    k1 = phi(k2)); axis_index 1 solves ebar(t, phi) = 0.
+    g = sign * ebar, the sign taken from ebar's rise across the bracket,
+    increases along it.  phi = 0 at t = 0, where the bracket is a point.
+    Newton starts one step from the axis phi = 0.  A branch that the
+    bracket does not enclose raises FactorizationFailed.
     """
+    tt = np.concatenate([t, t])
+    first = np.arange(len(tt)) < len(t)  # phi is k1, else k2
 
-    def solve(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        phi = np.zeros_like(t)
-        scale = None
-        prev = math.inf
-        for _ in range(60):
-            if axis_index == 0:
-                pts = np.stack([phi, t], axis=-1)
-            else:
-                pts = np.stack([t, phi], axis=-1)
-            r = ebar_fn(pts)
-            if scale is None:
-                scale = 1.0 + float(np.max(np.abs(r)))
-            d = debar_fn(pts)[..., axis_index]
-            step = np.where(t == 0.0, 0.0, r / np.where(d == 0.0, 1.0, d))
-            phi = phi - step
-            mx = float(np.max(np.abs(step)))
-            if mx < 1e-14 or mx >= prev:  # done, or at the roundoff floor
-                break
-            prev = mx
-        if axis_index == 0:
-            pts = np.stack([phi, t], axis=-1)
-        else:
-            pts = np.stack([t, phi], axis=-1)
-        if float(np.max(np.abs(ebar_fn(pts)))) > 1e-10 * scale:
-            raise FactorizationFailed("branch Newton did not converge")
-        return phi
+    def at(idx, phi):
+        return np.where(first[idx, None], np.stack([phi, tt[idx]], axis=-1),
+                        np.stack([tt[idx], phi], axis=-1))
 
-    return solve
+    idx = np.arange(len(tt))
+    lo, hi = -0.5 * np.abs(tt), 0.5 * np.abs(tt)
+    e_lo, e_hi = ebar(at(idx, lo)), ebar(at(idx, hi))
+    if not np.all((e_lo * e_hi <= 0.0) | (tt == 0.0)):
+        raise FactorizationFailed("a branch leaves the bracket |phi| <= |t|/2")
+    sign = np.sign(e_hi - e_lo)
+
+    def fg(idx, phi):  # g and its derivative along phi's own axis
+        k = at(idx, phi)
+        return (sign[idx] * ebar(k),
+                sign[idx] * np.where(first[idx], *debar(k).T))
+
+    # one Newton step from the axis first: |ebar| there can already be
+    # below tol on a small patch, long before phi is resolved
+    g, dg = fg(idx, np.zeros_like(tt))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = np.clip(np.nan_to_num(-g / dg), lo, hi)
+    phi, _, _ = _newton(fg, lo, hi, start, np.full(len(tt), tol))
+    return phi.reshape(2, len(t))
 
 
 def _branch_order(
-    solve: Callable, radius: float, max_order: int = 6, threshold: float = 1e-4
-) -> Tuple[Optional[int], float]:
-    """Order of the first significant Taylor coefficient of the branch.
+    samples: np.ndarray, radius: float, max_order: int = 6,
+    threshold: float = 1e-4,
+) -> Optional[int]:
+    """Order of the first significant Taylor coefficient of a branch
+    sampled at t = j radius / 4, j = -3 .. 3 (``_STENCIL``).
 
-    Returns (nu, leading_coefficient); nu None means the branch is
-    numerically the exact axis (pure product form).  Raises FlatBranch
-    for a branch that deviates from the axis with no polynomial order up
-    to max_order.
+    None means the branch is numerically the exact axis (pure product
+    form).  Raises FlatBranch for a branch that deviates from the axis
+    with no polynomial order up to max_order.
     """
     h = radius / 4.0
-    js = np.arange(-3, 4)
-    samples = solve(js * h)
     scale = float(np.max(np.abs(samples)))
     if scale < 1e-12 * radius:
-        return None, 0.0
+        return None
     # Taylor coefficients of the degree-6 interpolant through the stencil
-    V = np.vander(js.astype(float), 7, increasing=True)
-    coeff_scaled = np.linalg.solve(V, samples)  # coefficients in t = k/h
-    coeffs = coeff_scaled / h ** np.arange(7)
+    V = np.vander(_STENCIL.astype(float), 7, increasing=True)
+    coeffs = np.linalg.solve(V, samples) / h ** np.arange(7)
     window = 3.0 * h
     for m in range(2, max_order + 1):
         if abs(coeffs[m]) * window ** m >= threshold * scale:
-            return int(m), float(coeffs[m])
+            return m
     raise FlatBranch(
         f"no significant branch derivative up to order {max_order}"
     )
 
 
 def morse_normal_form(
-    model: DispersionModel,
-    p: SingularPoint,
-    radius: float = 0.1,
-    grid: int = 41,
+    model: DispersionModel, p: SingularPoint, radius: float = 0.1
 ) -> NormalForm:
-    """Factor e(p + A k) = a(k) (k1 - k2^nu1 b)(k2 - k1^nu2 c) on a
-    square grid of half-width ``radius``.
+    """Factor e(p + A k) = a(k) (k1 - k2^nu1 b)(k2 - k1^nu2 c) on the
+    square patch of half-width ``radius``.
 
-    The residual is measured at the grid nodes and, through the bilinear
-    interpolants, at all cell midpoints; if the midpoint residual
-    exceeds the tolerance the radius is halved (up to 6 times) before
-    giving up.
+    The branches are solved exactly where they are used, a is e / (P1 P2)
+    at the patch's cell midpoints, and nothing is interpolated.  When a
+    branch leaves its bracket or a vanishes or changes sign
+    (FactorizationFailed), the radius is halved, up to 6 times.
     """
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError("radius must be positive and finite")
-    if grid < 2:
-        raise ValueError("grid needs at least 2 nodes per side")
     A = _isotropic_frame(p)
     loc = p.location
+    tol = _root_tol(model)
 
     def ebar(k):
-        return evaluate(model, loc[None, :] + np.asarray(k) @ A.T)
+        return evaluate(model, loc + k @ A.T)
 
     def debar(k):
-        g = gradient(model, loc[None, :] + np.asarray(k) @ A.T)
-        return g @ A
+        return gradient(model, loc + k @ A.T) @ A
 
     for attempt in range(7):
-        rho = radius / 2 ** attempt
         try:
-            nf = _build_normal_form(A, ebar, debar, rho, grid)
-        except FactorizationFailed:
-            continue
-        if nf.max_residual <= _FACTORIZATION_TOL:
-            return nf
-    raise FactorizationFailed(
-        f"residual above {_FACTORIZATION_TOL} after 6 radius halvings"
-    )
+            return _build_normal_form(A, ebar, debar, radius / 2 ** attempt, tol)
+        except FactorizationFailed as exc:
+            failure = exc
+    raise FactorizationFailed(f"after 6 radius halvings: {failure}")
 
 
-def _build_normal_form(A, ebar, debar, rho, grid) -> NormalForm:
-    solve1 = _branch_solver(ebar, debar, 0)  # k1 = phi1(k2)
-    solve2 = _branch_solver(ebar, debar, 1)  # k2 = phi2(k1)
-    nu1, lead1 = _branch_order(solve1, rho)
-    nu2, lead2 = _branch_order(solve2, rho)
+def _build_normal_form(A, ebar, debar, rho: float, tol: float) -> NormalForm:
+    mid = np.linspace(-rho, rho, 2 * _CELLS + 1)[1::2]
+    t = np.concatenate([_STENCIL * (rho / 4.0), mid])
+    phi = _branches(ebar, debar, t, tol)
+    nu = [_branch_order(row[:len(_STENCIL)], rho) for row in phi]
+    phi[[n is None for n in nu]] = 0.0  # product form: the branch is the axis
+    residual = max(float(np.max(np.abs(ebar(np.stack(k, axis=-1)))))
+                   for k in ((phi[0], t), (t, phi[1])))
 
-    axis = np.linspace(-rho, rho, grid)
-    K1, K2 = np.meshgrid(axis, axis, indexing="ij")
-
-    phi1 = solve1(axis)  # branch positions per k2 value
-    phi2 = solve2(axis)
-
-    def b_values():
-        if nu1 is None:
-            return np.zeros((grid, grid))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            row = np.where(axis != 0.0, phi1 / axis ** nu1, lead1)
-        return np.broadcast_to(row[None, :], (grid, grid)).copy()
-
-    def c_values():
-        if nu2 is None:
-            return np.zeros((grid, grid))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            col = np.where(axis != 0.0, phi2 / axis ** nu2, lead2)
-        return np.broadcast_to(col[:, None], (grid, grid)).copy()
-
-    bv = b_values()
-    cv = c_values()
-    P1 = K1 - phi1[None, :]
-    P2 = K2 - phi2[:, None]
-    pts = np.stack([K1.ravel(), K2.ravel()], axis=-1)
-    E = ebar(pts).reshape(grid, grid)
-    den = P1 * P2
-    floor = 1e-12 * max(float(np.max(np.abs(E))), 1e-30)
-    good = np.abs(den) > floor
-    av = np.where(good, E / np.where(good, den, 1.0), np.nan)
-    av = _fill_nan_nearest(av)
-
-    a_fn = GridField(axis=axis, values=av)
-    b_fn = GridField(axis=axis, values=bv)
-    c_fn = GridField(axis=axis, values=cv)
-    nf = NormalForm(
-        A=A, nu1=nu1, nu2=nu2, a_fn=a_fn, b_fn=b_fn, c_fn=c_fn,
-        radius=rho, max_residual=np.inf,
-    )
-
-    if not np.all(np.isfinite(av)) or float(np.min(np.abs(av))) < 1e-6:
-        raise FactorizationFailed("a(k) not bounded away from zero on grid")
-
-    mid = (axis[:-1] + axis[1:]) / 2.0
-    M1, M2 = np.meshgrid(mid, mid, indexing="ij")
-    probe = np.stack([M1.ravel(), M2.ravel()], axis=-1)
-    res_mid = np.max(np.abs(ebar(probe) - nf.reconstruct(probe)))
-    res_node = np.max(np.abs(E - nf.reconstruct(pts).reshape(grid, grid)))
-    return NormalForm(
-        A=A, nu1=nu1, nu2=nu2, a_fn=a_fn, b_fn=b_fn, c_fn=c_fn, radius=rho,
-        max_residual=float(max(res_mid, res_node)),
-    )
-
-
-def _fill_nan_nearest(v: np.ndarray) -> np.ndarray:
-    """Replace NaN nodes by the nearest finite node value (small count)."""
-    out = v.copy()
-    bad = np.argwhere(~np.isfinite(out))
-    if len(bad) == 0:
-        return out
-    good = np.argwhere(np.isfinite(out))
-    for i, j in bad:
-        d = np.abs(good[:, 0] - i) + np.abs(good[:, 1] - j)
-        gi, gj = good[np.argmin(d)]
-        out[i, j] = out[gi, gj]
-    return out
+    phi1, phi2 = phi[:, len(_STENCIL):]
+    K1, K2 = np.meshgrid(mid, mid, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = ebar(np.stack([K1, K2], axis=-1)) \
+            / ((K1 - phi1[None, :]) * (K2 - phi2[:, None]))
+    if not (np.all(np.isfinite(a)) and (np.all(a > 0.0) or np.all(a < 0.0))):
+        raise FactorizationFailed("a(k) vanishes or changes sign on the patch")
+    return NormalForm(A=A, nu1=nu[0], nu2=nu[1], radius=rho,
+                      a_min=float(np.min(np.abs(a))),
+                      a_max=float(np.max(np.abs(a))), max_residual=residual)

@@ -17,7 +17,8 @@ class DegenerateHessian(VanHoveLabError):
 
 
 class FactorizationFailed(VanHoveLabError):
-    """Normal-form factorization residual stayed above tolerance after retries."""
+    """No normal form at any radius tried: a branch left its bracket, or a
+    vanished or changed sign on the patch."""
 
 
 class FlatBranch(VanHoveLabError):

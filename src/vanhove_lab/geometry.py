@@ -60,6 +60,8 @@ from .dispersion import (
     gradient,
     hessian,
     morse_normal_form,
+    _newton,
+    _root_tol,
 )
 from .errors import HypothesisViolated
 
@@ -90,46 +92,7 @@ class CurveSample:
 
 _MAX_STEPS = 2_000_000  # most steps (segments) on one traced branch
 _RAYS = 1024  # coarse rays of the hubbard construction, a multiple of 4
-_NEWTON_ITER = 100  # Newton or bisection steps of one root, at most
 _INTERVAL = np.array([-1.0, 1.0])  # the interval lemma's interval
-_UNIT_ROUNDOFF = 2.0 ** -53  # of float64
-
-
-def _root_tol(model: DispersionModel) -> float:
-    """16 unit roundoffs of the hubbard band's scale 2 + 2 theta + |mu|:
-    the |e| at which a point counts as on the curve."""
-    return 16.0 * _UNIT_ROUNDOFF * (2.0 + 2.0 * model.theta + abs(model.mu))
-
-
-def _newton(fg, lo: np.ndarray, hi: np.ndarray, t: np.ndarray, tol: np.ndarray):
-    """Roots of increasing functions g on brackets [lo, hi] with
-    g(lo) < 0 < g(hi), from the first guesses t.
-
-    ``fg(idx, t)`` returns g and g' of the roots idx at t.  Newton's step
-    is taken when it stays strictly inside the bracket, the bracket's
-    midpoint otherwise; a root stops once |g| <= tol or its bracket is a
-    few ulps wide, and only the others are evaluated again.  It returns
-    the last t, g and g' of each root; lo and hi are narrowed in place.
-    Bisection alone narrows a bracket of width pi to one ulp in about 53
-    halvings, well inside ``_NEWTON_ITER``.
-    """
-    idx = np.arange(len(t))
-    g, dg = fg(idx, t)
-    for _ in range(_NEWTON_ITER):
-        idx = idx[~((np.abs(g[idx]) <= tol[idx])
-                    | (hi[idx] - lo[idx] <= 8.0 * _UNIT_ROUNDOFF * hi[idx]))]
-        if not len(idx):
-            break
-        ti, gi = t[idx], g[idx]
-        lo[idx] = np.where(gi < 0.0, ti, lo[idx])
-        hi[idx] = np.where(gi > 0.0, ti, hi[idx])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = ti - gi / dg[idx]
-        # a NaN step (zero slope) fails the test and bisects
-        t[idx] = np.where((step > lo[idx]) & (step < hi[idx]), step,
-                          0.5 * (lo[idx] + hi[idx]))
-        g[idx], dg[idx] = fg(idx, t[idx])
-    return t, g, dg
 
 
 def _ray_roots(

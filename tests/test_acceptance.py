@@ -336,12 +336,16 @@ def test_criterion_08_frequency_sum_oracle():
     )
     r_sum = se.frequency_sum_sigma2(q0, q, beta, cutoff=120.0, grid=12)
     gap = abs(r_quad.value - r_sum.value)
-    ok = gap <= r_sum.budget
+    # both probes must see a shift, or the budget measures nothing
+    ok = (gap <= r_sum.budget and r_sum.truncation_budget > 0
+          and r_sum.grid_budget > 0)
     assert _verdict(
         8,
         ok,
         f"Sigma2({q0:.4f}, {q}) quadrature {r_quad.value:.6f} vs frequency sum "
-        f"{r_sum.value:.6f}: |gap| = {gap:.2e} <= budget {r_sum.budget:.2e}",
+        f"{r_sum.value:.6f}: |gap| = {gap:.2e} <= budget {r_sum.budget:.2e} "
+        f"(truncation {r_sum.truncation_budget:.2e} + grid "
+        f"{r_sum.grid_budget:.2e}, both > 0)",
     )
 
 

@@ -71,7 +71,7 @@ COLUMN_CASES = {
     "bubble-ph": ["bubble-ph", "--beta-points", "1"],
     "bubble-pp": ["bubble-pp", "--beta-points", "1"],
     "overlap": ["overlap", "--num-p", "2", "--j-min", "-2"],
-    "normal-form": ["normal-form", "--grid", "21"],
+    "normal-form": ["normal-form"],
     "interval-check": ["interval-check", "--per-k", "1"],
     "fit": ["fit"],
 }
@@ -290,14 +290,22 @@ def test_overlap_deep_thresholds_run_at_fixed_step(runner, tmp_path, args):
 
 
 @pytest.mark.parametrize("args", [
-    ["--grid", "1"], ["--grid", "0"], ["--radius", "0"], ["--radius", "-1"],
-    ["--radius", "nan"], ["--radius", "inf"]])
+    ["--radius", "-inf"], ["--radius", "-0.0"], ["--radius", "0"],
+    ["--radius", "-1"], ["--radius", "nan"], ["--radius", "inf"]])
 def test_normal_form_bad_patch_inputs_exit_2(runner, tmp_path, args):
     r = runner.invoke(main, ["normal-form", "--out-prefix", str(tmp_path / "nf")]
                       + args)
     assert r.exit_code == 2
     assert "ValueError" in r.output
     assert not (tmp_path / "nf.csv").exists()
+
+
+def test_normal_form_grid_is_no_option(runner, tmp_path):
+    # nothing is tabulated, so there is no grid to size
+    r = runner.invoke(main, ["normal-form", "--grid", "21",
+                             "--out-prefix", str(tmp_path / "nf")])
+    assert r.exit_code == 2
+    assert "No such option" in r.output and "--grid" in r.output
 
 
 @pytest.mark.parametrize("command", ["overlap", "normal-form"])
@@ -322,6 +330,7 @@ def test_normal_form_rows(runner, tmp_path):
         assert abs(float(row[2]) + 0.7) < 1e-8
         assert abs(float(row[3]) - 1.3) < 1e-8
         assert float(row[7]) < 1e-6
+        assert 0.0 < float(row[8]) <= float(row[9])
 
 
 def test_interval_check_all_hold(runner, tmp_path):

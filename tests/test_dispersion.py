@@ -16,7 +16,7 @@ from vanhove_lab.dispersion import (
     hessian,
     morse_normal_form,
 )
-from vanhove_lab.errors import FlatBranch
+from vanhove_lab.errors import FactorizationFailed, FlatBranch
 
 
 def test_hubbard_point_values():
@@ -136,55 +136,100 @@ def _saddle_at(model, loc):
 def test_xy_normal_form_is_exact_product():
     m = DispersionModel.xy()
     p = _saddle_at(m, [0.0, 0.0])
-    nf = morse_normal_form(m, p, radius=0.5, grid=21)
+    nf = morse_normal_form(m, p, radius=0.5)
     assert nf.nu1 is None and nf.nu2 is None
-    assert np.max(np.abs(nf.b_fn.values)) == 0.0
-    assert np.max(np.abs(nf.c_fn.values)) == 0.0
     assert abs(np.linalg.det(nf.A)) > 0.5
-    assert nf.max_residual < 1e-12
-    # |a| = 1 everywhere for the bilinear model in the isotropic frame
-    assert np.allclose(np.abs(nf.a_fn.values), 1.0, atol=1e-12)
+    # the axes are the zero set, and |a| = 1 for the bilinear model in
+    # the isotropic frame
+    assert nf.max_residual == 0.0
+    assert nf.a_min == pytest.approx(1.0, abs=1e-12)
+    assert nf.a_max == pytest.approx(1.0, abs=1e-12)
 
 
-def test_hubbard_branch_order_is_cubic():
-    m = DispersionModel.hubbard(theta=0.3, mu=0.0)
-    p = _saddle_at(m, [0.0, math.pi])
-    nf = morse_normal_form(m, p, radius=0.1, grid=41)
+@pytest.mark.parametrize("loc", [(0.0, math.pi), (math.pi, 0.0)],
+                         ids=["0pi", "pi0"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.8])
+def test_hubbard_branch_order_is_cubic(theta, loc):
+    m = DispersionModel.hubbard(theta=theta, mu=0.0)
+    p = _saddle_at(m, loc)
+    nf = morse_normal_form(m, p)
     assert nf.nu1 == 3
     assert nf.nu2 == 3
+    assert nf.radius == 0.1
     assert abs(np.linalg.det(nf.A)) > 1e-3
 
 
 def test_hubbard_normal_form_residual():
+    # max_residual is |e| at the branch points, which are root-found to
+    # 16 unit roundoffs of the band's scale
     m = DispersionModel.hubbard(theta=0.5, mu=0.0)
     p = _saddle_at(m, [math.pi, 0.0])
-    nf = morse_normal_form(m, p, radius=0.1, grid=41)
-    # node residual: reconstruct exactly on the sampling grid
-    axis = nf.a_fn.axis
-    K1, K2 = np.meshgrid(axis, axis, indexing="ij")
-    nodes = np.stack([K1.ravel(), K2.ravel()], axis=-1)
-    truth = evaluate(m, p.location[None, :] + nodes @ nf.A.T)
-    assert np.max(np.abs(truth - nf.reconstruct(nodes))) < 1e-8
-    # off-grid residual stays below the factorization tolerance
-    rng = np.random.default_rng(3)
-    probe = rng.uniform(-nf.radius, nf.radius, size=(500, 2))
-    truth = evaluate(m, p.location[None, :] + probe @ nf.A.T)
-    assert np.max(np.abs(truth - nf.reconstruct(probe))) < 1e-6
-    assert nf.max_residual < 1e-6
+    nf = morse_normal_form(m, p, radius=0.1)
+    assert nf.max_residual <= 16 * 2.0 ** -53 * 3.0
     # a stays bounded away from zero
-    assert float(np.min(np.abs(nf.a_fn.values))) > 0.1
+    assert 0.1 < nf.a_min <= nf.a_max
+    # shifted by 1e-12 the saddle still counts as on the surface, and
+    # the branch point at the saddle itself reports |e(p)|
+    shifted = DispersionModel.hubbard(theta=0.5, mu=1e-12)
+    nf = morse_normal_form(shifted, _saddle_at(shifted, [math.pi, 0.0]))
+    assert abs(nf.max_residual - 1e-12) <= 1e-15
 
 
 def test_normal_form_quadratic_coefficient():
     # near the origin e(p + A k) ~ a0 k1 k2 with a0 = u^T H v for the
-    # normalized isotropic columns; check a_fn reproduces it
+    # normalized isotropic columns; on a tiny patch |a| is |a0|, and the
+    # branches, at most ~1e-10 off the axes there, still read nu = 3
     m = DispersionModel.hubbard(theta=0.5, mu=0.0)
     p = _saddle_at(m, [math.pi, 0.0])
-    nf = morse_normal_form(m, p, radius=0.1, grid=41)
+    nf = morse_normal_form(m, p, radius=1e-3)
+    assert nf.nu1 == 3 and nf.nu2 == 3
     H = hessian(m, p.location)
-    a0 = float(nf.A[:, 0] @ H @ nf.A[:, 1])
-    center = nf.a_fn(np.zeros((1, 2)))[0]
-    assert center == pytest.approx(a0, rel=1e-3)
+    a0 = abs(float(nf.A[:, 0] @ H @ nf.A[:, 1]))
+    assert nf.a_min == pytest.approx(a0, rel=1e-3)
+    assert nf.a_max == pytest.approx(a0, rel=1e-3)
+
+
+def _ebar(m, p, A, k1, k2):
+    return float(evaluate(m, p.location + A @ np.array([k1, k2])))
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.5])
+@pytest.mark.parametrize("theta", [0.05, 0.3, 0.8])
+def test_normal_form_a_range_against_brentq_branches(theta, radius):
+    # a = e / (P1 P2) at random points of the patch, with the branches
+    # found by scipy's brentq instead of the module's Newton: finite, of
+    # the sign of a0 and inside [a_min, a_max] widened by 5% of its width;
+    # their extremes also reach both ends of it to that 5%, so that a
+    # range widened by wrong branches fails
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    m = DispersionModel.hubbard(theta=theta, mu=0.0)
+    p = _saddle_at(m, [math.pi, 0.0])
+    nf = morse_normal_form(m, p, radius=radius)
+    assert nf.radius == radius
+    A = nf.A
+    a0 = float(A[:, 0] @ hessian(m, p.location) @ A[:, 1])
+    probes = np.random.default_rng(11).uniform(-radius, radius, size=(2000, 2))
+    a = np.empty(len(probes))
+    for i, (k1, k2) in enumerate(probes):
+        phi1 = brentq(lambda x: _ebar(m, p, A, x, k2), -abs(k2) / 2,
+                      abs(k2) / 2, xtol=1e-15)
+        phi2 = brentq(lambda x: _ebar(m, p, A, k1, x), -abs(k1) / 2,
+                      abs(k1) / 2, xtol=1e-15)
+        a[i] = _ebar(m, p, A, k1, k2) / ((k1 - phi1) * (k2 - phi2))
+    assert np.all(np.isfinite(a))
+    assert np.all(np.sign(a) == np.sign(a0))
+    slack = 0.05 * (nf.a_max - nf.a_min)
+    assert nf.a_min - slack <= np.min(np.abs(a)) <= nf.a_min + slack
+    assert nf.a_max - slack <= np.max(np.abs(a)) <= nf.a_max + slack
+
+
+def test_normal_form_off_the_surface_gives_up():
+    # the mu = 0 saddle of a band shifted by 1e-3: e(p) != 0, so near p
+    # no branch stays in its bracket at any radius, and the halvings end
+    # in FactorizationFailed
+    p = _saddle_at(DispersionModel.hubbard(theta=0.3), [math.pi, 0.0])
+    with pytest.raises(FactorizationFailed):
+        morse_normal_form(DispersionModel.hubbard(theta=0.3, mu=1e-3), p)
 
 
 def test_flat_branch_detected():
@@ -201,7 +246,7 @@ def test_flat_branch_detected():
         hessian_rotation=np.array([[c, -s], [s, c]]) @ p.hessian_rotation,
     )
     with pytest.raises(FlatBranch):
-        morse_normal_form(m, turned, radius=0.5, grid=21)
+        morse_normal_form(m, turned, radius=0.5)
 
 
 def test_model_domain_follows_kind():
