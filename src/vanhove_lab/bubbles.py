@@ -166,8 +166,6 @@ def bubble_result(kind: str, beta: float) -> BubbleResult:
     from the tail series and the value is prediction + residual."""
     if not 0.0 < beta < float("inf"):
         raise ValueError("bubble needs finite beta > 0")
-    if kind not in ("ph", "pp"):
-        raise ValueError(f"unknown bubble kind {kind!r}")
 
     L = math.log(beta)
     pred = -2.0 * L + 2.0 * _K if kind == "ph" \

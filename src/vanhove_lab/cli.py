@@ -139,12 +139,6 @@ class PlotSpec:
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
 
 
-def _ticks_linear(lo: float, hi: float, n: int = 5) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, n)
-
-
 def _render_svg(path: Path, spec: PlotSpec, deterministic: bool) -> None:
     """Dependency-light sweep plot: axes, ticks, polylines, legend.
 
@@ -197,13 +191,13 @@ def _render_svg(path: Path, spec: PlotSpec, deterministic: bool) -> None:
             out.append(f'<text x="{x:.2f}" y="{H-mb+22}" text-anchor="middle" '
                        f'font-family="sans-serif" font-size="12">1e{d}</text>')
     else:
-        for t in _ticks_linear(ulo, uhi):
-            x = ml + (t - ulo) / (uhi - ulo) * (W - ml - mr)
+        for t in np.linspace(ulo, uhi, 5):
+            x = px(t)
             out.append(f'<line x1="{x:.2f}" y1="{H-mb}" x2="{x:.2f}" '
                        f'y2="{H-mb+6}" {axis}/>')
             out.append(f'<text x="{x:.2f}" y="{H-mb+22}" text-anchor="middle" '
                        f'font-family="sans-serif" font-size="12">{t:.4g}</text>')
-    for t in _ticks_linear(ylo, yhi):
+    for t in np.linspace(ylo, yhi, 5):
         y = py(t)
         out.append(f'<line x1="{ml-6}" y1="{y:.2f}" x2="{ml}" y2="{y:.2f}" {axis}/>')
         out.append(f'<text x="{ml-10}" y="{y+4:.2f}" text-anchor="end" '

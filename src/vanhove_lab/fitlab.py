@@ -29,7 +29,7 @@ reordering of the input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -80,15 +80,7 @@ class LogFit:
 
     def to_dict(self) -> dict:
         """Plain-float form for embedding in JSON manifests."""
-        return {
-            "a": self.a, "b": self.b, "c": self.c,
-            "stderr_a": self.stderr_a, "stderr_b": self.stderr_b,
-            "stderr_c": self.stderr_c,
-            "window": [self.window[0], self.window[1]],
-            "stability_shift": self.stability_shift,
-            "kappa_a": self.kappa_a, "kappa_b": self.kappa_b,
-            "kappa_c": self.kappa_c,
-        }
+        return {**asdict(self), "window": list(self.window)}
 
 
 def _solve(u: np.ndarray, y: np.ndarray):

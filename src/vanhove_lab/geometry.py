@@ -478,13 +478,13 @@ def overlap_lengths(
 @dataclass(frozen=True)
 class OverlapScalingReport:
     """Both bands are even and their Fermi curves symmetric under
-    k -> -k, so the overlaps of sign -1 equal those of sign +1: every
-    ``_minus`` field is its sign +1 counterpart."""
+    k -> -k, so the overlaps of sign -1 equal those of sign +1.  The
+    ``_minus`` fields repeat their sign +1 counterparts, and are kept
+    only because ``bench/workloads.py`` reads them."""
 
     p_samples: np.ndarray  # (num_p, 2)
     j_values: Tuple[int, ...]  # descending (toward smaller thresholds)
     measured_lengths: np.ndarray  # (num_p, num_j)
-    measured_lengths_minus: np.ndarray  # (num_p, num_j), the same
     length_errors: np.ndarray  # (num_p, num_j), bounds on the lengths' errors
     fitted_exponent: Optional[float]
     fitted_exponent_minus: Optional[float]
@@ -600,7 +600,6 @@ def overlap_scaling_experiment(
         p_samples=p_samples,
         j_values=j_sorted,
         measured_lengths=lengths,
-        measured_lengths_minus=lengths,
         length_errors=errors,
         fitted_exponent=fit,
         fitted_exponent_minus=fit,

@@ -45,7 +45,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -139,8 +139,9 @@ class QuadSpec:
 # Rule tables
 # ---------------------------------------------------------------------------
 
-# Gauss-Kronrod 7/15 on [-1, 1]: (abscissa, Kronrod weight, Gauss weight);
-# Gauss weight 0 marks Kronrod-only nodes.  QUADPACK's dqk15 constants.
+# Gauss-Kronrod 7/15 on [0, 1]: (abscissa, Kronrod weight, Gauss weight),
+# mirrored to [-1, 1] by ``_gauss_kronrod``; Gauss weight 0 marks
+# Kronrod-only nodes.  QUADPACK's dqk15 constants.
 _GK_HALF = (
     (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
     (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
@@ -157,27 +158,7 @@ _GK_HALF = (
 )
 
 
-def _gk15_table() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs, wk, wg = [], [], []
-    for x, k, g in _GK_HALF[:-1]:
-        xs.append(-x)
-        wk.append(k)
-        wg.append(g)
-    x0, k0, g0 = _GK_HALF[-1]
-    xs.append(x0)
-    wk.append(k0)
-    wg.append(g0)
-    for x, k, g in reversed(_GK_HALF[:-1]):
-        xs.append(x)
-        wk.append(k)
-        wg.append(g)
-    return np.array(xs), np.array(wk), np.array(wg)
-
-
-_GK_X, _GK_WK, _GK_WG = _gk15_table()
-
-
-class _Rule:
+class _Rule(NamedTuple):
     """A symmetric rule pair on the reference cell [-1, 1]^d.
 
     ``points``: (npts, d); ``w_hi``/``w_lo``: weights normalized so the
@@ -186,76 +167,76 @@ class _Rule:
     difference along axis i (inner pair then outer pair); unused in 1D.
     """
 
-    def __init__(self, d: int):
-        self.d = d
-        if d == 1:
-            self.points = _GK_X[:, None]
-            # Sum of Kronrod weights on [-1,1] is 2: halve for mean form.
-            self.w_hi = _GK_WK / 2.0
-            self.w_lo = _GK_WG / 2.0
-            self.axis_idx = np.zeros((4, 0), dtype=np.intp)
-            self.dd_ratio = 0.0
-        else:
-            self._build_genz_malik(d)
-        self.w_err = self.w_hi - self.w_lo
-        self.w_abs = np.abs(self.w_hi)
-        self.npts = len(self.points)
+    d: int
+    points: np.ndarray
+    w_hi: np.ndarray
+    w_lo: np.ndarray
+    w_abs: np.ndarray
+    axis_idx: np.ndarray
+    dd_ratio: float
 
-    def _build_genz_malik(self, d: int) -> None:
-        l2 = math.sqrt(9.0 / 70.0)
-        l3 = math.sqrt(9.0 / 10.0)
-        l4 = l3
-        l5 = math.sqrt(9.0 / 19.0)
-        pts = [np.zeros(d)]
-        w7 = [(12824.0 - 9120.0 * d + 400.0 * d * d) / 19683.0]
-        w5 = [(729.0 - 950.0 * d + 50.0 * d * d) / 729.0]
-        axis_idx = []
+    @property
+    def npts(self) -> int:
+        return len(self.points)
+
+
+def _gauss_kronrod() -> _Rule:
+    half = np.array(_GK_HALF).T
+    x, wk, wg = np.concatenate((half[:, :-1], half[:, ::-1]), axis=1)
+    x[:len(_GK_HALF) - 1] *= -1.0
+    # Sum of Kronrod weights on [-1,1] is 2: halve for mean form.
+    w_hi = wk / 2.0
+    return _Rule(d=1, points=x[:, None],
+                 w_hi=w_hi, w_lo=wg / 2.0, w_abs=np.abs(w_hi),
+                 axis_idx=np.zeros((4, 0), dtype=np.intp), dd_ratio=0.0)
+
+
+def _genz_malik(d: int) -> _Rule:
+    l2 = math.sqrt(9.0 / 70.0)
+    l3 = math.sqrt(9.0 / 10.0)
+    l4 = l3
+    l5 = math.sqrt(9.0 / 19.0)
+    pts = [np.zeros(d)]
+    w7 = [(12824.0 - 9120.0 * d + 400.0 * d * d) / 19683.0]
+    w5 = [(729.0 - 950.0 * d + 50.0 * d * d) / 729.0]
+    axis_idx = [[] for _ in range(d)]
+    for lam, a7, a5 in ((l2, 980.0 / 6561.0, 245.0 / 486.0),
+                        (l3, (1820.0 - 400.0 * d) / 19683.0,
+                         (265.0 - 100.0 * d) / 1458.0)):
         for i in range(d):
-            base2 = len(pts)
+            axis_idx[i] += [len(pts), len(pts) + 1]
             for s in (+1.0, -1.0):
                 p = np.zeros(d)
-                p[i] = s * l2
+                p[i] = s * lam
                 pts.append(p)
-                w7.append(980.0 / 6561.0)
-                w5.append(245.0 / 486.0)
-            axis_idx.append([base2, base2 + 1])
-        for i in range(d):
-            base3 = len(pts)
-            for s in (+1.0, -1.0):
-                p = np.zeros(d)
-                p[i] = s * l3
-                pts.append(p)
-                w7.append((1820.0 - 400.0 * d) / 19683.0)
-                w5.append((265.0 - 100.0 * d) / 1458.0)
-            axis_idx[i].extend([base3, base3 + 1])
-        for i in range(d):
-            for j in range(i + 1, d):
-                for si in (+1.0, -1.0):
-                    for sj in (+1.0, -1.0):
-                        p = np.zeros(d)
-                        p[i] = si * l4
-                        p[j] = sj * l4
-                        pts.append(p)
-                        w7.append(200.0 / 19683.0)
-                        w5.append(25.0 / 729.0)
-        for corner in itertools.product((+1.0, -1.0), repeat=d):
-            pts.append(l5 * np.array(corner))
-            w7.append(6859.0 / 19683.0 / 2.0 ** d)
-            w5.append(0.0)
-        self.points = np.array(pts)
-        self.w_hi = np.array(w7)
-        self.w_lo = np.array(w5)
-        self.axis_idx = np.array(axis_idx, dtype=np.intp).T
-        self.dd_ratio = (l2 / l3) ** 2
+                w7.append(a7)
+                w5.append(a5)
+    for i in range(d):
+        for j in range(i + 1, d):
+            for si in (+1.0, -1.0):
+                for sj in (+1.0, -1.0):
+                    p = np.zeros(d)
+                    p[i] = si * l4
+                    p[j] = sj * l4
+                    pts.append(p)
+                    w7.append(200.0 / 19683.0)
+                    w5.append(25.0 / 729.0)
+    for corner in itertools.product((+1.0, -1.0), repeat=d):
+        pts.append(l5 * np.array(corner))
+        w7.append(6859.0 / 19683.0 / 2.0 ** d)
+        w5.append(0.0)
+    w_hi = np.array(w7)
+    return _Rule(d=d, points=np.array(pts), w_hi=w_hi, w_lo=np.array(w5),
+                 w_abs=np.abs(w_hi),
+                 axis_idx=np.array(axis_idx, dtype=np.intp).T,
+                 dd_ratio=(l2 / l3) ** 2)
 
 
-_RULES = {d: _Rule(d) for d in (1, 2, 3, 4)}
+_RULES = {1: _gauss_kronrod(), **{d: _genz_malik(d) for d in (2, 3, 4)}}
 
 
 def _check_box(box: Sequence[Sequence[float]]) -> np.ndarray:
     b = np.asarray(box, dtype=float)
-    if b.ndim == 1 and b.shape == (2,):
-        b = b[None, :]
     if b.ndim != 2 or b.shape[1] != 2:
         raise ValueError("box must be a sequence of (lo, hi) pairs")
     if b.shape[0] not in (1, 2, 3, 4):

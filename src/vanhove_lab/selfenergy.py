@@ -182,6 +182,10 @@ def _freq_sum(q0: float, q: Tuple[float, float], beta: float,
     n_max = int((cutoff - 1.0) // 2)
     odd = np.arange(-n_max - 1, n_max + 1) * 2 + 1
     w = odd * (math.pi / beta)
+    # The third frequency q0 - w_n + w_m = q0 + 2 (m - n) pi / beta depends
+    # on m - n only, so the (n, m) matrix is a window view of one row.
+    N = len(w)
+    w3 = q0 + np.arange(1 - N, N) * (2.0 * math.pi / beta)
     centers = -1.0 + (np.arange(grid) + 0.5) * (2.0 / grid)
     cell = (2.0 / grid) ** 4
     X, Y, XP, YP = np.meshgrid(centers, centers, centers, centers,
@@ -197,8 +201,8 @@ def _freq_sum(q0: float, q: Tuple[float, float], beta: float,
         E3 = xp * yp
         C1 = 1.0 / (1j * w[None, :] - E1[:, None])
         C2 = 1.0 / (1j * w[None, :] - E2[:, None])
-        w3 = q0 - w[:, None] + w[None, :]
-        C3 = 1.0 / (1j * w3[None, :, :] - E3[:, None, None])
+        C3 = np.lib.stride_tricks.sliding_window_view(
+            1.0 / (1j * w3[None, :] - E3[:, None]), N, axis=1)[:, ::-1]
         inner = np.einsum("bn,bnm->bm", C1, C3)
         total += np.einsum("bm,bm->", C2, inner)
     return complex(-total * cell / beta ** 2)
@@ -477,17 +481,15 @@ def d2_sigma2_xi_eta(q0: float, spec: QuadSpec,
 # terms die as beta grows.  These direct forms are the 4D oracle's; the
 # panel kernel computes the same products in cache-sized blocks of rows,
 # in real arithmetic and from two exps per node (see _panel_sums).
-def _delta1(u: np.ndarray) -> np.ndarray:
-    w = np.exp(-np.abs(u))
-    return w / (1.0 + w) ** 2
+_UNIT_BETA = ThermalState.finite(1.0)
 
 
 def _g1(u: np.ndarray) -> np.ndarray:
-    return _delta1(u) * (u * np.tanh(u / 2.0) - 1.0)
+    return approx_delta(_UNIT_BETA, u) * (u * np.tanh(u / 2.0) - 1.0)
 
 
 def _ddelta1(u: np.ndarray) -> np.ndarray:
-    return -_delta1(u) * np.tanh(u / 2.0)
+    return -approx_delta(_UNIT_BETA, u) * np.tanh(u / 2.0)
 
 
 _U_SUPPORT = 60.0       # |u| beyond this every kernel is below 1e-25

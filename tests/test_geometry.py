@@ -896,10 +896,8 @@ def test_scaling_experiment_report_shape_and_monotonicity():
     assert np.all(rep.measured_lengths >= 0.0)
     # thresholds shrink along the j axis, so lengths cannot grow
     assert np.all(np.diff(rep.measured_lengths, axis=1) <= 1e-12)
-    assert np.all(np.diff(rep.measured_lengths_minus, axis=1) <= 1e-12)
     assert rep.fitted_exponent is not None
     assert rep.fitted_exponent == pytest.approx(rep.fitted_exponent_minus, abs=1e-6)
-    assert np.array_equal(rep.measured_lengths_minus, rep.measured_lengths)
     assert np.all((rep.length_errors >= 0.0) & (rep.length_errors < 1e-6))
     rows = list(rep.rows())
     assert len(rows) == 60 * 4

@@ -48,6 +48,8 @@ def test_bad_boxes_rejected():
         rule_pair(f, [(1.0, 0.0)])
     with pytest.raises(ValueError):
         rule_pair(f, [(0.0, math.inf)])
+    with pytest.raises(ValueError):
+        rule_pair(f, (0.0, 1.0))
 
 
 def test_wrong_integrand_shape_rejected():

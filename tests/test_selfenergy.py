@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from vanhove_lab import matsubara, quad
 from vanhove_lab.errors import ZeroFrequency
-from vanhove_lab.matsubara import ThermalState, fermi
+from vanhove_lab.matsubara import ThermalState, approx_delta, fermi
 from vanhove_lab.quad import QuadSpec
 from vanhove_lab import selfenergy as se
 
@@ -80,6 +80,32 @@ def test_sigma2_conjugation():
     r_pos = se.sigma2(0.7, (0.3, -0.2), st4, spec)
     r_neg = se.sigma2(-0.7, (0.3, -0.2), st4, spec)
     assert r_neg.value == r_pos.value.conjugate()
+
+
+def _reference_freq_sum(q0, q, beta, cutoff, grid):
+    """The double Matsubara sum with the third frequency q0 - w1 + w2
+    formed for every (w1, w2) pair."""
+    xi, eta = q
+    n_max = int((cutoff - 1.0) // 2)
+    w = (np.arange(-n_max - 1, n_max + 1) * 2 + 1) * (math.pi / beta)
+    centers = -1.0 + (np.arange(grid) + 0.5) * (2.0 / grid)
+    X, Y, XP, YP = (a.ravel() for a in np.meshgrid(centers, centers, centers,
+                                                   centers, indexing="ij"))
+    E1 = (xi + X - XP) * (eta + Y - YP)
+    C1 = 1.0 / (1j * w[None, :] - E1[:, None])
+    C2 = 1.0 / (1j * w[None, :] - (X * Y)[:, None])
+    w3 = q0 - w[:, None] + w[None, :]
+    C3 = 1.0 / (1j * w3[None, :, :] - (XP * YP)[:, None, None])
+    total = np.einsum("bn,bm,bnm->", C1, C2, C3)
+    return -total * (2.0 / grid) ** 4 / beta ** 2
+
+
+def test_frequency_sum_matches_pairwise_double_sum():
+    q, beta = (0.3, -0.2), 4.0
+    for q0 in (math.pi / 4, -1.3):
+        got = se._freq_sum(q0, q, beta, 21.0, 4)
+        want = _reference_freq_sum(q0, q, beta, 21.0, 4)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +265,10 @@ def _direct_finite_term(kind, q0, beta):
         if kind == "zeta2":
             return beta * se._g1(u) * (f2 - f3) / den
         if kind == "zeta3":
-            return -2.0 * E1 * beta * se._delta1(u) * (f2 - f3) / den ** 2
+            return -2.0 * E1 * beta * approx_delta(se._UNIT_BETA, u) * (f2 - f3) / den ** 2
         if kind == "x2":
             return (y - yp) ** 2 * beta ** 2 * se._ddelta1(u) * (f2 - f3) / den
-        return 2.0 * beta * se._delta1(u) * (y - yp) ** 2 * (f2 - f3) / den ** 2
+        return 2.0 * beta * approx_delta(se._UNIT_BETA, u) * (y - yp) ** 2 * (f2 - f3) / den ** 2
 
     return quad.integrate(f, [(-1.0, 1.0)] * 4, LOOSE4D)
 
@@ -296,11 +322,11 @@ def _reference_panel_sums(P, a, beta, kind):
         if kind == "zeta2":
             vals = beta * se._g1(u) * df / (1j * a + eps)
         elif kind == "zeta3":
-            vals = -2.0 * E1 * beta * se._delta1(u) * df / (1j * a + eps) ** 2
+            vals = -2.0 * E1 * beta * approx_delta(se._UNIT_BETA, u) * df / (1j * a + eps) ** 2
         elif kind == "x2":
             vals = ds * ds * beta ** 2 * se._ddelta1(u) * df / (1j * a + eps)
         else:  # x3
-            vals = 2.0 * beta * se._delta1(u) * ds * ds * df / (1j * a + eps) ** 2
+            vals = 2.0 * beta * approx_delta(se._UNIT_BETA, u) * ds * ds * df / (1j * a + eps) ** 2
         return np.sum(w * vals, axis=1)
 
     return _reference_inner_reduce(x, delta, beta, g)
