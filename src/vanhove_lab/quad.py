@@ -10,6 +10,17 @@ Rules
   embedded degree-5 companion.  Point count per cell: 17 (d=2), 33 (d=3),
   57 (d=4).  The cell is split along the coordinate axis with the largest
   fourth divided difference, measured from the rule's own axis points.
+  The error of a cell made by a split comes from four null rules on the
+  same points (Berntsen & Espelid, ACM TOMS 17, 1991): N1 = w_hi - w_lo
+  of degree 5, N2 and N3 of degree 3 and N4 of degree 1.  Their scaled
+  sums are E1 = |N1 f|, E2 = |(N2 f, N3 f)| and E3 = |N4 f|.  When they
+  decay, r = max(E1/E2, E2/E3) <= 1 and the estimate shrinks from
+  |I7 - I5| to 10 r E1 if that is smaller; otherwise it stays |I7 - I5|.
+  Two guards keep a shrunk estimate honest.  The first cell has no
+  parent and reports |I7 - I5|.  A child reports at least an eighth of
+  how far the split moved its parent's value, capped at its own
+  |I7 - I5|, so a feature that every null rule misses still shows.  No
+  estimate exceeds |I7 - I5| with its roundoff floor.
 
 Adaptivity is global and batched, as in DCUHRE (Berntsen, Espelid & Genz,
 ACM TOMS 17, 1991).  Cells live in growable arrays indexed by creation id
@@ -165,6 +176,8 @@ class _Rule(NamedTuple):
     rule returns the *mean* of the integrand (multiply by cell volume).
     ``axis_idx[:, i]`` holds the point indices used for the fourth divided
     difference along axis i (inner pair then outer pair); unused in 1D.
+    ``null``: (npts, 4) null rules N1..N4 for the error estimate, each of
+    norm ``|w_hi|``; (npts, 0) in 1D.
     """
 
     d: int
@@ -174,6 +187,7 @@ class _Rule(NamedTuple):
     w_abs: np.ndarray
     axis_idx: np.ndarray
     dd_ratio: float
+    null: np.ndarray
 
     @property
     def npts(self) -> int:
@@ -188,7 +202,8 @@ def _gauss_kronrod() -> _Rule:
     w_hi = wk / 2.0
     return _Rule(d=1, points=x[:, None],
                  w_hi=w_hi, w_lo=wg / 2.0, w_abs=np.abs(w_hi),
-                 axis_idx=np.zeros((4, 0), dtype=np.intp), dd_ratio=0.0)
+                 axis_idx=np.zeros((4, 0), dtype=np.intp), dd_ratio=0.0,
+                 null=np.zeros((len(x), 0)))
 
 
 def _genz_malik(d: int) -> _Rule:
@@ -199,10 +214,13 @@ def _genz_malik(d: int) -> _Rule:
     pts = [np.zeros(d)]
     w7 = [(12824.0 - 9120.0 * d + 400.0 * d * d) / 19683.0]
     w5 = [(729.0 - 950.0 * d + 50.0 * d * d) / 729.0]
+    # Orbit of each point under the cube's symmetries: centre, the two
+    # axis-point orbits, the (l4, l4) pairs and the corners.
+    orbit = [0]
     axis_idx = [[] for _ in range(d)]
-    for lam, a7, a5 in ((l2, 980.0 / 6561.0, 245.0 / 486.0),
-                        (l3, (1820.0 - 400.0 * d) / 19683.0,
-                         (265.0 - 100.0 * d) / 1458.0)):
+    for o, lam, a7, a5 in ((1, l2, 980.0 / 6561.0, 245.0 / 486.0),
+                           (2, l3, (1820.0 - 400.0 * d) / 19683.0,
+                            (265.0 - 100.0 * d) / 1458.0)):
         for i in range(d):
             axis_idx[i] += [len(pts), len(pts) + 1]
             for s in (+1.0, -1.0):
@@ -211,6 +229,7 @@ def _genz_malik(d: int) -> _Rule:
                 pts.append(p)
                 w7.append(a7)
                 w5.append(a5)
+                orbit.append(o)
     for i in range(d):
         for j in range(i + 1, d):
             for si in (+1.0, -1.0):
@@ -221,15 +240,40 @@ def _genz_malik(d: int) -> _Rule:
                     pts.append(p)
                     w7.append(200.0 / 19683.0)
                     w5.append(25.0 / 729.0)
+                    orbit.append(3)
     for corner in itertools.product((+1.0, -1.0), repeat=d):
         pts.append(l5 * np.array(corner))
         w7.append(6859.0 / 19683.0 / 2.0 ** d)
         w5.append(0.0)
-    w_hi = np.array(w7)
-    return _Rule(d=d, points=np.array(pts), w_hi=w_hi, w_lo=np.array(w5),
+        orbit.append(4)
+    points, w_hi, w_lo = np.array(pts), np.array(w7), np.array(w5)
+    return _Rule(d=d, points=points, w_hi=w_hi, w_lo=w_lo,
                  w_abs=np.abs(w_hi),
                  axis_idx=np.array(axis_idx, dtype=np.intp).T,
-                 dd_ratio=(l2 / l3) ** 2)
+                 dd_ratio=(l2 / l3) ** 2,
+                 null=_null_rules(points, np.array(orbit), w_hi, w_lo))
+
+
+def _null_rules(points: np.ndarray, orbit: np.ndarray, w_hi: np.ndarray,
+                w_lo: np.ndarray) -> np.ndarray:
+    """Four orthogonal fully symmetric null rules, as (npts, 4) columns.
+
+    A null rule of degree k sums every monomial of degree <= k to zero.
+    Over the five orbits, odd monomials vanish by symmetry, and the even
+    ones 1, x^2 (degree 1 and 3) and x^4, x^2 y^2 (degree 5) leave null
+    spaces of dimension 4, 3 and 1.  N1 = w_hi - w_lo spans the last; N2
+    and N3 complete the degree-3 space, N4 the degree-1 space.  Each is
+    scaled to the norm of ``w_hi``.
+    """
+    sym = (orbit[:, None] == np.arange(5)).astype(float)
+    sym /= np.sqrt(sym.sum(axis=0))  # orthonormal fully symmetric basis
+    x2 = points[:, 0] ** 2
+    # A complete QR extends (1, x^2, N1) to an orthonormal basis of the
+    # symmetric weights: column 1 is x^2 less its constant part (N4), and
+    # columns 3 and 4 are orthogonal to 1, x^2 and N1 (N2, N3).
+    q = np.linalg.qr(sym.T @ np.column_stack((np.ones_like(x2), x2, w_hi - w_lo)),
+                     mode="complete")[0]
+    return np.linalg.norm(w_hi) * (sym @ q[:, [2, 3, 4, 1]])
 
 
 _RULES = {1: _gauss_kronrod(), **{d: _genz_malik(d) for d in (2, 3, 4)}}
@@ -251,11 +295,14 @@ def _eval_cells(
     rule: _Rule,
     centers: np.ndarray,
     halves: np.ndarray,
+    parent: np.ndarray | None = None,
 ):
     """Apply the rule pair to a batch of cells.
 
-    Returns per-cell high/low estimates, error, the error's roundoff floor
-    and split axis, plus the raw sample count.
+    ``parent`` holds the values of the split cells whose children these
+    are, in consecutive pairs; without it (the first cell) the error is
+    |hi - lo|.  Returns per-cell high/low estimates, error, the error's
+    roundoff floor and split axis, plus the raw sample count.
     """
     m = centers.shape[0]
     # Built coordinate by coordinate, so each column of ``flat`` is contiguous.
@@ -295,11 +342,27 @@ def _eval_cells(
         v0 = 2.0 * v[:, :1]
         dd = np.abs(p2 + m2 - v0 - rule.dd_ratio * (p3 + m3 - v0))
         split_axis = np.argmax(dd, axis=1)
+        if parent is not None:
+            err = _null_error(rule, v, vol, err, hi, parent)
     # Roundoff floor keeps symmetric cancellations honest: a cell whose
     # signed sum vanishes still carries summation noise ~ eps * int |f|.
     noise = 50.0 * _EPS * resabs
     err = np.maximum(err, noise)
     return hi, lo, err, noise, split_axis, m * rule.npts
+
+
+def _null_error(rule: _Rule, v: np.ndarray, vol: np.ndarray, err: np.ndarray,
+                hi: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Null-rule error of split children (see the module docstring),
+    never above ``err = |hi - lo|``."""
+    e1, e2a, e2b, e3 = vol * np.abs(v @ rule.null).T
+    e2 = np.hypot(e2a, e2b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # r is NaN or infinite where a sum vanishes: such a cell keeps err.
+        r = np.maximum(e1 / e2, e2 / e3)
+        est = np.where(r <= 1.0, np.minimum(err, 10.0 * r * e1), err)
+    moved = np.repeat(np.abs(parent - hi.reshape(-1, 2).sum(axis=1)), 2)
+    return np.maximum(est, np.minimum(err, moved / 8.0))
 
 
 def rule_pair(f: Integrand, box: Sequence[Sequence[float]]):
@@ -446,9 +509,10 @@ def integrate(
     run_err = 0.0
     c = ((b[:, 0] + b[:, 1]) / 2.0)[None, :]
     h = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
+    parent = None  # values of the cells split in the last round
     is_complex = False
     while True:
-        hi, _, e, floor, ax, k = _eval_cells(f, rule, c, h)
+        hi, _, e, floor, ax, k = _eval_cells(f, rule, c, h, parent)
         is_complex = is_complex or np.iscomplexobj(hi)
         evals += k
         m = len(hi)
@@ -501,6 +565,7 @@ def integrate(
                 break
         if not len(ax):
             break
+        parent = val[ids[~thin]]
         # The lower child of each split cell gets the smaller id.
         h[rows, ax] = h_ax
         c, h = np.repeat(c, 2, axis=0), np.repeat(h, 2, axis=0)

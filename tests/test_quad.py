@@ -256,12 +256,12 @@ GOLDEN_CASES = {
 # (value, error_estimate, evaluations, converged, rounds)
 GOLDEN_RESULTS = {
     "gk15_1d": (0.017140478845611692, 9.343145486171637e-13, 34545, True, 23),
-    "ridge_2d": (-9.210439670730027, 9.948321067034438e-05, 618613, True, 60),
-    "complex_3d": ((-0.9440039858097862 + 1.3100805641719737j),
-                   9.930076667138675e-08, 174471, True, 35),
-    "inverse_square_4d": (0.31253555688413, 9.854741124035166e-08, 279585, True,
-                          34),
-    "budget_exhausted_2d": (-9.228896646880646, 3.7730248266568256, 21063, False,
+    "ridge_2d": (-9.210439171060552, 9.787667825989104e-05, 303229, True, 40),
+    "complex_3d": ((-0.9440039842004163 + 1.3100805606010593j),
+                   9.475155715895551e-08, 30591, True, 23),
+    "inverse_square_4d": (0.3125355011557845, 9.285330320144178e-08, 49077, True,
+                          23),
+    "budget_exhausted_2d": (-9.228896646880614, 3.2517011447831177, 21063, False,
                             17),
 }
 
@@ -281,6 +281,68 @@ def test_golden_outputs_are_bit_identical(name):
     # every split turns one cell into two, so leaves = 1 + splits
     assert r.leaves + r.frozen == 1 + (r.evaluations // npts - 1) // 2
     assert r.rounds > 0 and r.frozen == 0
+
+
+# ---------------------------------------------------------------------------
+# null-rule error estimate
+# ---------------------------------------------------------------------------
+
+_ROUGH = {
+    "ridge": lambda P: 1.0 / (0.01 + (P.sum(axis=1) - 0.3) ** 2),
+    "osc": lambda P: np.cos(7.0 * P.sum(axis=1)) * np.exp(1j * P[:, 0]),
+    "kink": lambda P: np.abs(P[:, 0] - P[:, -1] - 0.1),
+    "step": lambda P: (P[:, 0] * P[:, 1] > 0.05).astype(float),
+}
+
+# rule_pair(f, [(-0.5, 1.0)] * d) as recorded before the null-rule
+# estimate: a cell without a parent reports |hi - lo|.
+RULE_PAIR_RECORDED = {
+    (2, "ridge"): (50.088477475167956, 107.86240800898061, 57.77393053381265),
+    (2, "osc"): (0.1549333794552074 + 0.09913177178721391j,
+                 3.8249642981798013 + 1.1199985436394397j, 3.8093694898587183),
+    (3, "ridge"): (66.09387894762037, 93.02354958830601, 26.929670640685643),
+    (3, "osc"): (-1.6262746025776385 - 0.5340295978631503j,
+                 -5.562960065301388 - 0.7041015215723846j, 3.940357457345039),
+    (4, "ridge"): (39.294002890560385, -148.28399228648496, 187.57799517704535),
+    (4, "osc"): (-3.661990406345963 - 1.2658826877876481j,
+                 -16.29726882439288 - 5.2011869802874475j, 13.233929143535926),
+}
+
+
+@pytest.mark.parametrize("d, name", sorted(RULE_PAIR_RECORDED))
+def test_first_cell_keeps_the_rule_difference(d, name):
+    f, box = _ROUGH[name], [(-0.5, 1.0)] * d
+    hi, lo, err, n = rule_pair(f, box)
+    assert (hi, lo, err) == RULE_PAIR_RECORDED[d, name]
+    assert n == quad._RULES[d].npts and err == pytest.approx(abs(hi - lo), 1e-15)
+    # A run that stops after its first cell reports that cell's error.
+    r = integrate(f, box, QuadSpec(max_evaluations=1))
+    assert (r.value, r.error_estimate, r.evaluations) == (hi, err, n)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_null_rule_error_never_exceeds_the_rule_difference(d):
+    # Random parent cells, each split as the engine splits one: the
+    # children's null-rule error may fall below |hi - lo| (with its
+    # roundoff floor), never rise above it.
+    rng = np.random.default_rng(d)
+    rule, m = quad._RULES[d], 400
+    c, h = rng.uniform(-0.5, 1.0, (m, d)), rng.uniform(0.01, 0.4, (m, d))
+    ax, rows = rng.integers(0, d, m), np.arange(m)
+    cc, hh = np.repeat(c, 2, axis=0), np.repeat(h, 2, axis=0)
+    hh[2 * rows, ax] = hh[2 * rows + 1, ax] = h[rows, ax] / 2.0
+    cc[2 * rows, ax] -= h[rows, ax] / 2.0
+    cc[2 * rows + 1, ax] += h[rows, ax] / 2.0
+    shrunk = 0
+    for f in _ROUGH.values():
+        parent = quad._eval_cells(f, rule, c, h)[0]
+        hi, lo, plain, noise, _, _ = quad._eval_cells(f, rule, cc, hh)
+        err = quad._eval_cells(f, rule, cc, hh, parent)[2]
+        assert np.array_equal(plain, np.maximum(np.abs(hi - lo), noise))
+        assert np.all(err <= plain)
+        assert np.all(err >= noise)
+        shrunk += int(np.sum(err < plain))
+    assert shrunk > m
 
 
 @pytest.mark.parametrize("box, npts, evaluations", [

@@ -136,6 +136,52 @@ def test_orthant_oracle_error_covers_gap():
                                                 + ref.error_estimate), (q0, tol)
 
 
+# The five finite-beta bench calls (q0 = 0.1, abs_tol 1e-4) and their
+# references: the same calls at QuadSpec(abs_tol=1e-7, rel_tol=0.0,
+# max_evaluations=100_000_000) with the |hi - lo| cell error, each
+# converged with a reported error below 1e-7 (1.2M-7.1M evaluations,
+# 2-16 s each).  The null-rule engine reproduces each within 9.3e-8.
+FINITE_BETA_REFERENCES = {
+    ("zeta2", 4.0): 3.665206143039927,
+    ("zeta3", 4.0): -3.9205215029575373,
+    ("x2", 4.0): -2.822775798254758j,
+    ("x3", 4.0): 7.746374316792056j,
+    ("x2", 16.0): -16.05723046363921j,
+}
+
+
+def test_reported_errors_cover_the_gap_to_a_tighter_reference():
+    # Calibration of the cubature's error estimate on every route it can
+    # be checked on: each reported error must cover the gap to a closed
+    # form or to a far tighter run.  Zero-temperature routes run at the
+    # CLI default spec.
+    cli = QuadSpec(abs_tol=1e-8, rel_tol=1e-8, max_evaluations=4_000_000)
+    entries = []
+    for q0 in (1e-5, 3.2e-4, 1e-2):
+        ref = se._zeta12_reduced(q0, QuadSpec(abs_tol=1e-11, rel_tol=0.0,
+                                              max_evaluations=40_000_000))
+        for route in (se._zeta12_zform, se._zeta12_reduced):
+            entries.append((route.__name__, q0, route(q0, cli), ref.value))
+        ref = se._i_reduced(q0, QuadSpec(abs_tol=1e-12, rel_tol=0.0,
+                                         max_evaluations=10_000_000))
+        entries.append(("_i_reduced", q0, se._i_reduced(q0, cli), ref.value))
+    for q0 in (1e-1, 1e-2, 1e-3, 1e-4):
+        entries.append(("b0_direct", q0, se.b0_direct(q0, cli),
+                        se.b0_closed(q0)))
+    for q0 in (0.1, 0.3):
+        entries.append(("_i20_3d", q0, se._i20_3d(q0, cli),
+                        se.i20_limit(q0).value))
+        entries.append(("_im_x30", q0, se._im_x30(q0, cli),
+                        se.x3_limit(q0).value.imag))
+    spec = QuadSpec(abs_tol=1e-4, rel_tol=0.0, max_evaluations=4_000_000)
+    for (kind, beta), ref in FINITE_BETA_REFERENCES.items():
+        entries.append((kind, beta, getattr(se, kind)(0.1, beta, spec), ref))
+    missed = [(name, x, abs(r.value - ref), r.error_estimate)
+              for name, x, r, ref in entries
+              if not (r.converged and abs(r.value - ref) <= r.error_estimate)]
+    assert not missed
+
+
 def test_im_d0_reduced_matches_cube_4d():
     r2 = se.im_d0_sigma2(0.1, QuadSpec(abs_tol=1e-8, rel_tol=0.0,
                                        max_evaluations=4_000_000))
