@@ -138,15 +138,15 @@ def test_orthant_oracle_error_covers_gap():
 
 # The five finite-beta bench calls (q0 = 0.1, abs_tol 1e-4) and their
 # references: the same calls at QuadSpec(abs_tol=1e-7, rel_tol=0.0,
-# max_evaluations=100_000_000) with the |hi - lo| cell error, each
-# converged with a reported error below 1e-7 (1.2M-7.1M evaluations,
-# 2-16 s each).  The null-rule engine reproduces each within 9.3e-8.
+# max_evaluations=100_000_000), each converged with a reported error
+# below 1e-7 (0.20M-1.8M evaluations, 0.4-3.5 s each).  x2 and zeta2 at
+# beta = 4 with 32 panels on every row agree to 3.2e-9 and 7.4e-10.
 FINITE_BETA_REFERENCES = {
-    ("zeta2", 4.0): 3.665206143039927,
-    ("zeta3", 4.0): -3.9205215029575373,
-    ("x2", 4.0): -2.822775798254758j,
-    ("x3", 4.0): 7.746374316792056j,
-    ("x2", 16.0): -16.05723046363921j,
+    ("zeta2", 4.0): 3.665205836571762,
+    ("zeta3", 4.0): -3.920540308061001,
+    ("x2", 4.0): -2.8227784561824185j,
+    ("x3", 4.0): 7.74639538216393j,
+    ("x2", 16.0): -16.057230462617486j,
 }
 
 
@@ -297,6 +297,19 @@ def test_xi_eta_unknown_method_raises():
 # ---------------------------------------------------------------------------
 
 
+# Thermal kernels in u = beta E1 for the direct forms below: delta1 is
+# the beta = 1 thermal delta, g1 = -(u delta1)' and ddelta1 = delta1'.
+_UNIT_BETA = ThermalState.finite(1.0)
+
+
+def _g1(u):
+    return approx_delta(_UNIT_BETA, u) * (u * np.tanh(u / 2.0) - 1.0)
+
+
+def _ddelta1(u):
+    return -approx_delta(_UNIT_BETA, u) * np.tanh(u / 2.0)
+
+
 def _direct_finite_term(kind, q0, beta):
     state = ThermalState.finite(beta)
 
@@ -309,21 +322,37 @@ def _direct_finite_term(kind, q0, beta):
         u = beta * E1
         den = 1j * q0 + eps
         if kind == "zeta2":
-            return beta * se._g1(u) * (f2 - f3) / den
+            return beta * _g1(u) * (f2 - f3) / den
         if kind == "zeta3":
-            return -2.0 * E1 * beta * approx_delta(se._UNIT_BETA, u) * (f2 - f3) / den ** 2
+            return -2.0 * E1 * beta * approx_delta(_UNIT_BETA, u) * (f2 - f3) / den ** 2
         if kind == "x2":
-            return (y - yp) ** 2 * beta ** 2 * se._ddelta1(u) * (f2 - f3) / den
-        return 2.0 * beta * approx_delta(se._UNIT_BETA, u) * (y - yp) ** 2 * (f2 - f3) / den ** 2
+            return (y - yp) ** 2 * beta ** 2 * _ddelta1(u) * (f2 - f3) / den
+        return 2.0 * beta * approx_delta(_UNIT_BETA, u) * (y - yp) ** 2 * (f2 - f3) / den ** 2
 
     return quad.integrate(f, [(-1.0, 1.0)] * 4, LOOSE4D)
 
 
-def _reference_inner_reduce(x, delta, beta, g):
-    """Reference panel rule: a callback reducer that builds the panel
-    edges, node and weight matrices for each power-of-two bucket.  Also
-    returns each row's panel count and whether its window was clipped."""
-    n = len(x)
+def _layout_panel_counts(P, a, beta, length):
+    """The production panel count of each row: the smallest power of two
+    in [_PANEL_MIN, _PANEL_MAX] whose panels are no longer than the
+    thermal, pole and Fermi-step units."""
+    x, y, yp = P[:, 0], P[:, 1], P[:, 2]
+    per_v = np.max([beta * np.abs(y - yp) / se._PANEL_UNITS,
+                    np.abs(2.0 * yp - y) / (se._POLE_UNITS * a),
+                    beta * np.abs(yp) / se._FERMI_UNITS], axis=0)
+    need = np.maximum(per_v * length, 1.0)
+    return np.clip(np.exp2(np.ceil(np.log2(need))), se._PANEL_MIN, se._PANEL_MAX)
+
+
+def _reference_panel_sums(P, a, beta, kind, panels=None):
+    """Complex inner integrals with the thermal kernels of the 4D oracle
+    and complex division, on ``panels`` equal Gauss panels per row, or on
+    the production layout when ``panels`` is None.  Each row's window is
+    clipped to the kernel support, as in production.  Also returns each
+    row's panel count and whether its window was clipped."""
+    state = ThermalState.finite(beta)
+    x, y, yp = P[:, 0], P[:, 1], P[:, 2]
+    delta = y - yp
     scale = beta * np.abs(delta)
     with np.errstate(divide="ignore"):
         vmax = np.where(scale > 0, se._U_SUPPORT / np.where(scale > 0, scale, 1.0),
@@ -331,51 +360,38 @@ def _reference_inner_reduce(x, delta, beta, g):
     lo = np.maximum(x - 1.0, -vmax)
     hi = np.minimum(x + 1.0, vmax)
     ok = hi > lo
-    ulen = np.where(ok, scale * (hi - lo), 0.0)
-    need = np.maximum(ulen / se._PANEL_UNITS, 1.0)
-    m_row = np.clip(np.exp2(np.ceil(np.log2(need))), se._PANEL_MIN, se._PANEL_MAX)
-    out = np.zeros(n, dtype=complex)
-    for m in (se._PANEL_MIN, 8, 16, se._PANEL_MAX):
-        idx = np.nonzero(ok & (m_row == m))[0]
-        if len(idx) == 0:
-            continue
-        edges = (lo[idx, None]
-                 + (hi - lo)[idx, None] * np.linspace(0.0, 1.0, m + 1)[None, :])
-        c = (edges[:, 1:] + edges[:, :-1]) / 2.0
-        h = (edges[:, 1:] - edges[:, :-1]) / 2.0
-        v = (c[:, :, None] + h[:, :, None] * se._GL_NODES).reshape(len(idx), -1)
-        w = (h[:, :, None] * se._GL_WEIGHTS[None, None, :]).reshape(len(idx), -1)
-        out[idx] = g(v, w, idx)
-    return out, m_row, ok & ((lo > x - 1.0) | (hi < x + 1.0))
-
-
-def _reference_panel_sums(P, a, beta, kind):
-    """Complex inner integrals through the reference reducer, with the
-    thermal kernels of the 4D oracle and complex division."""
-    state = ThermalState.finite(beta)
-    x, y, yp = P[:, 0], P[:, 1], P[:, 2]
-    delta = y - yp
+    if panels is None:
+        m_row = _layout_panel_counts(P, a, beta, np.where(ok, hi - lo, 0.0))
+    else:
+        m_row = np.full(len(P), float(panels))
     f2 = fermi(state, x * y)
-
-    def g(v, w, idx):
-        xs = x[idx][:, None]
-        ds = delta[idx][:, None]
-        xp = xs - v
-        E1 = v * ds
-        eps = (x * y)[idx][:, None] - xp * yp[idx][:, None] - E1
-        u = beta * E1
-        df = f2[idx][:, None] - fermi(state, xp * yp[idx][:, None])
-        if kind == "zeta2":
-            vals = beta * se._g1(u) * df / (1j * a + eps)
-        elif kind == "zeta3":
-            vals = -2.0 * E1 * beta * approx_delta(se._UNIT_BETA, u) * df / (1j * a + eps) ** 2
-        elif kind == "x2":
-            vals = ds * ds * beta ** 2 * se._ddelta1(u) * df / (1j * a + eps)
-        else:  # x3
-            vals = 2.0 * beta * approx_delta(se._UNIT_BETA, u) * ds * ds * df / (1j * a + eps) ** 2
-        return np.sum(w * vals, axis=1)
-
-    return _reference_inner_reduce(x, delta, beta, g)
+    out = np.zeros(len(P), dtype=complex)
+    for m in np.unique(m_row):
+        rows = np.flatnonzero(ok & (m_row == m))
+        edges = np.linspace(0.0, 1.0, int(m) + 1)
+        for s in range(0, len(rows), 64):
+            idx = rows[s:s + 64]
+            e = lo[idx, None] + (hi - lo)[idx, None] * edges
+            c = (e[:, 1:] + e[:, :-1]) / 2.0
+            h = (e[:, 1:] - e[:, :-1]) / 2.0
+            v = (c[:, :, None] + h[:, :, None] * se._GL_NODES).reshape(len(idx), -1)
+            w = (h[:, :, None] * se._GL_WEIGHTS).reshape(len(idx), -1)
+            ds = delta[idx, None]
+            xp = x[idx, None] - v
+            E1 = v * ds
+            eps = (x * y)[idx, None] - xp * yp[idx, None] - E1
+            u = beta * E1
+            df = f2[idx, None] - fermi(state, xp * yp[idx, None])
+            if kind == "zeta2":
+                vals = beta * _g1(u) * df / (1j * a + eps)
+            elif kind == "zeta3":
+                vals = -2.0 * E1 * beta * approx_delta(_UNIT_BETA, u) * df / (1j * a + eps) ** 2
+            elif kind == "x2":
+                vals = ds * ds * beta ** 2 * _ddelta1(u) * df / (1j * a + eps)
+            else:  # x3
+                vals = 2.0 * beta * approx_delta(_UNIT_BETA, u) * ds * ds * df / (1j * a + eps) ** 2
+            out[idx] = np.sum(w * vals, axis=1)
+    return out, m_row, ok & ((lo > x - 1.0) | (hi < x + 1.0))
 
 
 def _kernel_rows():
@@ -395,12 +411,30 @@ def _kernel_rows():
 @pytest.mark.parametrize("q0", [0.1, 0.3])
 @pytest.mark.parametrize("beta", [4.0, 16.0, 64.0])
 def test_panel_kernel_matches_reference_rows(kind, q0, beta):
+    # Against a converged reference that does not share the production
+    # layout: 128 equal Gauss panels per row, at these q0 and beta no
+    # longer than one thermal u-unit, half a pole distance or one Fermi
+    # step width, and within 5e-14 of max(1, |row|) of 512 panels.  Each
+    # row is its inner integral to 1e-4 of max(1, |row|).
+    P = _kernel_rows()
+    ref = _reference_panel_sums(P, q0, beta, kind, panels=128)[0]
+    got = se._panel_sums(P, q0, beta, kind)
+    kept = ref.real if se._KERNELS[kind][2] > 0 else ref.imag
+    bad = np.flatnonzero(np.abs(got - kept) > 1e-4 * np.maximum(1.0, np.abs(ref)))
+    assert bad.size == 0, (bad[:5], got[bad[:5]], kept[bad[:5]])
+
+
+@pytest.mark.parametrize("kind", ["zeta2", "zeta3", "x2", "x3"])
+@pytest.mark.parametrize("q0", [0.1, 0.3])
+@pytest.mark.parametrize("beta", [4.0, 16.0, 64.0])
+def test_panel_kernel_matches_complex_rows_on_its_layout(kind, q0, beta):
+    # The real-arithmetic derivation against complex division on the
+    # same panels.  The rows cover every panel count and clipped windows
+    # where beta allows them.
     P = _kernel_rows()
     ref, m_row, clipped = _reference_panel_sums(P, q0, beta, kind)
-    # The rows cover every panel bucket and clipped windows where beta
-    # allows them (at beta = 4 no window is clipped and all use 4 panels).
     if beta == 64.0:
-        assert set(m_row.tolist()) == {4.0, 8.0, 16.0, 32.0}
+        assert set(m_row.tolist()) == {2.0, 4.0, 8.0, 16.0, 32.0}
         assert clipped.sum() > 100
     got = se._panel_sums(P, q0, beta, kind)
     kept = ref.real if se._KERNELS[kind][2] > 0 else ref.imag
@@ -493,7 +527,8 @@ def test_folded_x1_matches_full_box():
 
 def test_finite_beta_points_that_used_up_the_budget_converge():
     # On the whole box both runs stopped at 4M evaluations unconverged,
-    # at -5.0199828 +- 2.12e-4 and 2.5352237 +- 2.17e-4.
+    # at -5.0199828 +- 2.12e-4 and 2.5352237 +- 2.17e-4.  On the quarter
+    # they converge at 79,497 and 448,899 evaluations.
     spec = QuadSpec(abs_tol=1e-4, rel_tol=0.0, max_evaluations=4_000_000)
     for fn, beta, full_box, full_err in ((se.zeta3, 6.0, -5.0199828, 2.12e-4),
                                          (se.zeta2, 64.0, 2.5352237, 2.17e-4)):
